@@ -19,8 +19,9 @@ from .hecke import (CapExceededError, LiftError, ModMatrix, NotCongruentError,
 from .numtheory import (NotCoprimeError, Residue, crt_pair, euler_phi, jacobi,
                         mod_inverse)
 from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
-                         build, classify, h_phase, projective_phase,
-                         propagator_json, unitarity_defect, verify_mult)
+                         UnitarityError, build, classify, h_phase,
+                         projective_phase, propagator_json, unitarity_defect,
+                         verify_mult)
 from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
                   Mat2, NotThetaError, decompose, evaluate, format_word,
                   is_theta, parse_word, random_theta, reduce_word)
@@ -39,9 +40,9 @@ __all__ = [
     "reduce_mod", "verify_hecke", "verify_mod4N",
     "NotCoprimeError", "Residue", "crt_pair", "euler_phi", "jacobi",
     "mod_inverse",
-    "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError", "build",
-    "classify", "h_phase", "projective_phase", "propagator_json",
-    "unitarity_defect", "verify_mult",
+    "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError",
+    "UnitarityError", "build", "classify", "h_phase", "projective_phase",
+    "propagator_json", "unitarity_defect", "verify_mult",
     "IDENTITY", "P_MAT", "S_MINUS", "S_PLUS", "T2_MINUS", "T2_PLUS",
     "TOKENS", "Mat2", "NotThetaError", "decompose", "evaluate",
     "format_word", "is_theta", "parse_word", "random_theta", "reduce_word",

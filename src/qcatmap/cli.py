@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
-tolerance, 2 on invalid input.
+tolerance (including a propagator failing its unitarity check), 2 on
+invalid input.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import gauss, hecke, suites, weyl
 from .numtheory import NotCoprimeError
-from .propagator import propagator_json
+from .propagator import UnitarityError, propagator_json
 from .sl2 import Mat2, decompose, format_word
 
 
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnitarityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ matrix C = B^-1 A (congruent to the identity mod 2N); both signs occur.
 For a fixed A, the matrices B with AB = BA mod 4N form a family whose lifted
 propagators commute with U_N(A).  The family is enumerated by brute force
 over SL(2, Z/4NZ) with the theta parity filter, and members are lifted back
-to genuine theta-group matrices by a bounded search.
+to genuine theta-group matrices by sl2.lift_theta.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .numtheory import jacobi
 from .propagator import MULT_TOL, build
-from .sl2 import Mat2, require_theta
+# the lifting API is defined in sl2 and re-exported here
+from .sl2 import LiftError, Mat2, ModMatrix, lift_theta, reduce_mod  # noqa: F401
 
 
 class NotCongruentError(ValueError):
@@ -30,44 +31,6 @@ class NotCongruentError(ValueError):
 
 class CapExceededError(ValueError):
     """Raised when a commutant enumeration would exceed the modulus cap."""
-
-
-class LiftError(ValueError):
-    """Raised when no theta-group lift is found within the search bound."""
-
-
-@dataclass(frozen=True)
-class ModMatrix:
-    """2x2 matrix of residues mod a fixed modulus."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        for name in "abcd":
-            object.__setattr__(self, name, getattr(self, name) % self.modulus)
-
-    def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
-        if self.modulus != other.modulus:
-            raise ValueError("moduli differ")
-        m = self.modulus
-        return ModMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            m,
-        )
-
-
-def reduce_mod(m: Mat2, modulus: int) -> ModMatrix:
-    """Entrywise reduction of an integer matrix mod modulus >= 1."""
-    return ModMatrix(m.a, m.b, m.c, m.d, modulus)
 
 
 def _congruent(a: Mat2, b: Mat2, modulus: int) -> bool:
@@ -141,74 +104,6 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
             for bc, bd in zip(cg[ok], dg[ok]):
                 members.append(ModMatrix(ba, bb, int(bc), int(bd), m))
     return members
-
-
-def _offsets(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield -k
-        yield k
-
-
-def _solve_linear(a: int, b: int, k: int):
-    """One solution (v, u) of a*v - b*u = k, or None."""
-    if a == 0 and b == 0:
-        return None
-    g = math.gcd(a, b)
-    if k % g:
-        return None
-    # extended gcd: x*a + y*b = g
-    x0, x1, y0, y1, r0, r1 = 1, 0, 0, 1, a, b
-    while r1:
-        q, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    scale = k // g
-    return x0 * scale, -y0 * scale
-
-
-def lift_theta(bm: ModMatrix, search_bound: int = 4) -> Mat2:
-    """Integer theta-group matrix congruent to bm mod its modulus.
-
-    Searches top-row representatives within search_bound moduli of the
-    residues and solves the determinant exactly for the bottom row; the
-    parity conditions hold automatically because the modulus is even.
-    Raises LiftError when the bound is exhausted.
-    """
-    m = bm.modulus
-    if m % 2:
-        raise ValueError("lifting requires an even modulus")
-    if (bm.a * bm.d - bm.b * bm.c) % m != 1:
-        raise LiftError(f"{bm} has determinant != 1 mod {m}")
-    if (bm.a * bm.b) % 2 or (bm.c * bm.d) % 2:
-        # m even, so a lift has the same entry parities as the residues
-        raise LiftError(f"{bm} violates the parity conditions")
-    for s in _offsets(search_bound):
-        av = bm.a + m * s
-        for t in _offsets(search_bound):
-            bv = bm.b + m * t
-            k = 1 - av * bm.d + bv * bm.c
-            sol = _solve_linear(av, bv, k // m)
-            if sol is None:
-                continue
-            v0, u0 = sol
-            # general solution: v = v0 + (bv/g) j, u = u0 + (av/g) j;
-            # pick j to keep the free bottom-row entry small
-            g = math.gcd(av, bv)
-            if bv != 0:
-                step = bv // g
-                j = round(-(bm.d / m + v0) / step)
-            else:
-                step = av // g
-                j = round(-(bm.c / m + u0) / step)
-            v = v0 + (bv // g) * j
-            u = u0 + (av // g) * j
-            cand = Mat2(av, bv, bm.c + m * u, bm.d + m * v)
-            if cand.det() != 1:
-                continue
-            require_theta(cand)
-            return cand
-    raise LiftError(f"no theta lift of {bm} within bound {search_bound}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ with N_b = N/gcd(b,N), b' = b/gcd(b,N), g(Q,Q') = 2*(a*Q' - Q)/gcd(b,N), and
 G the normalized Gauss sum of the gauss module.  Entries vanish when g is not
 an integer or the Gauss sum parity condition fails.  The map A -> U_N(A) is
 exactly multiplicative and depends on A only through its residue mod 4N.
+A general matrix whose entries are too large for the int64 entry grids is
+therefore reduced mod 4N and replaced by a small theta lift of the residue
+(sl2.lift_theta), which is built by the same vectorized kernel.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -28,12 +31,8 @@ import numpy as np
 
 from . import gauss
 from .numtheory import NotCoprimeError, jacobi, sign
-from .phases import e8, e_frac, e_frac_array
-from .sl2 import Mat2, require_theta
-
-# Entry-grid reductions use int64; beyond these sizes fall back to exact
-# Python-int arithmetic entry by entry.
-_INT64_LIMIT = 2**62
+from .phases import e8, e_frac_array
+from .sl2 import Mat2, lift_theta, reduce_mod, require_theta
 
 # Contractual tolerance coefficients
 UNITARITY_TOL = 1e-9          # times sqrt(N)
@@ -42,6 +41,10 @@ MULT_TOL = 1e-8               # times N
 
 class InvalidParityError(ValueError):
     """Raised when h(a, b) is requested with a and b of equal parity."""
+
+
+class UnitarityError(RuntimeError):
+    """Raised when a built propagator fails its unitarity check."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,22 @@ def _build_antishear(b: int, d: int, n: int) -> np.ndarray:
     return e_frac_array(num, two_n) / math.sqrt(n)
 
 
+def _fits_kernel(b: int, n: int) -> bool:
+    """Whether the general kernel can build a matrix with top-right entry b.
+
+    Its int64 grids hold quadratic phase numerators below
+    3 * (2N|b|) * N^2 = 6 N^3 |b|, and gauss_closed_many stays vectorized
+    while |b'| <= 10^6.  A lift mod 4N has |b| <= 20N, so 6 N^3 |b| <=
+    120 N^4 < 2^63 and |b'| <= 10^6 for every N <= 16,000.
+    """
+    return (6 * n**3 * abs(b) < 2**63
+            and abs(b) // math.gcd(b, n) <= gauss._CLOSED_VECTOR_MAX_BETA)
+
+
 def _build_general(m: Mat2, n: int) -> np.ndarray:
     a, b, d = m.a, m.b, m.d
+    if not _fits_kernel(b, n):
+        raise ValueError(f"N = {n} is too large for the int64 propagator kernel")
     g = math.gcd(b, n)
     n_b = n // g
     bp = b // g
@@ -136,42 +153,23 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
     hval = h_phase(a, b)
     s = 1 if b > 0 else -1
     den = 2 * n * abs(b)
-    if 6 * den * n * n < _INT64_LIMIT and beta_abs <= 10**6:
-        q = np.arange(n, dtype=np.int64)
-        qq = q * q
-        quad = (
-            ((s * d) % den) * qq[:, None]
-            + ((-2 * s) % den) * np.outer(q, q)
-            + ((s * a) % den) * qq[None, :]
-        )
-        phases = e_frac_array(quad, den)
-        # gamma = 2(aQ' - Q)/g, needed only mod 2|b'| and mod g for the mask
-        span = 2 * beta_abs * g
-        t = 2 * ((a % span) * q[None, :] - q[:, None])
-        mask = (t % g) == 0
-        gam = np.where(mask, t, 0) // g % (2 * beta_abs)
-        uniq, inv_idx = np.unique(gam, return_inverse=True)
-        gvals = gauss.gauss_closed_many(alpha, bp, uniq)
-        ggrid = gvals[inv_idx].reshape(n, n)
-        return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases
-    # exact fallback for enormous entries
-    u = np.zeros((n, n), dtype=np.complex128)
-    cache: dict[int, complex] = {}
-    scale = hval / math.sqrt(n_b)
-    for qr in range(n):
-        for qc in range(n):
-            t = 2 * (a * qc - qr)
-            if t % g:
-                continue
-            gam = (t // g) % (2 * beta_abs)
-            if gam not in cache:
-                p = gauss.GaussParams(alpha, bp, gam)
-                cache[gam] = gauss.gauss_closed(p) if gauss.is_nonvanishing(p) else 0.0
-            if cache[gam] == 0.0:
-                continue
-            quad = d * qr * qr - 2 * qr * qc + a * qc * qc
-            u[qr, qc] = scale * cache[gam] * e_frac(quad, 2 * n * b)
-    return u
+    q = np.arange(n, dtype=np.int64)
+    qq = q * q
+    quad = (
+        ((s * d) % den) * qq[:, None]
+        + ((-2 * s) % den) * np.outer(q, q)
+        + ((s * a) % den) * qq[None, :]
+    )
+    phases = e_frac_array(quad, den)
+    # gamma = 2(aQ' - Q)/g, needed only mod 2|b'| and mod g for the mask
+    span = 2 * beta_abs * g
+    t = 2 * ((a % span) * q[None, :] - q[:, None])
+    mask = (t % g) == 0
+    gam = np.where(mask, t, 0) // g % (2 * beta_abs)
+    uniq, inv_idx = np.unique(gam, return_inverse=True)
+    gvals = gauss.gauss_closed_many(alpha, bp, uniq)
+    ggrid = gvals[inv_idx].reshape(n, n)
+    return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases
 
 
 def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
@@ -184,7 +182,8 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     n : int
         Hilbert-space dimension N >= 1.
     check : bool
-        Assert unitarity of the result (max defect below 1e-9 * sqrt(N)).
+        Raise UnitarityError unless the result is unitary (max defect
+        below 1e-9 * sqrt(N)).
 
     Returns
     -------
@@ -194,16 +193,21 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     require_theta(m)
     if n < 1:
         raise ValueError("dimension must be a positive integer")
-    if m.b == 0:
-        u = _build_shear(m.a, m.c, n)
-    elif m.a == 0:
-        u = _build_antishear(m.b, m.d, n)
+    k = m
+    if k.a != 0 and k.b != 0 and not _fits_kernel(k.b, n):
+        # U_N(A) depends on A only mod 4N; the lift may be a shear
+        k = lift_theta(reduce_mod(m, 4 * n))
+    if k.b == 0:
+        u = _build_shear(k.a, k.c, n)
+    elif k.a == 0:
+        u = _build_antishear(k.b, k.d, n)
     else:
-        u = _build_general(m, n)
+        u = _build_general(k, n)
     if check:
-        assert unitarity_defect(u) < UNITARITY_TOL * math.sqrt(n), (
-            f"propagator of {m} at N={n} is not unitary"
-        )
+        defect = unitarity_defect(u)
+        if not defect < UNITARITY_TOL * math.sqrt(n):
+            raise UnitarityError(f"propagator of {m} at N={n} is not unitary "
+                                 f"(defect {defect:.3e})")
     return u
 
 

@@ -13,12 +13,17 @@ lists of the tokens "S", "S-", "P", "T2", "T2-" and evaluate left to right.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 
 class NotThetaError(ValueError):
     """Raised when a matrix is outside the theta group."""
+
+
+class LiftError(ValueError):
+    """Raised for a residue matrix with determinant != 1 or bad parities."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,125 @@ def require_theta(m: Mat2) -> Mat2:
     return m
 
 
+@dataclass(frozen=True)
+class ModMatrix:
+    """2x2 matrix of residues mod a fixed modulus."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    modulus: int
+
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("modulus must be a positive integer")
+        for name in "abcd":
+            object.__setattr__(self, name, getattr(self, name) % self.modulus)
+
+    def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
+        if self.modulus != other.modulus:
+            raise ValueError("moduli differ")
+        m = self.modulus
+        return ModMatrix(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+            m,
+        )
+
+
+def reduce_mod(m: Mat2, modulus: int) -> ModMatrix:
+    """Entrywise reduction of an integer matrix mod modulus >= 1."""
+    return ModMatrix(m.a, m.b, m.c, m.d, modulus)
+
+
+def _solve_linear(a: int, b: int, k: int):
+    """One solution (v, u) of a*v - b*u = k, or None."""
+    if a == 0 and b == 0:
+        return None
+    g = math.gcd(a, b)
+    if k % g:
+        return None
+    # extended gcd: x*a + y*b = g
+    x0, x1, y0, y1, r0, r1 = 1, 0, 0, 1, a, b
+    while r1:
+        q, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    scale = k // g
+    return x0 * scale, -y0 * scale
+
+
+def _complete_lift(bm: ModMatrix, av: int, bv: int) -> Mat2 | None:
+    """Lift of bm with top row (av, bv), or None when gcd(av, bv) rules it
+    out; av and bv must be congruent to bm.a and bm.b."""
+    m = bm.modulus
+    k = 1 - av * bm.d + bv * bm.c
+    sol = _solve_linear(av, bv, k // m)
+    if sol is None:
+        return None
+    v0, u0 = sol
+    # general solution: v = v0 + (bv/g) j, u = u0 + (av/g) j;
+    # pick j to keep the free bottom-row entry small
+    g = math.gcd(av, bv)
+    if bv != 0:
+        j = round(-(bm.d / m + v0) / (bv // g))
+    else:
+        j = round(-(bm.c / m + u0) / (av // g))
+    v = v0 + (bv // g) * j
+    u = u0 + (av // g) * j
+    cand = Mat2(av, bv, bm.c + m * u, bm.d + m * v)
+    # _solve_linear solves for -k instead when its extended gcd ends at -g
+    return require_theta(cand) if cand.det() == 1 else None
+
+
+def lift_theta(bm: ModMatrix, search_bound: int = 4) -> Mat2:
+    """Integer theta-group matrix congruent to bm mod its even modulus m.
+
+    Searches top-row representatives within search_bound moduli of the
+    residues and solves the determinant exactly for the bottom row; the
+    parity conditions hold automatically because the modulus is even.  When
+    the search finds nothing, _coprime_lift always succeeds, so the lift
+    exists and has |b| <= (search_bound + 1) * m for every residue with
+    determinant 1 and theta parities; LiftError is raised for the others,
+    ValueError for an odd modulus.
+    """
+    m = bm.modulus
+    if m % 2:
+        raise ValueError("lifting requires an even modulus")
+    if (bm.a * bm.d - bm.b * bm.c) % m != 1:
+        raise LiftError(f"{bm} has determinant != 1 mod {m}")
+    if (bm.a * bm.b) % 2 or (bm.c * bm.d) % 2:
+        # m even, so a lift has the same entry parities as the residues
+        raise LiftError(f"{bm} violates the parity conditions")
+    offsets = sorted(range(-search_bound, search_bound + 1), key=abs)
+    for s in offsets:
+        for t in offsets:
+            cand = _complete_lift(bm, bm.a + m * s, bm.b + m * t)
+            if cand is not None:
+                return cand
+    return _coprime_lift(bm)
+
+
+def _coprime_lift(bm: ModMatrix) -> Mat2:
+    """Lift of a valid residue with top row (a + t*m, b'), b' in [1, m].
+
+    A prime p dividing b' either divides t, and then not a, or divides a,
+    and then neither t (coprime to a by construction) nor m (p would divide
+    a, b and m, against ad - bc = 1 mod m); either way p does not divide
+    a + t*m, so the top row is coprime and, both entries being positive,
+    the bottom row always solves.
+    """
+    m = bm.modulus
+    bv = bm.b or m
+    t = bv
+    while (g := math.gcd(t, bm.a)) > 1:
+        t //= g
+    return _complete_lift(bm, bm.a + t * m, bv)
+
+
 def evaluate(word: list[str]) -> Mat2:
     """Product of generator matrices, left to right; [] gives the identity."""
     m = IDENTITY
@@ -125,16 +249,14 @@ def decompose(m: Mat2) -> list[str]:
     Euclidean-style descent on the top row: while b != 0, either swap the
     top-row entries with an S, or shrink a with a power of T2.  The T2 power
     is chosen to minimize the resulting |a|, breaking ties toward the
-    nonnegative representative, so the output word is deterministic.
+    nonnegative representative, so the output word is deterministic.  Each
+    T2 step leaves |a| < |b| and the S after it swaps them, so |b| falls at
+    least every second step; near a/b = +-1 only by 1, so words can be long.
     """
     require_theta(m)
     work = m
     applied: list[str] = []
-    guard = 0
     while work.b != 0:
-        guard += 1
-        if guard > 8 * (abs(m.a) + abs(m.b)).bit_length() + 64:
-            raise RuntimeError(f"descent failed to terminate for {m}")
         if work.a == 0:
             # (0, +-1; -+1, w): one S multiplication clears b
             tok = "S" if work.b == 1 else "S-"

@@ -1,12 +1,19 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written the slow, obvious way (trial
-factorization, term-by-term summation) so that agreement with the fast
-library code is meaningful.
+factorization, term-by-term summation, entry-by-entry loops in exact
+integer arithmetic) so that agreement with the fast library code is
+meaningful.
 """
 
 import cmath
 import math
+
+import numpy as np
+
+from qcatmap import gauss
+from qcatmap.phases import e_frac
+from qcatmap.propagator import h_phase
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -59,3 +66,34 @@ def gauss_reference(alpha: int, beta: int, gamma: int) -> complex:
         num = (s * (alpha * k * k + gamma * k)) % period
         total += cmath.exp(2j * cmath.pi * num / period)
     return total / (2.0 * math.sqrt(abs(beta)))
+
+
+def propagator_reference(m, n: int) -> np.ndarray:
+    """U_N(A) of a theta matrix with a, b != 0 from the general-case formula,
+    entry by entry in exact integer arithmetic on the unreduced matrix:
+    h(a,b)/sqrt(N_b) * G(N_b a, b', 2(aQ'-Q)/g) * e((dQ^2 - 2QQ' + aQ'^2)/(2Nb))
+    with g = gcd(b, N), N_b = N/g and b' = b/g."""
+    a, b, d = m.a, m.b, m.d
+    if a == 0 or b == 0:
+        raise ValueError("the general-case formula needs a, b != 0")
+    g = math.gcd(b, n)
+    n_b = n // g
+    bp = b // g
+    alpha = n_b * a
+    scale = h_phase(a, b) / math.sqrt(n_b)
+    u = np.zeros((n, n), dtype=np.complex128)
+    cache: dict[int, complex] = {}
+    for qr in range(n):
+        for qc in range(n):
+            t = 2 * (a * qc - qr)
+            if t % g:
+                continue
+            gam = (t // g) % (2 * abs(bp))
+            if gam not in cache:
+                p = gauss.GaussParams(alpha, bp, gam)
+                cache[gam] = gauss.gauss_closed(p) if gauss.is_nonvanishing(p) else 0.0
+            if cache[gam] == 0.0:
+                continue
+            quad = d * qr * qr - 2 * qr * qc + a * qc * qc
+            u[qr, qc] = scale * cache[gam] * e_frac(quad, 2 * n * b)
+    return u

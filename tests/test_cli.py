@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +141,49 @@ def test_tolerance_scale_flag(capsys):
     rc, out = run(capsys, ["verify", "unitarity", "--samples", "5",
                            "--tolerance-scale", "100.0"])
     assert rc == 0
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(args, code=None):
+    """Run the interpreter on the package sources; returns the process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, *args] + (["-c", code] if code else [])
+    return subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["decompose", "--matrix", "60,61,-61,-62"], 0),
+    (["hecke", "--matrix", "2,1,3,2", "--dim", "17"], 2),
+    (["propagator", "--matrix", "1,1,0,1", "--dim", "3"], 2),
+], ids=["decompose-cusp-one", "hecke-cap-exceeded", "non-theta-matrix"])
+def test_exit_codes_without_traceback(argv, want):
+    proc = run_python(["-m", "qcatmap.cli", *argv])
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if want == 2:
+        assert proc.stderr.startswith("error: ")
+
+
+def test_unitarity_failure_survives_optimize_flag():
+    # python -O strips assert statements; the guard must still raise, and
+    # the CLI must report it as a failed verification
+    code = """
+import sys
+import numpy as np
+from qcatmap import cli, propagator
+from qcatmap.sl2 import Mat2
+propagator._build_general = lambda m, n: np.ones((n, n), dtype=complex)
+try:
+    propagator.build(Mat2(2, 1, 3, 2), 3)
+except propagator.UnitarityError:
+    print("optimize", sys.flags.optimize, "raised")
+sys.exit(cli.main(["propagator", "--matrix", "2,1,3,2", "--dim", "3"]))
+"""
+    proc = run_python(["-O"], code)
+    assert proc.stdout.strip() == "optimize 1 raised"
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "not unitary" in proc.stderr
+    assert "Traceback" not in proc.stderr

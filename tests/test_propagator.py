@@ -10,8 +10,9 @@ from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
                                 projective_phase, propagator_json,
                                 unitarity_defect, verify_mult)
 from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
-                         Mat2, NotThetaError, evaluate, random_word)
-from _oracles import gauss_reference
+                         Mat2, NotThetaError, evaluate, lift_theta, random_word,
+                         reduce_mod)
+from _oracles import gauss_reference, propagator_reference
 
 
 def e(t):
@@ -193,6 +194,42 @@ def test_huge_entries_use_exact_fallback():
     big = Mat2(1, 2000002, 0, 1)
     small = Mat2(1, 2, 0, 1)
     assert np.abs(build(big, 2) - build(small, 2)).max() < 1e-10
+
+
+def _power(base, t):
+    m = IDENTITY
+    for _ in range(t):
+        m = m @ base
+    return m
+
+
+@pytest.mark.parametrize("n", [61, 12, 7])
+def test_huge_powers_match_exact_reference(n):
+    # hyperbolic powers past 2^64, built from their lift mod 4N; at N = 12
+    # every one of them has gcd(b, N) > 1, and at N = 7 a lift taken only
+    # mod 2N would be off by the sign jacobi(N, .) for (2, 1; 3, 2)^39
+    for base, t in ((Mat2(2, 1, 3, 2), 34), (Mat2(2, 1, 3, 2), 39),
+                    (Mat2(1, 2, 2, 5), 26), (Mat2(1, 2, 2, 5), 27)):
+        m = _power(base, t)
+        assert max(abs(x) for x in m.entries()) > 2**64
+        assert not propagator._fits_kernel(m.b, n)
+        assert n != 12 or math.gcd(m.b, n) > 1
+        assert np.abs(build(m, n) - propagator_reference(m, n)).max() < 1e-10
+
+
+def test_huge_b_divisible_by_4n_lifts_to_shear():
+    n = 12
+    m = Mat2(1, 0, 6, 1) @ Mat2(1, 4 * n * (2**64 + 3), 0, 1)
+    assert lift_theta(reduce_mod(m, 4 * n)).b == 0
+    # with a = -1 mod 4N the lift is general again, with |b| = 4N
+    for mm in (m, P_MAT @ m):
+        assert np.abs(build(mm, n) - propagator_reference(mm, n)).max() < 1e-10
+
+
+def test_dimension_beyond_kernel_budget_is_value_error():
+    # 6 N^3 |b| >= 2^63 even for the lift, so build refuses before allocating
+    with pytest.raises(ValueError, match="too large"):
+        build(Mat2(2, 1, 3, 2), 2**21)
 
 
 def test_projective_phase_paper_is_trivial():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qcatmap import sl2
@@ -89,6 +90,14 @@ def test_decompose_deterministic():
     assert sl2.decompose(m) == sl2.decompose(m)
 
 
+def test_decompose_cusp_one_family():
+    # (a, a+1; -(a+1), -(a+2)) sits near a/b = 1, where each S-T2 step pair
+    # shrinks |b| by only 1, so the word is about 2|a| tokens long
+    for a in [*range(-70, 71), 999, 10**4]:
+        m = Mat2(a, a + 1, -(a + 1), -(a + 2))
+        assert sl2.evaluate(sl2.decompose(m)) == m
+
+
 def test_decompose_rejects_nontheta():
     with pytest.raises(NotThetaError):
         sl2.decompose(Mat2(1, 1, 0, 1))
@@ -130,3 +139,57 @@ def test_top_row_has_exactly_one_even_entry():
     for _ in range(200):
         m = sl2.random_theta_general(rng, 10)
         assert (m.a % 2 == 0) != (m.b % 2 == 0)
+
+
+def _theta_residues(modulus):
+    """Every theta residue mod the modulus, by brute force."""
+    r = np.arange(modulus)
+    a, b, c, d = (x.ravel() for x in np.meshgrid(r, r, r, r, indexing="ij"))
+    ok = ((a * d - b * c) % modulus == 1) & ((a * b) % 2 == 0) & ((c * d) % 2 == 0)
+    return [sl2.ModMatrix(*map(int, e), modulus)
+            for e in zip(a[ok], b[ok], c[ok], d[ok])]
+
+
+def _random_residues(modulus, count, rng):
+    """Seeded theta residues from random products of S and even shears."""
+    out = []
+    for _ in range(count):
+        x = sl2.reduce_mod(IDENTITY, modulus)
+        for _ in range(12):
+            k = rng.randrange(modulus)
+            x = x @ sl2.reduce_mod(S_PLUS, modulus) @ sl2.ModMatrix(1, 0, 2 * k, 1, modulus)
+        out.append(x)
+    return out
+
+
+def _check_lift(lifted, bm):
+    assert sl2.is_theta(lifted)
+    assert sl2.reduce_mod(lifted, bm.modulus) == bm
+    assert abs(lifted.b) <= 5 * bm.modulus  # |b| <= 20N at modulus 4N
+
+
+def test_lift_theta_is_total_exhaustive():
+    for modulus in range(4, 33, 4):
+        residues = _theta_residues(modulus)
+        assert residues
+        for bm in residues:
+            _check_lift(sl2.lift_theta(bm), bm)
+            _check_lift(sl2._coprime_lift(bm), bm)
+
+
+def test_lift_theta_is_total_random():
+    rng = random.Random(31)
+    for modulus in (244, 4096):
+        for bm in _random_residues(modulus, 300, rng):
+            _check_lift(sl2.lift_theta(bm), bm)
+            _check_lift(sl2._coprime_lift(bm), bm)
+
+
+def test_lift_theta_without_search_uses_coprime_shift():
+    # (3, 6; 0, 3) mod 8: at bound 0 the search tries only the top row
+    # (3, 6), whose common factor 3 admits no determinant-1 completion
+    bm = sl2.ModMatrix(3, 6, 0, 3, 8)
+    assert sl2._complete_lift(bm, 3, 6) is None
+    lifted = sl2.lift_theta(bm, search_bound=0)
+    assert lifted == sl2._coprime_lift(bm)
+    _check_lift(lifted, bm)
