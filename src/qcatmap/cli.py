@@ -34,6 +34,13 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _parse_mode(text: str) -> tuple[int, int]:
     parts = [int(t) for t in text.split(",")]
     if len(parts) != 2:
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the pseudorandom samples")
-    common.add_argument("--samples", type=int, default=None,
+    common.add_argument("--samples", type=_positive_int, default=None,
                         help="number of samples (default depends on the task)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--tolerance-scale", dest="tolerance_scale",

@@ -2,7 +2,10 @@
 
 Phase arguments are kept as integer numerator/denominator pairs and reduced
 mod 1 exactly before any trigonometric call, so precision does not degrade
-with the size of the integers involved.
+with the size of the integers involved.  When an array holds at least as
+many numerators as the denominator, its phases are gathered from the den
+roots of unity, computed with the same floating-point expression, so the
+values equal those of the elementwise exp path bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ def e_frac_array(num, den: int) -> np.ndarray:
     """Vectorized e(num/den) for an int64 array of numerators."""
     if den < 0:
         num, den = -num, -den
-    return np.exp(2j * np.pi * ((num % den) / den))
+    r = num % den
+    if den <= np.size(r):
+        return np.exp(2j * np.pi * (np.arange(den) / den))[r]
+    return np.exp(2j * np.pi * (r / den))
 
 
 def e8(t: int) -> complex:

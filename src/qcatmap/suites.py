@@ -41,6 +41,10 @@ GENERATOR_RELATIONS = [
 ]
 
 
+class SamplingError(ValueError):
+    """A sweep could not draw enough admissible samples from its sampler."""
+
+
 @dataclass(frozen=True)
 class SweepReport:
     name: str
@@ -117,6 +121,8 @@ def gauss_oracle_sweep(max_abs: int = 40, oracle_tol: float = GAUSS_ORACLE_TOL,
     For every (alpha, beta) the direct average must vanish to roundoff
     whenever alpha*beta + gamma is odd.
     """
+    if max_abs < 1:
+        raise ValueError(f"the parameter box needs max_abs >= 1, got {max_abs}")
     gammas = np.arange(-max_abs, max_abs + 1)
     max_oracle = 0.0
     max_vanish = 0.0
@@ -129,11 +135,13 @@ def gauss_oracle_sweep(max_abs: int = 40, oracle_tol: float = GAUSS_ORACLE_TOL,
         k = np.arange(period, dtype=np.int64)
         kg = np.outer(k, gammas)
         scale = 2.0 * math.sqrt(abs(beta))
+        # e(j/period) for every reduced numerator j; reducing mod the period
+        # keeps every phase argument small, otherwise roundoff swamps the
+        # exact zeros
+        roots = np.exp((TWO_PI * 1j / period) * k)
         for alpha in range(-max_abs, max_abs + 1):
-            # reduce numerators mod the period so every phase argument
-            # stays small; otherwise roundoff swamps the exact zeros
             num = (sgn * ((alpha * k * k)[:, None] + kg)) % period
-            direct = np.exp((TWO_PI * 1j / period) * num).sum(axis=0)
+            direct = roots[num].sum(axis=0)
             direct /= scale
             odd = ((alpha * beta + gammas) % 2).astype(bool)
             if odd.any():
@@ -165,7 +173,8 @@ def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
     while done < samples:
         attempts += 1
         if attempts > 60 * samples:
-            raise RuntimeError("failed to draw enough admissible samples")
+            raise SamplingError(f"substitution: drew {done} of {samples} "
+                                f"admissible samples in {attempts - 1} attempts")
         m = random_theta_general(rng, 8)
         if m.d == 0:
             # both endpoints must stay in the b != 0, a != 0 case
@@ -195,7 +204,12 @@ def h_identity_sweep(samples: int = 500, seed: int = 0,
     rng = random.Random(seed)
     max_err = 0.0
     done = 0
+    attempts = 0
     while done < samples:
+        attempts += 1
+        if attempts > 60 * samples:
+            raise SamplingError(f"h-identity: drew {done} of {samples} "
+                                f"admissible samples in {attempts - 1} attempts")
         m = random_theta_general(rng, 8)
         if m.d == 0:
             continue

@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from qcatmap import gauss
-from qcatmap.phases import e_frac
+from qcatmap.phases import TWO_PI, e_frac
 from qcatmap.propagator import h_phase
+from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL, SweepReport
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -66,6 +67,50 @@ def gauss_reference(alpha: int, beta: int, gamma: int) -> complex:
         num = (s * (alpha * k * k + gamma * k)) % period
         total += cmath.exp(2j * cmath.pi * num / period)
     return total / (2.0 * math.sqrt(abs(beta)))
+
+
+def e_frac_array_reference(num, den: int) -> np.ndarray:
+    """e(num/den) with one complex exp per numerator."""
+    if den < 0:
+        num, den = -num, -den
+    return np.exp(2j * np.pi * ((num % den) / den))
+
+
+def gauss_oracle_sweep_reference(max_abs: int = 40,
+                                 oracle_tol: float = GAUSS_ORACLE_TOL,
+                                 vanish_tol: float = GAUSS_VANISH_TOL) -> SweepReport:
+    """The gauss-oracle sweep with one complex exp per term of every direct
+    sum (2|beta| * (2 max_abs + 1) per alpha and beta)."""
+    gammas = np.arange(-max_abs, max_abs + 1)
+    max_oracle = 0.0
+    max_vanish = 0.0
+    compared = 0
+    for beta in range(-max_abs, max_abs + 1):
+        if beta == 0:
+            continue
+        period = 2 * abs(beta)
+        sgn = 1 if beta > 0 else -1
+        k = np.arange(period, dtype=np.int64)
+        kg = np.outer(k, gammas)
+        scale = 2.0 * math.sqrt(abs(beta))
+        for alpha in range(-max_abs, max_abs + 1):
+            # reduce numerators mod the period so every phase argument
+            # stays small; otherwise roundoff swamps the exact zeros
+            num = (sgn * ((alpha * k * k)[:, None] + kg)) % period
+            direct = np.exp((TWO_PI * 1j / period) * num).sum(axis=0)
+            direct /= scale
+            odd = ((alpha * beta + gammas) % 2).astype(bool)
+            if odd.any():
+                max_vanish = max(max_vanish, float(np.abs(direct[odd]).max()))
+            if math.gcd(alpha, beta) == 1:
+                closed = gauss.gauss_closed_many(alpha, beta, gammas)
+                max_oracle = max(max_oracle,
+                                 float(np.abs(closed - direct).max()))
+                compared += gammas.size
+    passed = max_oracle < oracle_tol and max_vanish < vanish_tol
+    note = f"vanish max {max_vanish:.2e} (tol {vanish_tol:.0e})"
+    return SweepReport("gauss-oracle", compared, max_oracle, oracle_tol,
+                       passed, note=note)
 
 
 def propagator_reference(m, n: int) -> np.ndarray:

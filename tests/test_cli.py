@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcatmap import cli
+from qcatmap import cli, suites
 from qcatmap.propagator import build
 from qcatmap.sl2 import Mat2
 
@@ -135,6 +135,36 @@ def test_invalid_dims_is_input_error(capsys):
     rc = cli.main(["verify", "relations", "--dims", "0..4"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gauss-oracle", "--max-beta", "0"],
+    ["verify", "gauss-oracle", "--max-beta", "-3"],
+    ["verify", "mult", "--samples", "0"],
+    ["verify", "mult", "--samples", "-1"],
+    ["hecke", "--matrix", "2,1,3,2", "--dim", "3", "--samples", "0"],
+], ids=["max-beta-0", "max-beta-negative", "samples-0", "samples-negative",
+        "hecke-samples-0"])
+def test_empty_sample_requests_are_input_errors(capsys, argv):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "PASS" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("what", ["substitution", "h-identity"])
+def test_sampling_failure_is_input_error(capsys, monkeypatch, what):
+    # a sampler that only yields d = 0 matrices never gives an admissible one
+    monkeypatch.setattr(suites, "random_theta_general",
+                        lambda rng, max_word_len: Mat2(2, 1, -1, 0))
+    with pytest.raises(suites.SamplingError):
+        getattr(suites, what.replace("-", "_") + "_sweep")(samples=3)
+    rc = cli.main(["verify", what, "--samples", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {what}: drew 0 of 3")
+    assert "Traceback" not in captured.err
 
 
 def test_tolerance_scale_flag(capsys):
