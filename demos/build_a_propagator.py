@@ -55,10 +55,10 @@ print("S vs conjugate DFT, max diff:", np.abs(F - dft.conj()).max())
 
 B = Mat2(1, 0, 2, 1)
 report = verify_mult(A, B, N)
-print("U(AB) vs U(A) U(B): max entry error", report.max_entry_error,
+print("U(AB) vs U(A) U(B): max entry error", report.max_error,
       "passed =", report.passed)
 
 # the same check across several dimensions
 for n in (1, 2, 3, 7, 12, 25):
     r = verify_mult(A, B, n)
-    print("  N = %2d  error = %.2e" % (n, r.max_entry_error))
+    print("  N = %2d  error = %.2e" % (n, r.max_error))

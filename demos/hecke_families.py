@@ -25,13 +25,13 @@ shift = Mat2(1, 4 * N, 0, 1)
 B = A @ shift
 report = verify_mod4N(A, B, N)
 print("A =", A, " B =", B)
-print("congruent mod %d, max entry diff %.2e" % (4 * N, report.max_entry_error))
+print("congruent mod %d, max entry diff %.2e" % (4 * N, report.max_error))
 
 # mod 2N only, the propagators can differ by a sign
 C = Mat2(7, 6, 36, 31)          # congruent to the identity mod 6
-sign = mod2N_factor(C, Mat2(1, 0, 0, 1), N)
+factor, sign = mod2N_factor(C, Mat2(1, 0, 0, 1), N)
 print("C =", C, "vs identity: factor %+d, error %.2e"
-      % (sign.factor, sign.max_entry_error))
+      % (factor, sign.max_error))
 
 # --------------------------------------------------------------------------
 # The commutant of A modulo 4N.

@@ -19,7 +19,7 @@ from .hecke import (CapExceededError, LiftError, ModMatrix, NotCongruentError,
 from .numtheory import (NotCoprimeError, Residue, crt_pair, euler_phi, jacobi,
                         mod_inverse)
 from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
-                         UnitarityError, build, classify, h_phase,
+                         Report, UnitarityError, build, classify, h_phase,
                          projective_phase, propagator_json, unitarity_defect,
                          verify_mult)
 from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
@@ -40,7 +40,7 @@ __all__ = [
     "reduce_mod", "verify_hecke", "verify_mod4N",
     "NotCoprimeError", "Residue", "crt_pair", "euler_phi", "jacobi",
     "mod_inverse",
-    "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError",
+    "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError", "Report",
     "UnitarityError", "build", "classify", "h_phase", "projective_phase",
     "propagator_json", "unitarity_defect", "verify_mult",
     "IDENTITY", "P_MAT", "S_MINUS", "S_PLUS", "T2_MINUS", "T2_PLUS",

@@ -1,5 +1,10 @@
 """Command-line interface.
 
+`verify <check>` runs one entry of the check registry `suites.CHECKS` and
+`verify all` runs every entry in table order; each check prints one
+`Report`.  `--tolerance-scale` multiplies every tolerance and must be a
+finite number greater than 0.
+
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
 invalid input.
@@ -15,7 +20,7 @@ import sys
 
 from . import gauss, hecke, suites, weyl
 from .numtheory import NotCoprimeError
-from .propagator import UnitarityError, propagator_json
+from .propagator import Report, UnitarityError, propagator_json
 from .sl2 import Mat2, decompose, format_word
 
 
@@ -41,6 +46,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number greater than 0: {text!r}")
+    return value
+
+
 def _parse_mode(text: str) -> tuple[int, int]:
     parts = [int(t) for t in text.split(",")]
     if len(parts) != 2:
@@ -55,7 +68,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _report_line(rep: suites.SweepReport) -> str:
+def _report_line(rep: Report) -> str:
     status = "PASS" if rep.passed else "FAIL"
     line = (f"[{status}] {rep.name}: {rep.samples} samples, "
             f"max error {rep.max_error:.3e} (tol rate {rep.tol:.0e})")
@@ -139,53 +152,9 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dims = _parse_dims(args.dims) if args.dims else None
-    top = max(dims) if dims else None
-    ts = args.tolerance_scale
-    reports = []
-
-    def want(name: str) -> bool:
-        return args.what in (name, "all")
-
-    if want("mult"):
-        reports.append(suites.multiplicativity_sweep(
-            pairs=args.samples or 500, max_dim=top or 32,
-            seed=args.seed, tol_scale=ts))
-    if want("relations"):
-        reports.append(suites.relations_sweep(dims=dims, tol_scale=ts))
-    if want("gauss-oracle"):
-        reports.append(suites.gauss_oracle_sweep(max_abs=args.max_beta))
-    if want("substitution"):
-        reports.append(suites.substitution_sweep(
-            samples=args.samples or 500, max_dim=top or 32, seed=args.seed))
-    if want("h-identity"):
-        reports.append(suites.h_identity_sweep(
-            samples=args.samples or 500, seed=args.seed))
-    if want("egorov"):
-        reports.append(suites.egorov_sweep(
-            samples=args.samples or 100, max_dim=top or 16,
-            seed=args.seed, tol_scale=ts))
-    if want("mod4n"):
-        reports.append(suites.mod4n_sweep(
-            pairs=args.samples or 100, max_dim=top or 16,
-            seed=args.seed, tol_scale=ts))
-    if want("mod2n"):
-        reports.append(suites.mod2n_sweep(
-            pairs=args.samples or 100, max_dim=top or 16,
-            seed=args.seed, tol_scale=ts))
-    if want("decompose"):
-        reports.append(suites.decomposition_sweep(
-            words=args.samples or 1000, max_dim=top or 16,
-            seed=args.seed, tol_scale=ts))
-    if want("hecke"):
-        reports.append(suites.hecke_sweep(
-            max_dim=min(top, 8) if top else 8, seed=args.seed,
-            cap=args.max_4n, tol_scale=ts))
-    if want("unitarity"):
-        reports.append(suites.unitarity_sweep(
-            samples=args.samples or 64, max_dim=top or 64,
-            seed=args.seed, tol_scale=ts))
-
+    args.dims = _parse_dims(args.dims) if args.dims else None
+    names = suites.CHECKS if args.what == "all" else [args.what]
+    reports = [suites.CHECKS[name](args) for name in names]
     if args.format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in reports]))
     else:
@@ -194,9 +163,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-VERIFY_CHOICES = ("mult", "relations", "gauss-oracle", "substitution",
-                  "h-identity", "egorov", "mod4n", "mod2n", "decompose",
-                  "hecke", "unitarity", "all")
+VERIFY_CHOICES = (*suites.CHECKS, "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of samples (default depends on the task)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--tolerance-scale", dest="tolerance_scale",
-                        type=float, default=1.0,
+                        type=_positive_float, default=1.0,
                         help="multiply every tolerance by this factor")
 
     parser = argparse.ArgumentParser(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import jacobi
-from .propagator import MULT_TOL, build
+from .propagator import MULT_TOL, Report, build
 # the lifting API is defined in sl2 and re-exported here
 from .sl2 import LiftError, Mat2, ModMatrix, lift_theta, reduce_mod  # noqa: F401
 
@@ -37,45 +37,34 @@ def _congruent(a: Mat2, b: Mat2, modulus: int) -> bool:
     return all((x - y) % modulus == 0 for x, y in zip(a.entries(), b.entries()))
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    max_entry_error: float
-    tol: float
-    passed: bool
-
-
-def verify_mod4N(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> CongruenceReport:
+def verify_mod4N(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> Report:
     """Check build(A) = build(B) for A = B mod 4N."""
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
     if not _congruent(a, b, 4 * n):
         raise NotCongruentError(f"{a} and {b} differ mod {4 * n}")
     err = float(np.abs(build(a, n) - build(b, n)).max())
     tol = MULT_TOL * n * tol_scale
-    return CongruenceReport(err, tol, err < tol)
+    return Report("mod4N", 1, err, tol, err < tol)
 
 
-@dataclass(frozen=True)
-class ModFactorReport:
-    factor: int
-    max_entry_error: float
-    tol: float
-    verified: bool
-
-
-def mod2N_factor(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> ModFactorReport:
+def mod2N_factor(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> tuple[int, Report]:
     """Sign relating propagators of matrices congruent mod 2N.
 
-    Returns jacobi(N, |c_a|) for the top-left entry c_a of C = B^-1 A and
-    verifies build(A) = factor * build(B).  The factor is +1 whenever the
-    congruence actually holds mod 4N, but genuinely -1 for some pairs that
-    agree only mod 2N.
+    Returns jacobi(N, |c_a|) for the top-left entry c_a of C = B^-1 A,
+    with the report of the check build(A) = factor * build(B).  The factor
+    is +1 whenever the congruence actually holds mod 4N, but genuinely -1
+    for some pairs that agree only mod 2N.
     """
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
     if not _congruent(a, b, 2 * n):
         raise NotCongruentError(f"{a} and {b} differ mod {2 * n}")
     c = b.inverse() @ a
     factor = jacobi(n, abs(c.a))
     err = float(np.abs(build(a, n) - factor * build(b, n)).max())
     tol = MULT_TOL * n * tol_scale
-    return ModFactorReport(factor, err, tol, err < tol)
+    return factor, Report("mod2N", 1, err, tol, err < tol)
 
 
 def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
@@ -85,6 +74,8 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     ab = cd = 0 mod 2; refuses to run when 4N exceeds the cap.  The result
     is sorted by entries and closed under multiplication mod 4N.
     """
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
     m = 4 * n
     if m > cap:
         raise CapExceededError(f"4N = {m} exceeds enumeration cap {cap}")

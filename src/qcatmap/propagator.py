@@ -48,6 +48,22 @@ class UnitarityError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Report:
+    """Outcome of a check: the worst error over its samples and the tolerance.
+
+    A single comparison reports its own scaled tolerance; a sweep reports
+    the base rate, which it scales per sample by that sample's dimension.
+    """
+
+    name: str
+    samples: int
+    max_error: float
+    tol: float
+    passed: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
 class CaseTag:
     """Structural case of a theta matrix: which propagator formula applies."""
 
@@ -211,22 +227,13 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class MultReport:
-    """Outcome of a multiplicativity check U(AB) = U(A) U(B)."""
-
-    max_entry_error: float
-    tol: float
-    passed: bool
-
-
-def verify_mult(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> MultReport:
+def verify_mult(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> Report:
     """Compare build(A @ B) against build(A) @ build(B) entrywise."""
     lhs = build(a @ b, n)
     rhs = build(a, n) @ build(b, n)
     err = float(np.abs(lhs - rhs).max())
     tol = MULT_TOL * n * tol_scale
-    return MultReport(err, tol, err < tol)
+    return Report("multiplicativity", 1, err, tol, err < tol)
 
 
 def _hb_h(m: Mat2) -> complex:

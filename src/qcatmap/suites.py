@@ -4,19 +4,22 @@ Each sweep draws reproducible pseudorandom samples, exercises one exact
 identity of the propagator construction, and reports the worst numerical
 error found.  Tolerances that scale with the dimension are applied per
 sample; the reported `tol` field is the base rate before scaling.
+`CHECKS` maps each command-line check name to its sweep and defaults.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import gauss, hecke, weyl
 from .phases import TWO_PI
-from .propagator import (MULT_TOL, UNITARITY_TOL, build, h_phase,
+from .propagator import (MULT_TOL, UNITARITY_TOL, Report, build, h_phase,
                          unitarity_defect, verify_mult)
 from .sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, decompose, evaluate,
                   random_word, random_theta_general)
@@ -45,14 +48,41 @@ class SamplingError(ValueError):
     """A sweep could not draw enough admissible samples from its sampler."""
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    name: str
-    samples: int
-    max_error: float
-    tol: float
-    passed: bool
-    note: str = ""
+# tolerance laws: the factor that scales a check's base rate at dimension n
+def _per_n(n: int) -> int:
+    return n
+
+
+def _constant(n) -> int:
+    return 1
+
+
+def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
+           law: Callable = _per_n, tol_scale: float = 1.0,
+           samples: int | None = None) -> Report:
+    """Worst error over a check's trials, each held to tol * law(n) * tol_scale.
+
+    trials yields (error, n) per sample.  With samples given it is an
+    endless sampler that yields None for a draw that is not admissible:
+    the drive stops after that many samples, and raises SamplingError when
+    60 * samples draws did not give them.
+    """
+    worst, passed, done = 0.0, True, 0
+    limit = None if samples is None else 60 * samples
+    for trial in itertools.islice(trials, limit):
+        if trial is None:
+            continue
+        err, n = trial
+        worst = max(worst, err)
+        passed &= err < tol * law(n) * tol_scale
+        done += 1
+        if done == samples:
+            break
+    else:
+        if samples is not None and done < samples:
+            raise SamplingError(f"{name}: drew {done} of {samples} "
+                                f"admissible samples in {limit} attempts")
+    return Report(name, done, worst, tol, passed)
 
 
 def word_product(word, n: int) -> np.ndarray:
@@ -63,57 +93,49 @@ def word_product(word, n: int) -> np.ndarray:
     return u
 
 
-def relations_sweep(dims=None, tol_scale: float = 1.0) -> SweepReport:
+def relations_sweep(dims=None, tol_scale: float = 1.0) -> Report:
     """Generator relations as operator identities at every dimension."""
     if dims is None:
         dims = range(1, 65)
     dims = list(dims)
-    worst = 0.0
-    passed = True
-    count = 0
-    for n in dims:
-        for lhs, rhs in GENERATOR_RELATIONS:
-            err = float(np.abs(word_product(lhs, n) - word_product(rhs, n)).max())
-            worst = max(worst, err)
-            passed &= err < RELATION_TOL * n * tol_scale
-            count += 1
-    return SweepReport("relations", count, worst, RELATION_TOL, passed,
-                       note=f"dims {dims[0]}..{dims[-1]}")
+    trials = ((float(np.abs(word_product(lhs, n) - word_product(rhs, n)).max()), n)
+              for n in dims for lhs, rhs in GENERATOR_RELATIONS)
+    rep = _drive("relations", trials, RELATION_TOL, tol_scale=tol_scale)
+    return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
 
 
 def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
                            max_word_len: int = 10, seed: int = 0,
-                           tol_scale: float = 1.0) -> SweepReport:
+                           tol_scale: float = 1.0) -> Report:
     """build(AB) against build(A) @ build(B) for random words and dims."""
     rng = random.Random(seed)
-    worst = 0.0
-    passed = True
-    for _ in range(pairs):
-        n = rng.randint(1, max_dim)
-        a = evaluate(random_word(rng, max_word_len))
-        b = evaluate(random_word(rng, max_word_len))
-        rep = verify_mult(a, b, n, tol_scale=tol_scale)
-        worst = max(worst, rep.max_entry_error)
-        passed &= rep.passed
-    return SweepReport("multiplicativity", pairs, worst, MULT_TOL, passed)
+
+    def trials():
+        for _ in range(pairs):
+            n = rng.randint(1, max_dim)
+            a = evaluate(random_word(rng, max_word_len))
+            b = evaluate(random_word(rng, max_word_len))
+            yield verify_mult(a, b, n).max_error, n
+
+    return _drive("multiplicativity", trials(), MULT_TOL, tol_scale=tol_scale)
 
 
 def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
-                    tol_scale: float = 1.0) -> SweepReport:
+                    tol_scale: float = 1.0) -> Report:
     rng = random.Random(seed)
-    worst = 0.0
-    passed = True
-    for _ in range(samples):
-        n = rng.randint(1, max_dim)
-        m = evaluate(random_word(rng, 10))
-        defect = unitarity_defect(build(m, n, check=False))
-        worst = max(worst, defect)
-        passed &= defect < UNITARITY_TOL * math.sqrt(n) * tol_scale
-    return SweepReport("unitarity", samples, worst, UNITARITY_TOL, passed)
+
+    def trials():
+        for _ in range(samples):
+            n = rng.randint(1, max_dim)
+            m = evaluate(random_word(rng, 10))
+            yield unitarity_defect(build(m, n, check=False)), n
+
+    return _drive("unitarity", trials(), UNITARITY_TOL, law=math.sqrt,
+                  tol_scale=tol_scale)
 
 
 def gauss_oracle_sweep(max_abs: int = 40, oracle_tol: float = GAUSS_ORACLE_TOL,
-                       vanish_tol: float = GAUSS_VANISH_TOL) -> SweepReport:
+                       vanish_tol: float = GAUSS_VANISH_TOL) -> Report:
     """Closed-form sums against the defining average over a parameter box.
 
     For coprime (alpha, beta) the closed form must match the direct average
@@ -153,12 +175,12 @@ def gauss_oracle_sweep(max_abs: int = 40, oracle_tol: float = GAUSS_ORACLE_TOL,
                 compared += gammas.size
     passed = max_oracle < oracle_tol and max_vanish < vanish_tol
     note = f"vanish max {max_vanish:.2e} (tol {vanish_tol:.0e})"
-    return SweepReport("gauss-oracle", compared, max_oracle, oracle_tol,
-                       passed, note=note)
+    return Report("gauss-oracle", compared, max_oracle, oracle_tol, passed,
+                  note=note)
 
 
 def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
-                       tol: float = SCALAR_TOL) -> SweepReport:
+                       tol: float = SCALAR_TOL) -> Report:
     """Endpoint substitution in the general-case kernel.
 
     For b != 0 the kernel entry can be completed from either endpoint:
@@ -167,90 +189,77 @@ def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
     then is too).
     """
     rng = random.Random(seed)
-    max_err = 0.0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 60 * samples:
-            raise SamplingError(f"substitution: drew {done} of {samples} "
-                                f"admissible samples in {attempts - 1} attempts")
+
+    def draw():
         m = random_theta_general(rng, 8)
         if m.d == 0:
             # both endpoints must stay in the b != 0, a != 0 case
-            continue
+            return None
         n = rng.randint(1, max_dim)
         g = math.gcd(abs(m.b), n)
         q = rng.randrange(n)
         qp = rng.randrange(n)
         t1 = 2 * (m.a * qp - q)
         if t1 % g:
-            continue
+            return None
         t2 = 2 * (m.d * q - qp)
         nb = n // g
         p1 = gauss.GaussParams(nb * m.a, m.b // g, t1 // g)
         p2 = gauss.GaussParams(nb * m.d, m.b // g, t2 // g)
         v1 = gauss.gauss_closed(p1) if gauss.is_nonvanishing(p1) else 0.0
         v2 = gauss.gauss_closed(p2) if gauss.is_nonvanishing(p2) else 0.0
-        err = abs(h_phase(m.a, m.b) * v1 - h_phase(m.d, m.b) * v2)
-        max_err = max(max_err, err)
-        done += 1
-    return SweepReport("substitution", done, max_err, tol, max_err < tol)
+        return abs(h_phase(m.a, m.b) * v1 - h_phase(m.d, m.b) * v2), n
+
+    return _drive("substitution", (draw() for _ in itertools.count()), tol,
+                  law=_constant, samples=samples)
 
 
 def h_identity_sweep(samples: int = 500, seed: int = 0,
-                     tol: float = SCALAR_TOL) -> SweepReport:
+                     tol: float = SCALAR_TOL) -> Report:
     """h(a, b) = h(d, b) across random general-case theta matrices."""
     rng = random.Random(seed)
-    max_err = 0.0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 60 * samples:
-            raise SamplingError(f"h-identity: drew {done} of {samples} "
-                                f"admissible samples in {attempts - 1} attempts")
+
+    def draw():
         m = random_theta_general(rng, 8)
         if m.d == 0:
-            continue
-        max_err = max(max_err, abs(h_phase(m.a, m.b) - h_phase(m.d, m.b)))
-        done += 1
-    return SweepReport("h-identity", done, max_err, tol, max_err < tol)
+            return None
+        return abs(h_phase(m.a, m.b) - h_phase(m.d, m.b)), None
+
+    return _drive("h-identity", (draw() for _ in itertools.count()), tol,
+                  law=_constant, samples=samples)
 
 
 def egorov_sweep(samples: int = 100, max_dim: int = 16, seed: int = 0,
-                 tol_scale: float = 1.0) -> SweepReport:
+                 tol_scale: float = 1.0) -> Report:
     """Exact conjugation of every Weyl mode for random matrices and dims."""
     rng = random.Random(seed)
-    worst = 0.0
-    passed = True
-    for _ in range(samples):
-        n = rng.randint(1, max_dim)
-        m = evaluate(random_word(rng, 8))
-        err = float(weyl.egorov_mode_errors(m, n).max())
-        worst = max(worst, err)
-        passed &= err < weyl.EGOROV_TOL * n * tol_scale
-    return SweepReport("egorov", samples, worst, weyl.EGOROV_TOL, passed)
+
+    def trials():
+        for _ in range(samples):
+            n = rng.randint(1, max_dim)
+            m = evaluate(random_word(rng, 8))
+            yield float(weyl.egorov_mode_errors(m, n).max()), n
+
+    return _drive("egorov", trials(), weyl.EGOROV_TOL, tol_scale=tol_scale)
 
 
 def mod4n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
-                tol_scale: float = 1.0) -> SweepReport:
+                tol_scale: float = 1.0) -> Report:
     """Equal propagators for random pairs congruent mod 4N."""
     rng = random.Random(seed)
-    worst = 0.0
-    passed = True
-    for _ in range(pairs):
-        n = rng.randint(1, max_dim)
-        a = evaluate(random_word(rng, 6))
-        b = hecke.congruent_companion(a, 4 * n, rng)
-        rep = hecke.verify_mod4N(a, b, n, tol_scale=tol_scale)
-        worst = max(worst, rep.max_entry_error)
-        passed &= rep.passed
-    return SweepReport("mod4N", pairs, worst, MULT_TOL, passed)
+
+    def trials():
+        for _ in range(pairs):
+            n = rng.randint(1, max_dim)
+            a = evaluate(random_word(rng, 6))
+            b = hecke.congruent_companion(a, 4 * n, rng)
+            yield hecke.verify_mod4N(a, b, n).max_error, n
+
+    return _drive("mod4N", trials(), MULT_TOL, tol_scale=tol_scale)
 
 
 def mod2n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
-                tol_scale: float = 1.0) -> SweepReport:
+                tol_scale: float = 1.0) -> Report:
     """Jacobi-sign relation for pairs congruent mod 2N; both signs occur."""
     rng = random.Random(seed)
     # deterministic pair realizing the factor -1 at N = 3
@@ -259,22 +268,22 @@ def mod2n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
         n = rng.randint(1, max_dim)
         a = evaluate(random_word(rng, 6))
         cases.append((a, hecke.congruent_companion(a, 2 * n, rng), n))
-    worst = 0.0
-    passed = True
     factors = set()
-    for a, b, n in cases:
-        rep = hecke.mod2N_factor(a, b, n, tol_scale=tol_scale)
-        factors.add(rep.factor)
-        worst = max(worst, rep.max_entry_error)
-        passed &= rep.verified
-    passed &= factors >= {1, -1}
-    return SweepReport("mod2N", len(cases), worst, MULT_TOL, passed,
-                       note=f"factors seen {sorted(factors)}")
+
+    def trials():
+        for a, b, n in cases:
+            factor, rep = hecke.mod2N_factor(a, b, n)
+            factors.add(factor)
+            yield rep.max_error, n
+
+    rep = _drive("mod2N", trials(), MULT_TOL, tol_scale=tol_scale)
+    return replace(rep, passed=rep.passed and factors >= {1, -1},
+                   note=f"factors seen {sorted(factors)}")
 
 
 def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
                         build_checks: int = 60, max_dim: int = 16,
-                        seed: int = 0, tol_scale: float = 1.0) -> SweepReport:
+                        seed: int = 0, tol_scale: float = 1.0) -> Report:
     """Round-trip through generator words, plus operator-level spot checks.
 
     Every random product of generators must decompose back to a word with
@@ -284,41 +293,71 @@ def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
     rng = random.Random(seed)
     failures = 0
     longest = 0
-    worst = 0.0
-    passed = True
-    for i in range(words):
-        w = random_word(rng, max_word_len)
-        m = evaluate(w)
-        d = decompose(m)
-        longest = max(longest, len(d))
-        if evaluate(d) != m:
-            failures += 1
-        if i < build_checks:
-            n = rng.randint(1, max_dim)
-            err = float(np.abs(build(m, n) - word_product(d, n)).max())
-            worst = max(worst, err)
-            passed &= err < MULT_TOL * n * tol_scale
-    passed &= failures == 0
-    note = f"{failures} round-trip failures, longest word {longest}"
-    return SweepReport("decomposition", words, worst, MULT_TOL, passed, note)
+
+    def trials():
+        nonlocal failures, longest
+        for i in range(words):
+            w = random_word(rng, max_word_len)
+            m = evaluate(w)
+            d = decompose(m)
+            longest = max(longest, len(d))
+            if evaluate(d) != m:
+                failures += 1
+            if i < build_checks:
+                n = rng.randint(1, max_dim)
+                yield float(np.abs(build(m, n) - word_product(d, n)).max()), n
+
+    rep = _drive("decomposition", trials(), MULT_TOL, tol_scale=tol_scale)
+    return replace(rep, samples=words, passed=rep.passed and failures == 0,
+                   note=f"{failures} round-trip failures, longest word {longest}")
 
 
 def hecke_sweep(max_dim: int = 8, per_dim: int = 1, seed: int = 0,
-                cap: int = 64, tol_scale: float = 1.0) -> SweepReport:
+                cap: int = 64, tol_scale: float = 1.0) -> Report:
     """Commuting lifted families for random matrices at each dimension."""
     rng = random.Random(seed)
-    worst = 0.0
-    passed = True
-    checked = 0
-    sizes = []
-    for n in range(1, max_dim + 1):
-        for _ in range(per_dim):
-            a = random_theta_general(rng, 5)
-            rep = hecke.verify_hecke(a, n, samples=None, cap=cap,
-                                     tol_scale=tol_scale)
-            worst = max(worst, rep.max_error_vs_a, rep.max_pairwise_error)
-            passed &= rep.passed
-            checked += rep.checked
-            sizes.append(rep.commutant_size)
-    return SweepReport("hecke", checked, worst, MULT_TOL, passed,
-                       note=f"commutant sizes {sizes}")
+    families = []
+
+    def trials():
+        for n in range(1, max_dim + 1):
+            for _ in range(per_dim):
+                a = random_theta_general(rng, 5)
+                rep = hecke.verify_hecke(a, n, samples=None, cap=cap)
+                families.append(rep)
+                yield max(rep.max_error_vs_a, rep.max_pairwise_error), n
+
+    rep = _drive("hecke", trials(), MULT_TOL, tol_scale=tol_scale)
+    sizes = [f.commutant_size for f in families]
+    return replace(rep, samples=sum(f.checked for f in families),
+                   note=f"commutant sizes {sizes}")
+
+
+# The verify checks by command-line name, in the order `verify all` runs
+# them.  A runner takes the parsed `verify` options (seed, samples, dims as
+# a list or None, tolerance_scale, max_beta, max_4n) and fills in its
+# check's defaults.  It looks its sweep up by name at call time, so a
+# wrapper set on this module's attribute is the one that runs.
+CHECKS = {
+    "mult": lambda o: multiplicativity_sweep(
+        o.samples or 500, max(o.dims or [32]), seed=o.seed,
+        tol_scale=o.tolerance_scale),
+    "relations": lambda o: relations_sweep(o.dims, o.tolerance_scale),
+    "gauss-oracle": lambda o: gauss_oracle_sweep(o.max_beta),
+    "substitution": lambda o: substitution_sweep(
+        o.samples or 500, max(o.dims or [32]), o.seed),
+    "h-identity": lambda o: h_identity_sweep(o.samples or 500, o.seed),
+    "egorov": lambda o: egorov_sweep(
+        o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
+    "mod4n": lambda o: mod4n_sweep(
+        o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
+    "mod2n": lambda o: mod2n_sweep(
+        o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
+    "decompose": lambda o: decomposition_sweep(
+        o.samples or 1000, max_dim=max(o.dims or [16]), seed=o.seed,
+        tol_scale=o.tolerance_scale),
+    "hecke": lambda o: hecke_sweep(
+        min(max(o.dims or [8]), 8), seed=o.seed, cap=o.max_4n,
+        tol_scale=o.tolerance_scale),
+    "unitarity": lambda o: unitarity_sweep(
+        o.samples or 64, max(o.dims or [64]), o.seed, o.tolerance_scale),
+}

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .phases import e_frac_array
-from .propagator import build
+from .propagator import Report, build
 from .sl2 import Mat2
 
 Mode = tuple[int, int]
@@ -82,6 +82,8 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
     elsewhere.  Accepts arbitrary integer modes; T_N(n + N*m) equals T_N(n)
     up to the sign (-1)^(n1*m2 + n2*m1 + N*m1*m2).
     """
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
     n1, n2 = mode
     q = np.arange(n, dtype=np.int64)
     num = 2 * (n1 % n) * q + (n1 * n2) % (2 * n)
@@ -119,23 +121,14 @@ def is_real_observable(f: Observable, tol: float = 1e-12) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EgorovReport:
-    """Outcome of an exact-conjugation check."""
-
-    max_error: float
-    tol: float
-    passed: bool
-
-
-def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> EgorovReport:
+def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Report:
     """Check U^-1 Op_N(f) U = Op_N(f o A) for the propagator U of m."""
     u = build(m, n)
     lhs = u.conj().T @ quantize(f, n) @ u
     rhs = quantize(compose_classical(f, m), n)
     err = float(np.abs(lhs - rhs).max())
     tol = EGOROV_TOL * n * tol_scale
-    return EgorovReport(err, tol, err < tol)
+    return Report("egorov", 1, err, tol, err < tol)
 
 
 def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:

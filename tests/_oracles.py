@@ -13,8 +13,8 @@ import numpy as np
 
 from qcatmap import gauss
 from qcatmap.phases import TWO_PI, e_frac
-from qcatmap.propagator import h_phase
-from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL, SweepReport
+from qcatmap.propagator import Report, h_phase
+from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -78,7 +78,7 @@ def e_frac_array_reference(num, den: int) -> np.ndarray:
 
 def gauss_oracle_sweep_reference(max_abs: int = 40,
                                  oracle_tol: float = GAUSS_ORACLE_TOL,
-                                 vanish_tol: float = GAUSS_VANISH_TOL) -> SweepReport:
+                                 vanish_tol: float = GAUSS_VANISH_TOL) -> Report:
     """The gauss-oracle sweep with one complex exp per term of every direct
     sum (2|beta| * (2 max_abs + 1) per alpha and beta)."""
     gammas = np.arange(-max_abs, max_abs + 1)
@@ -109,8 +109,8 @@ def gauss_oracle_sweep_reference(max_abs: int = 40,
                 compared += gammas.size
     passed = max_oracle < oracle_tol and max_vanish < vanish_tol
     note = f"vanish max {max_vanish:.2e} (tol {vanish_tol:.0e})"
-    return SweepReport("gauss-oracle", compared, max_oracle, oracle_tol,
-                       passed, note=note)
+    return Report("gauss-oracle", compared, max_oracle, oracle_tol,
+                  passed, note=note)
 
 
 def propagator_reference(m, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -173,6 +175,50 @@ def test_tolerance_scale_flag(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "relations", "--dims", "1..3"],
+    ["egorov", "--matrix", "2,1,3,2", "--dim", "3"],
+], ids=["verify", "egorov"])
+def test_tolerance_scale_must_be_finite_positive(capsys, argv, scale):
+    # inf used to pass every check and nan, 0 or -1 to fail every check
+    rc = cli.main([*argv, "--tolerance-scale", scale])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_verify_choices_follow_check_registry():
+    assert set(cli.VERIFY_CHOICES) == set(suites.CHECKS) | {"all"}
+    parser = cli.build_parser()
+    for name in cli.VERIFY_CHOICES:
+        assert parser.parse_args(["verify", name]).what == name
+
+
+REGISTRY_FLAGS = ["--seed", "3", "--samples", "5", "--dims", "1..6",
+                  "--format", "json"]
+
+
+@pytest.fixture(scope="module")
+def verify_all_reports():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["verify", "all", *REGISTRY_FLAGS])
+    assert rc == 0
+    reports = json.loads(out.getvalue())
+    assert len(reports) == len(suites.CHECKS)
+    return dict(zip(suites.CHECKS, reports))
+
+
+@pytest.mark.parametrize("name", list(suites.CHECKS))
+def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
+                                                   name):
+    rc, out = run(capsys, ["verify", name, *REGISTRY_FLAGS])
+    assert rc == 0
+    assert json.loads(out) == [verify_all_reports[name]]
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -187,8 +233,10 @@ def run_python(args, code=None):
 @pytest.mark.parametrize("argv, want", [
     (["decompose", "--matrix", "60,61,-61,-62"], 0),
     (["hecke", "--matrix", "2,1,3,2", "--dim", "17"], 2),
+    (["hecke", "--matrix", "2,1,3,2", "--dim", "0"], 2),
     (["propagator", "--matrix", "1,1,0,1", "--dim", "3"], 2),
-], ids=["decompose-cusp-one", "hecke-cap-exceeded", "non-theta-matrix"])
+], ids=["decompose-cusp-one", "hecke-cap-exceeded", "hecke-dim-zero",
+        "non-theta-matrix"])
 def test_exit_codes_without_traceback(argv, want):
     proc = run_python(["-m", "qcatmap.cli", *argv])
     assert proc.returncode == want, proc.stderr

@@ -33,12 +33,24 @@ def test_verify_mod4N_equal_pair():
     a = Mat2(2, 1, 3, 2)
     b = a @ Mat2(1, 24, 0, 1)  # right factor congruent to 1 mod 4N at N = 6
     rep = verify_mod4N(a, b, 6)
-    assert rep.passed and rep.max_entry_error < rep.tol
+    assert rep.passed and rep.max_error < rep.tol
 
 
 def test_verify_mod4N_rejects_incongruent():
     with pytest.raises(NotCongruentError):
         verify_mod4N(Mat2(2, 1, 3, 2), IDENTITY, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_congruence_checks_reject_nonpositive_dimension(n):
+    a = Mat2(2, 1, 3, 2)
+    for check in (verify_mod4N, mod2N_factor):
+        with pytest.raises(ValueError, match="positive"):
+            check(a, a, n)
+    with pytest.raises(ValueError, match="positive"):
+        commutant_mod(a, n)
+    with pytest.raises(ValueError, match="positive"):
+        verify_hecke(a, n)
 
 
 def test_shear_parameter_periodic_mod_4N():
@@ -59,9 +71,9 @@ def test_mod2N_sign_minus_one():
     # the identity; the connecting factor is the Jacobi symbol (3|7) = -1
     a = Mat2(7, 6, 36, 31)
     assert is_theta(a)
-    rep = mod2N_factor(a, IDENTITY, 3)
-    assert rep.factor == -1
-    assert rep.verified and rep.max_entry_error < rep.tol
+    factor, rep = mod2N_factor(a, IDENTITY, 3)
+    assert factor == -1
+    assert rep.passed and rep.max_error < rep.tol
     u = build(a, 3)
     assert np.abs(u + np.eye(3)).max() < 1e-12
 
@@ -72,8 +84,8 @@ def test_mod2N_sign_plus_one_for_mod4N_pairs():
         n = rng.randint(1, 8)
         a = evaluate(random_word(rng, 6))
         b = congruent_companion(a, 4 * n, rng)
-        rep = mod2N_factor(a, b, n)
-        assert rep.factor == 1 and rep.verified
+        factor, rep = mod2N_factor(a, b, n)
+        assert factor == 1 and rep.passed
 
 
 def test_congruent_companion_is_congruent_theta():

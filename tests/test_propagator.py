@@ -184,7 +184,7 @@ def test_build_validates_input():
 
 def test_verify_mult_report():
     rep = verify_mult(Mat2(2, 1, 3, 2), T2_PLUS, 6)
-    assert rep.passed and rep.max_entry_error < rep.tol
+    assert rep.passed and rep.max_error < rep.tol
     assert rep.tol == propagator.MULT_TOL * 6
 
 

@@ -47,6 +47,12 @@ def test_weyl_op_factors_into_translations():
         assert np.abs(weyl.weyl_op((n1, n2), n) - want).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_weyl_op_rejects_nonpositive_dimension(n):
+    with pytest.raises(ValueError, match="positive"):
+        weyl.weyl_op((1, 2), n)
+
+
 def test_translation_powers_close():
     # t1^N and t2^N are the identity exactly
     for n in range(1, 17):
