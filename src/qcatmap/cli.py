@@ -222,7 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a verification sweep")
     p.add_argument("what", choices=VERIFY_CHOICES)
     p.add_argument("--dims", default=None,
-                   help='dimensions: "8", "1,2,4" or "1..16"')
+                   help='dimensions: "8", "1,2,4" or "1..16"; only relations '
+                        'runs every listed N, the other checks use the '
+                        'maximum: hecke runs every N in 1..min(max, 8), the '
+                        'sampling checks draw N from 1..max')
     p.add_argument("--max-beta", dest="max_beta", type=int, default=40,
                    help="parameter box for the Gauss-sum oracle sweep")
     p.add_argument("--max-4n", dest="max_4n", type=int, default=64,

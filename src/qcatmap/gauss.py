@@ -159,9 +159,13 @@ def gauss_closed_many(alpha: int, beta: int, gammas) -> np.ndarray:
     if gamma_parity == 0:
         x = (inv * (gam // 2)) % beta_abs
         num = -((alpha % (2 * beta_abs)) * x * x) * s
-        vals = lead * e_frac_array(num, 2 * beta_abs)
+        vals = e_frac_array(num, 2 * beta_abs)
     else:
         x = (inv * gam) % beta_abs
         num = -(2 * (alpha % beta_abs) * x * x) * s
-        vals = lead * e_frac_array(num, beta_abs)
+        vals = e_frac_array(num, beta_abs)
+    # lead * vals, rounded the same at every batch size: from 256 KiB on,
+    # numpy would reuse the temporary in `lead * e_frac_array(...)` in place
+    # as vals * lead, which rounds differently
+    np.multiply(lead, vals, out=vals)
     return np.where(valid, vals, 0.0)

@@ -12,7 +12,9 @@ Its propagator U_N(A) is assembled case by case from the entries of A:
 
 with N_b = N/gcd(b,N), b' = b/gcd(b,N), g(Q,Q') = 2*(a*Q' - Q)/gcd(b,N), and
 G the normalized Gauss sum of the gauss module.  Entries vanish when g is not
-an integer or the Gauss sum parity condition fails.  The map A -> U_N(A) is
+an integer or the Gauss sum parity condition fails.  G depends on (Q, Q')
+only through r = (a*Q' - Q) mod |b|, so the kernel reads it from a table
+over r unless |b| is large next to N^2.  The map A -> U_N(A) is
 exactly multiplicative and depends on A only through its residue mod 4N.
 A general matrix whose entries are too large for the int64 entry grids is
 therefore reduced mod 4N and replaced by a small theta lift of the residue
@@ -125,8 +127,9 @@ def h_phase(a: int, b: int) -> complex:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of u^dagger u from the identity."""
-    n = u.shape[0]
-    return float(np.abs(u.conj().T @ u - np.eye(n)).max())
+    p = u.conj().T @ u
+    p.flat[::u.shape[0] + 1] -= 1
+    return float(np.abs(p).max())
 
 
 def _build_shear(a: int, c: int, n: int) -> np.ndarray:
@@ -163,12 +166,9 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
         raise ValueError(f"N = {n} is too large for the int64 propagator kernel")
     g = math.gcd(b, n)
     n_b = n // g
-    bp = b // g
-    beta_abs = abs(bp)
-    alpha = n_b * a
-    hval = h_phase(a, b)
+    b_abs = abs(b)
     s = 1 if b > 0 else -1
-    den = 2 * n * abs(b)
+    den = 2 * n * b_abs
     q = np.arange(n, dtype=np.int64)
     qq = q * q
     quad = (
@@ -177,15 +177,15 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
         + ((s * a) % den) * qq[None, :]
     )
     phases = e_frac_array(quad, den)
-    # gamma = 2(aQ' - Q)/g, needed only mod 2|b'| and mod g for the mask
-    span = 2 * beta_abs * g
-    t = 2 * ((a % span) * q[None, :] - q[:, None])
-    mask = (t % g) == 0
-    gam = np.where(mask, t, 0) // g % (2 * beta_abs)
-    uniq, inv_idx = np.unique(gam, return_inverse=True)
-    gvals = gauss.gauss_closed_many(alpha, bp, uniq)
-    ggrid = gvals[inv_idx].reshape(n, n)
-    return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases
+    # G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r), shifted
+    # by |b| here to need no N x N `%`: tabulate it over [0, 2|b|), or over the
+    # grid's r if shorter, and gather a temporary that numpy reuses in place
+    r = ((a % b_abs) * q % b_abs)[None, :] + (b_abs - q % b_abs)[:, None]
+    keys, pos = ((np.arange(2 * b_abs), r) if 2 * b_abs <= n * n
+                 else (r.ravel(), np.arange(n * n).reshape(n, n)))
+    gvals = np.where((2 * keys) % g == 0,
+                     gauss.gauss_closed_many(n_b * a, b // g, 2 * keys // g), 0.0)
+    return (h_phase(a, b) / math.sqrt(n_b)) * gvals[pos] * phases
 
 
 def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:

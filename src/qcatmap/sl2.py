@@ -139,16 +139,16 @@ def _solve_linear(a: int, b: int, k: int):
     """One solution (v, u) of a*v - b*u = k, or None."""
     if a == 0 and b == 0:
         return None
-    g = math.gcd(a, b)
-    if k % g:
-        return None
-    # extended gcd: x*a + y*b = g
+    # extended gcd: x*a + y*b = r, where r = +-gcd(a, b) takes its sign
+    # from the floor divisions on signed arguments
     x0, x1, y0, y1, r0, r1 = 1, 0, 0, 1, a, b
     while r1:
         q, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    scale = k // g
+    if k % r0:
+        return None
+    scale = k // r0
     return x0 * scale, -y0 * scale
 
 
@@ -170,9 +170,7 @@ def _complete_lift(bm: ModMatrix, av: int, bv: int) -> Mat2 | None:
         j = round(-(bm.c / m + u0) / (av // g))
     v = v0 + (bv // g) * j
     u = u0 + (av // g) * j
-    cand = Mat2(av, bv, bm.c + m * u, bm.d + m * v)
-    # _solve_linear solves for -k instead when its extended gcd ends at -g
-    return require_theta(cand) if cand.det() == 1 else None
+    return require_theta(Mat2(av, bv, bm.c + m * u, bm.d + m * v))
 
 
 def lift_theta(bm: ModMatrix, search_bound: int = 4) -> Mat2:

@@ -260,10 +260,18 @@ def mod4n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
 
 def mod2n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
                 tol_scale: float = 1.0) -> Report:
-    """Jacobi-sign relation for pairs congruent mod 2N; both signs occur."""
+    """Jacobi-sign relation for pairs congruent mod 2N; both signs occur.
+
+    The first two pairs are fixed, one for each sign, so pairs must be at
+    least 2; the rest are drawn from the seed.
+    """
+    if pairs < 2:
+        raise ValueError("mod2n needs at least 2 pairs, one for each sign")
     rng = random.Random(seed)
-    # deterministic pair realizing the factor -1 at N = 3
-    cases = [(Mat2(7, 6, 36, 31), IDENTITY, 3)]
+    # deterministic pairs at N = 3 with factors -1 (congruent only mod 6)
+    # and +1 (congruent mod 12)
+    cases = [(Mat2(7, 6, 36, 31), IDENTITY, 3),
+             (Mat2(13, 12, 144, 133), IDENTITY, 3)]
     while len(cases) < pairs:
         n = rng.randint(1, max_dim)
         a = evaluate(random_word(rng, 6))

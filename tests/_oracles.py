@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from qcatmap import gauss
-from qcatmap.phases import TWO_PI, e_frac
-from qcatmap.propagator import Report, h_phase
+from qcatmap.phases import TWO_PI, e_frac, e_frac_array
+from qcatmap.propagator import Report, _fits_kernel, h_phase
 from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL
 
 
@@ -142,3 +142,37 @@ def propagator_reference(m, n: int) -> np.ndarray:
             quad = d * qr * qr - 2 * qr * qc + a * qc * qc
             u[qr, qc] = scale * cache[gam] * e_frac(quad, 2 * n * b)
     return u
+
+
+def build_general_reference(m, n: int) -> np.ndarray:
+    """The general-case kernel that recovered its Gauss factors with
+    np.unique over the N x N grid of gamma = 2(aQ' - Q)/g mod 2|b'|; the
+    table-driven propagator._build_general must match it bit for bit."""
+    a, b, d = m.a, m.b, m.d
+    if not _fits_kernel(b, n):
+        raise ValueError(f"N = {n} is too large for the int64 propagator kernel")
+    g = math.gcd(b, n)
+    n_b = n // g
+    bp = b // g
+    beta_abs = abs(bp)
+    alpha = n_b * a
+    hval = h_phase(a, b)
+    s = 1 if b > 0 else -1
+    den = 2 * n * abs(b)
+    q = np.arange(n, dtype=np.int64)
+    qq = q * q
+    quad = (
+        ((s * d) % den) * qq[:, None]
+        + ((-2 * s) % den) * np.outer(q, q)
+        + ((s * a) % den) * qq[None, :]
+    )
+    phases = e_frac_array(quad, den)
+    # gamma = 2(aQ' - Q)/g, needed only mod 2|b'| and mod g for the mask
+    span = 2 * beta_abs * g
+    t = 2 * ((a % span) * q[None, :] - q[:, None])
+    mask = (t % g) == 0
+    gam = np.where(mask, t, 0) // g % (2 * beta_abs)
+    uniq, inv_idx = np.unique(gam, return_inverse=True)
+    gvals = gauss.gauss_closed_many(alpha, bp, uniq)
+    ggrid = gvals[inv_idx].reshape(n, n)
+    return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases

@@ -133,6 +133,21 @@ def test_verify_multiple_suites(capsys):
     assert "factors seen [-1, 1]" in out
 
 
+def test_mod2n_two_samples_see_both_signs(capsys):
+    rc, out = run(capsys, ["verify", "mod2n", "--samples", "2"])
+    assert rc == 0
+    assert out.startswith("[PASS] mod2N: 2 samples")
+    assert "factors seen [-1, 1]" in out
+
+
+def test_mod2n_one_sample_is_input_error(capsys):
+    rc = cli.main(["verify", "mod2n", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: mod2n needs at least 2 pairs")
+
+
 def test_invalid_dims_is_input_error(capsys):
     rc = cli.main(["verify", "relations", "--dims", "0..4"])
     capsys.readouterr()

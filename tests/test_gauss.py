@@ -138,6 +138,18 @@ def test_closed_many_matches_scalar():
             assert abs(v - want) < 1e-13, (alpha, beta, g)
 
 
+def test_closed_many_bits_do_not_depend_on_batch_size():
+    # one batch of 40000 values (640 KiB, where numpy starts to reuse
+    # temporaries, and more than 2|beta|, where the phases come from a
+    # table) against the same gammas 100 at a time
+    gammas = np.arange(40000)
+    for alpha, beta in [(7, 9973), (4, -9973), (11, 15000)]:
+        whole = gauss.gauss_closed_many(alpha, beta, gammas)
+        parts = np.concatenate([gauss.gauss_closed_many(alpha, beta, gammas[i:i + 100])
+                                for i in range(0, gammas.size, 100)])
+        assert np.array_equal(whole.view(np.float64), parts.view(np.float64))
+
+
 def test_closed_many_rejects_shared_factor():
     with pytest.raises(NotCoprimeError):
         gauss.gauss_closed_many(2, 4, np.arange(4))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
                                 projective_phase, propagator_json,
                                 unitarity_defect, verify_mult)
 from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
-                         Mat2, NotThetaError, evaluate, lift_theta, random_word,
-                         reduce_mod)
-from _oracles import gauss_reference, propagator_reference
+                         Mat2, NotThetaError, evaluate, lift_theta,
+                         random_theta_general, random_word, reduce_mod)
+from _oracles import (build_general_reference, gauss_reference,
+                      propagator_reference)
 
 
 def e(t):
@@ -173,6 +175,68 @@ def test_unitarity_random():
         m = evaluate(random_word(rng, 10))
         n = rng.randint(1, 32)
         assert unitarity_defect(build(m, n, check=False)) < 1e-9 * math.sqrt(n)
+
+
+def test_unitarity_defect_equals_full_identity_difference():
+    # the identity is subtracted from the diagonal in place; the value must
+    # be the one the full difference gives, off the diagonal as well
+    rng = np.random.default_rng(5)
+    mats = [np.array([[1, 1], [0, 0]], dtype=complex), 2 * np.eye(3, dtype=complex)]
+    for n in (1, 2, 7, 64):
+        mats.append(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        mats.append(build(random_theta_general(random.Random(n), 8), n))
+    for u in mats:
+        before = u.copy()
+        want = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+        assert unitarity_defect(u) == want
+        assert np.array_equal(u, before)
+
+
+def _general_kernel_cases():
+    """General matrices at N = 1..32, 61, 64, 256: random words, which reach
+    b < 0 and gcd(b, N) > 1, lifts mod 4N, which reach |b| > N, and matrices
+    with 2|b| > N^2, whose Gauss factor is evaluated on the grid itself."""
+    rng = random.Random(41)
+    # A lift mod 1024 whose entries round one ulp differently when
+    # h/sqrt(N_b) multiplies the Gauss table before the gather, or the
+    # gathered grid is held in a variable: numpy computes scalar * array
+    # and array * scalar with different rounding, and from 256 KiB on it
+    # reuses a temporary operand in place with the operands swapped.
+    cases = [(Mat2(875, 558, -96722, -61681), 256),
+             (Mat2(3, 40000, 2, 26667), 256), (Mat2(-3, -40000, -2, -26667), 256),
+             (Mat2(2, 59049, -1, -29524), 243)]
+    for n in [*range(1, 33), 61, 64, 256]:
+        for _ in range(8 if n <= 64 else 3):
+            cases.append((random_theta_general(rng, 10), n))
+        for _ in range(3):
+            k = lift_theta(reduce_mod(random_theta_general(rng, 14), 4 * n))
+            if k.a != 0 and k.b != 0:
+                cases.append((k, n))
+    return cases
+
+
+def test_general_kernel_bit_equal_to_unique_kernel():
+    cases = _general_kernel_cases()
+    assert any(m.b < 0 for m, _ in cases)
+    assert any(math.gcd(m.b, n) > 1 for m, n in cases)
+    assert any(abs(m.b) > n for m, n in cases)
+    assert any(2 * abs(m.b) > n * n for m, n in cases if n >= 128)
+    for m, n in cases:
+        got = propagator._build_general(m, n)
+        want = build_general_reference(m, n)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64)), (m, n)
+
+
+def test_general_kernel_memory_is_bounded_by_the_grid():
+    # |b| = 2 * 999999 is within the kernel budget at N = 2; a Gauss table
+    # over all residues mod |b| would take tens of megabytes
+    tracemalloc.start()
+    try:
+        build(Mat2(1, 2 * 999_999, 0, 1), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_build_validates_input():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -193,3 +194,31 @@ def test_lift_theta_without_search_uses_coprime_shift():
     lifted = sl2.lift_theta(bm, search_bound=0)
     assert lifted == sl2._coprime_lift(bm)
     _check_lift(lifted, bm)
+
+
+def test_solve_linear_signed_arguments():
+    rng = random.Random(13)
+    args = [(a, b, k) for a in range(-9, 10) for b in range(-9, 10)
+            for k in range(-9, 10)]
+    args += [tuple(rng.randint(-10**6, 10**6) for _ in range(3))
+             for _ in range(2000)]
+    for a, b, k in args:
+        sol = sl2._solve_linear(a, b, k)
+        if sol is None:
+            assert (a, b) == (0, 0) or k % math.gcd(a, b)
+        else:
+            v, u = sol
+            assert a * v - b * u == k
+
+
+def test_lift_theta_takes_first_coprime_top_row():
+    # a top row completes to determinant 1 exactly when it is coprime, so
+    # the search must stop at the first coprime candidate in its order
+    offsets = sorted(range(-4, 5), key=abs)
+    for modulus in range(4, 33, 4):
+        for bm in _theta_residues(modulus):
+            first = next((bm.a + modulus * s, bm.b + modulus * t)
+                         for s in offsets for t in offsets
+                         if math.gcd(bm.a + modulus * s, bm.b + modulus * t) == 1)
+            lifted = sl2.lift_theta(bm)
+            assert (lifted.a, lifted.b) == first
