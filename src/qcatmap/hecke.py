@@ -7,8 +7,11 @@ matrix C = B^-1 A (congruent to the identity mod 2N); both signs occur.
 
 For a fixed A, the matrices B with AB = BA mod 4N form a family whose lifted
 propagators commute with U_N(A).  The family is enumerated by brute force
-over SL(2, Z/4NZ) with the theta parity filter, and members are lifted back
-to genuine theta-group matrices by sl2.lift_theta.
+over SL(2, Z/4NZ) with the theta parity filter, vectorized over one
+(b, c, d) grid per top-left entry, and members are lifted back to genuine
+theta-group matrices by sl2.lift_theta.  The lifted propagators are stacked,
+so their commutators with U_N(A) and with each other are batched products;
+which pairs commute mod 4N is decided by integer array arithmetic.
 """
 
 from __future__ import annotations
@@ -81,19 +84,20 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
         raise CapExceededError(f"4N = {m} exceeds enumeration cap {cap}")
     aa, ab, ac, ad = (x % m for x in a.entries())
     grid = np.arange(m, dtype=np.int64)
-    cg, dg = np.meshgrid(grid, grid, indexing="ij")
+    bb, cg, dg = grid[:, None, None], grid[None, :, None], grid[None, None, :]
+    # the conditions free of ba, and det = 1 as ba*d = 1 + b*c mod m, so
+    # only comparisons run on the full m^3 grid
+    fixed = ((cg * dg) % 2 == 0) & ((ab * cg - bb * ac) % m == 0)
+    one_plus_bc = (1 + bb * cg) % m
     members = []
     for ba in range(m):
-        for bb in range(m):
-            if (ba * bb) % 2:
-                continue
-            ok = (ba * dg - bb * cg) % m == 1
-            ok &= (cg * dg) % 2 == 0
-            ok &= (ab * cg - bb * ac) % m == 0
-            ok &= (bb * (aa - ad) - ab * (ba - dg)) % m == 0
-            ok &= (ac * (ba - dg) - cg * (aa - ad)) % m == 0
-            for bc, bd in zip(cg[ok], dg[ok]):
-                members.append(ModMatrix(ba, bb, int(bc), int(bd), m))
+        ok = fixed & ((ba * bb) % 2 == 0)
+        ok &= (ba * dg) % m == one_plus_bc
+        ok &= (bb * (aa - ad) - ab * (ba - dg)) % m == 0
+        ok &= (ac * (ba - dg) - cg * (aa - ad)) % m == 0
+        # nonzero walks the (b, c, d) grid in C order, so members stay sorted
+        for b, c, d in zip(*(idx.tolist() for idx in np.nonzero(ok))):
+            members.append(ModMatrix(ba, b, c, d, m))
     return members
 
 
@@ -107,16 +111,30 @@ class HeckeReport:
     passed: bool
 
 
+# members per batched commutator with U_N(A); bounds the temporaries for
+# large families (a scalar A at 4N = 64 has 65,536 members)
+_CHUNK = 1024
+
+
+def _max_commutator(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest entry of |xy - yx| over broadcast stacks of matrices."""
+    return float(np.abs(x @ y - y @ x).max())
+
+
 def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
                  seed: int = 0, pairwise_cap: int = 40,
                  tol_scale: float = 1.0) -> HeckeReport:
     """Lift commutant members and check operator commutation.
 
     Every lifted member must commute with U_N(A).  With samples=None all
-    members are lifted; otherwise a seeded random subset.  Pairs of lifted
-    members (up to pairwise_cap of them) are checked against each other
-    whenever their reductions already commute mod 4N.
+    members are lifted; otherwise a seeded random subset of samples >= 1.
+    Pairs of lifted members (up to pairwise_cap >= 0 of them) are checked
+    against each other whenever their reductions already commute mod 4N.
     """
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be a positive integer or None")
+    if pairwise_cap < 0:
+        raise ValueError("pairwise_cap must be a non-negative integer")
     members = commutant_mod(a, n, cap=cap)
     if samples is None or samples >= len(members):
         picked = members
@@ -124,21 +142,24 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
         picked = random.Random(seed).sample(members, samples)
     u_a = build(a, n)
     tol = MULT_TOL * n * tol_scale
-    lifts = [(bm, build(lift_theta(bm), n)) for bm in picked]
-    max_err = 0.0
-    for _, u_b in lifts:
-        max_err = max(max_err, float(np.abs(u_a @ u_b - u_b @ u_a).max()))
-    max_pair = 0.0
-    head = lifts[:pairwise_cap]
-    for i in range(len(head)):
-        for j in range(i + 1, len(head)):
-            bi, ui = head[i]
-            bj, uj = head[j]
-            if bi @ bj != bj @ bi:
-                continue
-            max_pair = max(max_pair, float(np.abs(ui @ uj - uj @ ui).max()))
+    lifts = np.empty((len(picked), n, n), dtype=np.complex128)
+    for k, bm in enumerate(picked):
+        lifts[k] = build(lift_theta(bm), n)
+    max_err = max(_max_commutator(u_a, lifts[k:k + _CHUNK])
+                  for k in range(0, len(lifts), _CHUNK))
+    # X Y = Y X mod 4N iff b_x c_y = c_x b_y, t_x b_y = b_x t_y and
+    # t_x c_y = c_x t_y, with t = a - d
+    ea, eb, ec, ed = np.array([(bm.a, bm.b, bm.c, bm.d)
+                               for bm in picked[:pairwise_cap]],
+                              dtype=np.int64).reshape(-1, 4).T
+    et = ea - ed
+    commute = np.ones((len(et), len(et)), dtype=bool)
+    for x, y in ((eb, ec), (et, eb), (et, ec)):
+        commute &= (x[:, None] * y - y[:, None] * x) % (4 * n) == 0
+    i, j = np.nonzero(np.triu(commute, 1))
+    max_pair = _max_commutator(lifts[i], lifts[j]) if len(i) else 0.0
     passed = max_err < tol and max_pair < tol
-    return HeckeReport(len(members), len(lifts), max_err, max_pair, tol, passed)
+    return HeckeReport(len(members), len(picked), max_err, max_pair, tol, passed)
 
 
 def congruent_companion(a: Mat2, modulus: int, rng: random.Random) -> Mat2:

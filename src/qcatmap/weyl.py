@@ -23,6 +23,14 @@ transpose action n -> (a*n1 + c*n2, b*n1 + d*n2): for every theta matrix A,
 
 holds to rounding error, with no extra phase.  (The convention was fixed by
 checking the shear A = T2 at N = 4 over all modes and is used throughout.)
+
+T_N(n) depends on the mode only mod 2N, so modes and matrix entries are
+reduced mod 2N as Python integers before any array arithmetic; this keeps
+every int64 small for modes of any size.  The per-mode sweep works one n1
+row at a time: the N Weyl operators of the row are scattered into one
+(N, N, N) stack and conjugated by a single batched product, with the same
+phases and product order as the one-mode-at-a-time loop, so the errors are
+the same bits while memory stays O(N^3).
 """
 
 from __future__ import annotations
@@ -75,21 +83,28 @@ def symplectic_form(m: Mode, n: Mode) -> int:
     return m[0] * n[1] - m[1] * n[0]
 
 
+def _weyl_stack(n1: np.ndarray, n2: np.ndarray, n: int) -> np.ndarray:
+    """Stack of T_N(n1[k], n2[k]) for int64 modes already reduced mod 2N."""
+    q = np.arange(n, dtype=np.int64)
+    num = 2 * (n1 % n)[:, None] * q + ((n1 * n2) % (2 * n))[:, None]
+    stack = np.zeros((len(n1), n, n), dtype=np.complex128)
+    k = np.arange(len(n1))[:, None]
+    stack[k, q, (q + n2[:, None]) % n] = e_frac_array(num, 2 * n)
+    return stack
+
+
 def weyl_op(mode: Mode, n: int) -> np.ndarray:
     """Weyl operator T_N(mode) as an (N, N) matrix.
 
     Entry (Q, Q') is e((2*n1*Q + n1*n2)/(2N)) at Q' = Q + n2 mod N and zero
-    elsewhere.  Accepts arbitrary integer modes; T_N(n + N*m) equals T_N(n)
-    up to the sign (-1)^(n1*m2 + n2*m1 + N*m1*m2).
+    elsewhere.  Accepts integer modes of any size: T_N(n) depends on n only
+    mod 2N, and T_N(n + N*m) equals T_N(n) up to the sign
+    (-1)^(n1*m2 + n2*m1 + N*m1*m2).
     """
     if n < 1:
         raise ValueError("dimension must be a positive integer")
-    n1, n2 = mode
-    q = np.arange(n, dtype=np.int64)
-    num = 2 * (n1 % n) * q + (n1 * n2) % (2 * n)
-    u = np.zeros((n, n), dtype=np.complex128)
-    u[q, (q + n2) % n] = e_frac_array(num, 2 * n)
-    return u
+    n1, n2 = (np.array([x % (2 * n)], dtype=np.int64) for x in mode)
+    return _weyl_stack(n1, n2, n)[0]
 
 
 def quantize(f: Observable, n: int) -> np.ndarray:
@@ -132,15 +147,21 @@ def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Rep
 
 
 def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:
-    """Conjugation error of every single mode (n1, n2) in [0, N)^2."""
+    """Conjugation error of every single mode (n1, n2) in [0, N)^2.
+
+    Entry (n1, n2) is max |U^-1 T_N(n) U - T_N(A^t n)|, computed one n1 row
+    at a time as a batched product over the row's N modes.
+    """
     u = build(m, n)
     uh = u.conj().T
+    a, b, c, d = (x % (2 * n) for x in m.entries())
+    n2 = np.arange(n, dtype=np.int64)
     errs = np.empty((n, n))
     for n1 in range(n):
-        for n2 in range(n):
-            conj = uh @ weyl_op((n1, n2), n) @ u
-            image = (m.a * n1 + m.c * n2, m.b * n1 + m.d * n2)
-            errs[n1, n2] = np.abs(conj - weyl_op(image, n)).max()
+        conj = uh @ _weyl_stack(np.full(n, n1, dtype=np.int64), n2, n) @ u
+        conj -= _weyl_stack((a * n1 + c * n2) % (2 * n),
+                            (b * n1 + d * n2) % (2 * n), n)
+        errs[n1] = np.abs(conj).max(axis=(1, 2))
     return errs
 
 

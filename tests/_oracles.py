@@ -8,13 +8,17 @@ meaningful.
 
 import cmath
 import math
+import random
 
 import numpy as np
 
 from qcatmap import gauss
+from qcatmap.hecke import CapExceededError, HeckeReport
 from qcatmap.phases import TWO_PI, e_frac, e_frac_array
-from qcatmap.propagator import Report, _fits_kernel, h_phase
+from qcatmap.propagator import MULT_TOL, Report, _fits_kernel, build, h_phase
+from qcatmap.sl2 import ModMatrix, lift_theta
 from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL
+from qcatmap.weyl import weyl_op
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -176,3 +180,73 @@ def build_general_reference(m, n: int) -> np.ndarray:
     gvals = gauss.gauss_closed_many(alpha, bp, uniq)
     ggrid = gvals[inv_idx].reshape(n, n)
     return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases
+
+
+def egorov_mode_errors_reference(m, n: int) -> np.ndarray:
+    """Conjugation error of every single mode, one mode at a time with two
+    weyl_op builds and two dense products per mode; the row-batched
+    weyl.egorov_mode_errors must match it bit for bit."""
+    u = build(m, n)
+    uh = u.conj().T
+    errs = np.empty((n, n))
+    for n1 in range(n):
+        for n2 in range(n):
+            conj = uh @ weyl_op((n1, n2), n) @ u
+            image = (m.a * n1 + m.c * n2, m.b * n1 + m.d * n2)
+            errs[n1, n2] = np.abs(conj - weyl_op(image, n)).max()
+    return errs
+
+
+def commutant_mod_reference(a, n: int, cap: int = 64) -> list:
+    """Theta matrices mod 4N commuting with A, by a loop over (ba, bb) with
+    one (c, d) grid each; hecke.commutant_mod must return the same list."""
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
+    m = 4 * n
+    if m > cap:
+        raise CapExceededError(f"4N = {m} exceeds enumeration cap {cap}")
+    aa, ab, ac, ad = (x % m for x in a.entries())
+    grid = np.arange(m, dtype=np.int64)
+    cg, dg = np.meshgrid(grid, grid, indexing="ij")
+    members = []
+    for ba in range(m):
+        for bb in range(m):
+            if (ba * bb) % 2:
+                continue
+            ok = (ba * dg - bb * cg) % m == 1
+            ok &= (cg * dg) % 2 == 0
+            ok &= (ab * cg - bb * ac) % m == 0
+            ok &= (bb * (aa - ad) - ab * (ba - dg)) % m == 0
+            ok &= (ac * (ba - dg) - cg * (aa - ad)) % m == 0
+            for bc, bd in zip(cg[ok], dg[ok]):
+                members.append(ModMatrix(ba, bb, int(bc), int(bd), m))
+    return members
+
+
+def verify_hecke_reference(a, n: int, samples=None, cap: int = 64,
+                           seed: int = 0, pairwise_cap: int = 40,
+                           tol_scale: float = 1.0) -> HeckeReport:
+    """verify_hecke with one commutator per member and one ModMatrix product
+    test per pair; hecke.verify_hecke must return an equal report."""
+    members = commutant_mod_reference(a, n, cap=cap)
+    if samples is None or samples >= len(members):
+        picked = members
+    else:
+        picked = random.Random(seed).sample(members, samples)
+    u_a = build(a, n)
+    tol = MULT_TOL * n * tol_scale
+    lifts = [(bm, build(lift_theta(bm), n)) for bm in picked]
+    max_err = 0.0
+    for _, u_b in lifts:
+        max_err = max(max_err, float(np.abs(u_a @ u_b - u_b @ u_a).max()))
+    max_pair = 0.0
+    head = lifts[:pairwise_cap]
+    for i in range(len(head)):
+        for j in range(i + 1, len(head)):
+            bi, ui = head[i]
+            bj, uj = head[j]
+            if bi @ bj != bj @ bi:
+                continue
+            max_pair = max(max_pair, float(np.abs(ui @ uj - uj @ ui).max()))
+    passed = max_err < tol and max_pair < tol
+    return HeckeReport(len(members), len(lifts), max_err, max_pair, tol, passed)

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import (commutant_mod_reference, egorov_mode_errors_reference,
+                      verify_hecke_reference)
 
-from qcatmap import cli, suites
+from qcatmap import cli, hecke, suites, weyl
 from qcatmap.propagator import build
 from qcatmap.sl2 import Mat2
 
@@ -234,7 +236,24 @@ def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
     assert json.loads(out) == [verify_all_reports[name]]
 
 
+@pytest.mark.parametrize("what", ["egorov", "hecke"])
+def test_batched_checks_print_the_loop_output(capsys, monkeypatch, what):
+    argv = ["verify", what, "--seed", "3", "--format", "json"]
+    rc, out = run(capsys, argv)
+    monkeypatch.setattr(weyl, "egorov_mode_errors", egorov_mode_errors_reference)
+    monkeypatch.setattr(hecke, "commutant_mod", commutant_mod_reference)
+    monkeypatch.setattr(hecke, "verify_hecke", verify_hecke_reference)
+    rc_loop, out_loop = run(capsys, argv)
+    assert rc == rc_loop == 0
+    assert out == out_loop
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_CAT = Mat2(2, 1, 3, 2)
+_CAT_POW_61 = _CAT
+for _ in range(60):
+    _CAT_POW_61 = _CAT_POW_61 @ _CAT
 
 
 def run_python(args, code=None):
@@ -250,8 +269,10 @@ def run_python(args, code=None):
     (["hecke", "--matrix", "2,1,3,2", "--dim", "17"], 2),
     (["hecke", "--matrix", "2,1,3,2", "--dim", "0"], 2),
     (["propagator", "--matrix", "1,1,0,1", "--dim", "3"], 2),
+    (["egorov", "--matrix", ",".join(map(str, _CAT_POW_61.entries())),
+      "--dim", "4"], 0),
 ], ids=["decompose-cusp-one", "hecke-cap-exceeded", "hecke-dim-zero",
-        "non-theta-matrix"])
+        "non-theta-matrix", "egorov-entries-past-int64"])
 def test_exit_codes_without_traceback(argv, want):
     proc = run_python(["-m", "qcatmap.cli", *argv])
     assert proc.returncode == want, proc.stderr

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from _oracles import commutant_mod_reference, verify_hecke_reference
 
 from qcatmap import hecke
 from qcatmap.hecke import (CapExceededError, LiftError, ModMatrix,
@@ -9,7 +10,8 @@ from qcatmap.hecke import (CapExceededError, LiftError, ModMatrix,
                            congruent_companion, lift_theta, mod2N_factor,
                            reduce_mod, verify_hecke, verify_mod4N)
 from qcatmap.propagator import build
-from qcatmap.sl2 import IDENTITY, Mat2, evaluate, is_theta, random_word
+from qcatmap.sl2 import (IDENTITY, Mat2, evaluate, is_theta, random_theta_general,
+                         random_word)
 
 
 def test_reduce_mod_normalizes():
@@ -172,3 +174,46 @@ def test_verify_hecke_sampled():
     rep = verify_hecke(Mat2(2, 1, 3, 2), 4, samples=6, seed=1)
     assert rep.checked == 6
     assert rep.passed
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_commutant_matches_loop_enumeration(n):
+    # every 4N up to the default cap, with a scalar matrix at small N
+    rng = random.Random(100 + n)
+    mats = [random_theta_general(rng, 5)]
+    if n <= 3:
+        mats.append(Mat2(-1, 0, 0, -1))
+    for a in mats:
+        assert commutant_mod(a, n) == commutant_mod_reference(a, n), a
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"samples": 5, "seed": 3}, {"samples": 1}, {"pairwise_cap": 3},
+    {"pairwise_cap": 0},
+], ids=["all", "seeded-subset", "one-sample", "pairwise-cap-3",
+        "pairwise-cap-0"])
+def test_verify_hecke_matches_per_member_loop(kwargs):
+    rng = random.Random(23)
+    for n in range(1, 9):
+        a = random_theta_general(rng, 5)
+        want = verify_hecke_reference(a, n, **kwargs)
+        assert verify_hecke(a, n, **kwargs) == want, (a, n)
+    assert want.commutant_size > 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_verify_hecke_pairs_of_scalar_commutant(n):
+    # the commutant of -I is the whole theta group mod 4N, so many sampled
+    # pairs do not commute mod 4N and the pair mask must skip exactly those
+    a = Mat2(-1, 0, 0, -1)
+    kwargs = {"samples": 40, "seed": n}
+    assert verify_hecke(a, n, **kwargs) == verify_hecke_reference(a, n, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"samples": 0}, "samples"), ({"samples": -2}, "samples"),
+    ({"pairwise_cap": -1}, "pairwise_cap"),
+])
+def test_verify_hecke_rejects_vacuous_requests(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        verify_hecke(Mat2(2, 1, 3, 2), 3, **kwargs)

@@ -1,9 +1,11 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from _oracles import egorov_mode_errors_reference
 
 from qcatmap import weyl
 from qcatmap.propagator import build
@@ -51,6 +53,17 @@ def test_weyl_op_factors_into_translations():
 def test_weyl_op_rejects_nonpositive_dimension(n):
     with pytest.raises(ValueError, match="positive"):
         weyl.weyl_op((1, 2), n)
+
+
+@pytest.mark.parametrize("mode", [
+    (3, 2**70), (2**63 - 1, 5), (-(2**63), 2**64 + 3), (2**64 - 1, -(2**64)),
+    (-(2**70) - 1, 2**65 + 7),
+])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_weyl_op_huge_modes_reduce_mod_2n(mode, n):
+    # T_N(n) depends on the mode only mod 2N, at any integer size
+    reduced = (mode[0] % (2 * n), mode[1] % (2 * n))
+    assert np.array_equal(weyl.weyl_op(mode, n), weyl.weyl_op(reduced, n))
 
 
 def test_translation_powers_close():
@@ -197,3 +210,39 @@ def test_bracket_deviation_trend():
     rels = [weyl.bracket_deviation((1, 0), (0, 1), n).relative for n in dims]
     for earlier, later in zip(rels, rels[1:]):
         assert later <= earlier + 1e-12
+
+
+def test_egorov_mode_errors_match_per_mode_loop():
+    # the row-batched sweep keeps the loop's phases and product order
+    rng = random.Random(17)
+    cases = [(evaluate(random_word(rng, 8)), rng.randint(1, 16))
+             for _ in range(100)]
+    cases += [(evaluate(random_word(rng, 8)), n) for n in (1, 2, 31)]
+    for m, n in cases:
+        got = weyl.egorov_mode_errors(m, n)
+        assert np.array_equal(got, egorov_mode_errors_reference(m, n)), (m, n)
+
+
+def test_egorov_mode_errors_huge_entries():
+    # image modes far past int64 are reduced mod 2N before array arithmetic
+    a = Mat2(2, 1, 3, 2)
+    m = a
+    for _ in range(60):
+        m = m @ a
+    assert max(abs(x) for x in m.entries()) > 2**100
+    for n in (1, 4, 9):
+        assert weyl.egorov_mode_errors(m, n).max() < 1e-12
+        f = {(1, 2): 1.0, (-3, 5): 0.5j}
+        assert weyl.verify_egorov(m, n, f).passed
+
+
+def test_egorov_mode_errors_memory_is_one_row():
+    # one row's stacks take O(N^3); all N^2 modes at once would need ~85 MB
+    m, n = Mat2(2, 1, 3, 2), 48
+    tracemalloc.start()
+    try:
+        weyl.egorov_mode_errors(m, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
