@@ -13,9 +13,9 @@ commuting families arising from congruence conditions.
 from .gauss import (GaussParams, UnsupportedParityError, VanishingError,
                     gauss_closed, gauss_closed_many, gauss_direct,
                     is_nonvanishing)
-from .hecke import (CapExceededError, LiftError, ModMatrix, NotCongruentError,
-                    commutant_mod, congruent_companion, lift_theta,
-                    mod2N_factor, reduce_mod, verify_hecke, verify_mod4N)
+from .hecke import (CapExceededError, NotCongruentError, commutant_mod,
+                    congruent_companion, mod2N_factor, verify_hecke,
+                    verify_mod4N)
 from .numtheory import (NotCoprimeError, Residue, crt_pair, euler_phi, jacobi,
                         mod_inverse)
 from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
@@ -23,8 +23,9 @@ from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
                          projective_phase, propagator_json, unitarity_defect,
                          verify_mult)
 from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
-                  Mat2, NotThetaError, decompose, evaluate, format_word,
-                  is_theta, parse_word, random_theta, reduce_word)
+                  LiftError, Mat2, ModMatrix, NotThetaError, decompose,
+                  evaluate, format_word, is_theta, lift_theta, parse_word,
+                  random_theta, reduce_mod, reduce_word)
 from .weyl import (EGOROV_TOL, bracket_deviation, compose_classical,
                    delta_basis, egorov_mode_errors, inner_product, quantize,
                    symplectic_form, translation_t1, translation_t2,

@@ -1,9 +1,14 @@
 """Command-line interface.
 
-`verify <check>` runs one entry of the check registry `suites.CHECKS` and
-`verify all` runs every entry in table order; each check prints one
-`Report`.  `--tolerance-scale` multiplies every tolerance and must be a
-finite number greater than 0.
+Every check prints one `Report`, as a text line or, with `--format json`,
+as an object of its fields: `verify <check>` runs one entry of the check
+registry `suites.CHECKS`, `verify all` runs every entry in table order
+(a JSON list), and `egorov` and `hecke` check one matrix.  A subcommand
+takes only the options it reads: `--format` on all but `propagator`,
+which always prints JSON; `--tolerance-scale`, which multiplies every
+tolerance and must be a finite number greater than 0, on `verify`,
+`egorov`, `hecke` and `gauss`; `--seed` and `--samples` on `verify` and
+`hecke`.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
@@ -20,7 +25,7 @@ import sys
 
 from . import gauss, hecke, suites, weyl
 from .numtheory import NotCoprimeError
-from .propagator import Report, UnitarityError, propagator_json
+from .propagator import Report, UnitarityError, _drive, propagator_json
 from .sl2 import Mat2, decompose, format_word
 
 
@@ -77,6 +82,11 @@ def _report_line(rep: Report) -> str:
     return line
 
 
+def _print_report(args, rep: Report) -> int:
+    _emit(args, dataclasses.asdict(rep), _report_line(rep))
+    return 0 if rep.passed else 1
+
+
 def _cmd_propagator(args) -> int:
     m = Mat2.from_string(args.matrix)
     print(json.dumps(propagator_json(m, args.dim)))
@@ -112,7 +122,7 @@ def _cmd_gauss(args) -> int:
         diff = abs(direct - closed)
         payload["difference"] = diff
         lines.append(f"difference  {diff:.3e}")
-        rc = 0 if diff < suites.GAUSS_ORACLE_TOL else 1
+        rc = 0 if diff < suites.GAUSS_ORACLE_TOL * args.tolerance_scale else 1
     _emit(args, payload, "\n".join(lines))
     return rc
 
@@ -121,19 +131,14 @@ def _cmd_egorov(args) -> int:
     m = Mat2.from_string(args.matrix)
     n = args.dim
     if args.mode is not None:
-        mode = _parse_mode(args.mode)
-        rep = weyl.verify_egorov(m, n, {mode: 1.0},
+        rep = weyl.verify_egorov(m, n, {_parse_mode(args.mode): 1.0},
                                  tol_scale=args.tolerance_scale)
-        err, tol, passed = rep.max_error, rep.tol, rep.passed
     else:
-        err = float(weyl.egorov_mode_errors(m, n).max())
-        tol = weyl.EGOROV_TOL * n * args.tolerance_scale
-        passed = err < tol
-    payload = {"matrix": list(m.entries()), "N": n, "max_error": err,
-               "tol": tol, "passed": passed}
-    status = "PASS" if passed else "FAIL"
-    _emit(args, payload, f"[{status}] egorov: max error {err:.3e} (tol {tol:.1e})")
-    return 0 if passed else 1
+        # every mode in [0, N)^2 is one sample
+        errs = weyl.egorov_mode_errors(m, n).ravel().tolist()
+        rep = _drive("egorov", ((err, n) for err in errs), weyl.EGOROV_TOL,
+                     tol_scale=args.tolerance_scale)
+    return _print_report(args, rep)
 
 
 def _cmd_hecke(args) -> int:
@@ -141,14 +146,7 @@ def _cmd_hecke(args) -> int:
     rep = hecke.verify_hecke(m, args.dim, samples=args.samples,
                              cap=args.max_4n, seed=args.seed,
                              tol_scale=args.tolerance_scale)
-    payload = dataclasses.asdict(rep)
-    status = "PASS" if rep.passed else "FAIL"
-    text = (f"[{status}] hecke: commutant size {rep.commutant_size}, "
-            f"{rep.checked} lifted, max error "
-            f"{max(rep.max_error_vs_a, rep.max_pairwise_error):.3e} "
-            f"(tol {rep.tol:.1e})")
-    _emit(args, payload, text)
-    return 0 if rep.passed else 1
+    return _print_report(args, rep)
 
 
 def _cmd_verify(args) -> int:
@@ -167,15 +165,18 @@ VERIFY_CHOICES = (*suites.CHECKS, "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the pseudorandom samples")
-    common.add_argument("--samples", type=_positive_int, default=None,
-                        help="number of samples (default depends on the task)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--tolerance-scale", dest="tolerance_scale",
-                        type=_positive_float, default=1.0,
-                        help="multiply every tolerance by this factor")
+    # nested option groups: printed, then checked, then sampled
+    printed = argparse.ArgumentParser(add_help=False)
+    printed.add_argument("--format", choices=("text", "json"), default="text")
+    checked = argparse.ArgumentParser(add_help=False, parents=[printed])
+    checked.add_argument("--tolerance-scale", dest="tolerance_scale",
+                         type=_positive_float, default=1.0,
+                         help="multiply every tolerance by this factor")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[checked])
+    sampled.add_argument("--seed", type=int, default=0,
+                         help="seed for the pseudorandom samples")
+    sampled.add_argument("--samples", type=_positive_int, default=None,
+                         help="number of samples (default depends on the task)")
 
     parser = argparse.ArgumentParser(
         prog="qcatmap",
@@ -183,18 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "their exact identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("propagator", parents=[common],
+    p = sub.add_parser("propagator",
                        help="build a propagator and print it as JSON")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(func=_cmd_propagator)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[printed],
                        help="write a matrix as a word in the generators")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("gauss", parents=[common],
+    p = sub.add_parser("gauss", parents=[checked],
                        help="evaluate a quadratic exponential sum")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
@@ -203,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.set_defaults(func=_cmd_gauss)
 
-    p = sub.add_parser("egorov", parents=[common],
+    p = sub.add_parser("egorov", parents=[checked],
                        help="check exact conjugation of Weyl modes")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--mode", default=None, help='mode "n1,n2" (default: all)')
     p.set_defaults(func=_cmd_egorov)
 
-    p = sub.add_parser("hecke", parents=[common],
+    p = sub.add_parser("hecke", parents=[sampled],
                        help="lift a commuting family and check it")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--dim", type=int, required=True)
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse commutant enumeration above this 4N")
     p.set_defaults(func=_cmd_hecke)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[sampled],
                        help="run a verification sweep")
     p.add_argument("what", choices=VERIFY_CHOICES)
     p.add_argument("--dims", default=None,

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .numtheory import jacobi
-from .propagator import MULT_TOL, Report, build
-# the lifting API is defined in sl2 and re-exported here
-from .sl2 import LiftError, Mat2, ModMatrix, lift_theta, reduce_mod  # noqa: F401
+from .propagator import MULT_TOL, Report, _drive, build
+from .sl2 import Mat2, ModMatrix, lift_theta
 
 
 class NotCongruentError(ValueError):
@@ -40,18 +39,17 @@ def _congruent(a: Mat2, b: Mat2, modulus: int) -> bool:
     return all((x - y) % modulus == 0 for x, y in zip(a.entries(), b.entries()))
 
 
-def verify_mod4N(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> Report:
+def verify_mod4N(a: Mat2, b: Mat2, n: int) -> Report:
     """Check build(A) = build(B) for A = B mod 4N."""
     if n < 1:
         raise ValueError("dimension must be a positive integer")
     if not _congruent(a, b, 4 * n):
         raise NotCongruentError(f"{a} and {b} differ mod {4 * n}")
     err = float(np.abs(build(a, n) - build(b, n)).max())
-    tol = MULT_TOL * n * tol_scale
-    return Report("mod4N", 1, err, tol, err < tol)
+    return _drive("mod4N", [(err, n)], MULT_TOL)
 
 
-def mod2N_factor(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> tuple[int, Report]:
+def mod2N_factor(a: Mat2, b: Mat2, n: int) -> tuple[int, Report]:
     """Sign relating propagators of matrices congruent mod 2N.
 
     Returns jacobi(N, |c_a|) for the top-left entry c_a of C = B^-1 A,
@@ -66,8 +64,7 @@ def mod2N_factor(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> tuple[int,
     c = b.inverse() @ a
     factor = jacobi(n, abs(c.a))
     err = float(np.abs(build(a, n) - factor * build(b, n)).max())
-    tol = MULT_TOL * n * tol_scale
-    return factor, Report("mod2N", 1, err, tol, err < tol)
+    return factor, _drive("mod2N", [(err, n)], MULT_TOL)
 
 
 def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
@@ -101,16 +98,6 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     return members
 
 
-@dataclass(frozen=True)
-class HeckeReport:
-    commutant_size: int
-    checked: int
-    max_error_vs_a: float
-    max_pairwise_error: float
-    tol: float
-    passed: bool
-
-
 # members per batched commutator with U_N(A); bounds the temporaries for
 # large families (a scalar A at 4N = 64 has 65,536 members)
 _CHUNK = 1024
@@ -123,13 +110,15 @@ def _max_commutator(x: np.ndarray, y: np.ndarray) -> float:
 
 def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
                  seed: int = 0, pairwise_cap: int = 40,
-                 tol_scale: float = 1.0) -> HeckeReport:
+                 tol_scale: float = 1.0) -> Report:
     """Lift commutant members and check operator commutation.
 
     Every lifted member must commute with U_N(A).  With samples=None all
     members are lifted; otherwise a seeded random subset of samples >= 1.
     Pairs of lifted members (up to pairwise_cap >= 0 of them) are checked
     against each other whenever their reductions already commute mod 4N.
+    The report counts the lifted members as samples, takes the larger of
+    the two commutator errors and names the commutant size in its note.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be a positive integer or None")
@@ -141,7 +130,6 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
     else:
         picked = random.Random(seed).sample(members, samples)
     u_a = build(a, n)
-    tol = MULT_TOL * n * tol_scale
     lifts = np.empty((len(picked), n, n), dtype=np.complex128)
     for k, bm in enumerate(picked):
         lifts[k] = build(lift_theta(bm), n)
@@ -158,8 +146,10 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
         commute &= (x[:, None] * y - y[:, None] * x) % (4 * n) == 0
     i, j = np.nonzero(np.triu(commute, 1))
     max_pair = _max_commutator(lifts[i], lifts[j]) if len(i) else 0.0
-    passed = max_err < tol and max_pair < tol
-    return HeckeReport(len(members), len(picked), max_err, max_pair, tol, passed)
+    rep = _drive("hecke", [(max(max_err, max_pair), n)], MULT_TOL,
+                 tol_scale=tol_scale)
+    return replace(rep, samples=len(picked),
+                   note=f"commutant size {len(members)}")
 
 
 def congruent_companion(a: Mat2, modulus: int, rng: random.Random) -> Mat2:

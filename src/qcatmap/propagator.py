@@ -26,8 +26,10 @@ anti-shear and m = 0 negative shear respectively.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -49,12 +51,16 @@ class UnitarityError(RuntimeError):
     """Raised when a built propagator fails its unitarity check."""
 
 
+class SamplingError(ValueError):
+    """A check could not draw enough admissible samples from its sampler."""
+
+
 @dataclass(frozen=True)
 class Report:
     """Outcome of a check: the worst error over its samples and the tolerance.
 
-    A single comparison reports its own scaled tolerance; a sweep reports
-    the base rate, which it scales per sample by that sample's dimension.
+    `tol` is the check's base rate; each sample is held to the base rate
+    times a law of its dimension (N, sqrt(N) or 1) times the tolerance scale.
     """
 
     name: str
@@ -63,6 +69,41 @@ class Report:
     tol: float
     passed: bool
     note: str = ""
+
+
+def _per_n(n: int) -> int:
+    return n
+
+
+def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
+           law: Callable = _per_n, tol_scale: float = 1.0,
+           samples: int | None = None) -> Report:
+    """Worst error over a check's trials, each held to tol * law(n) * tol_scale.
+
+    trials yields (error, n) per sample, or None for a draw with no error
+    to weigh; a check that draws nothing is a ValueError.  With samples
+    given it is an endless sampler whose None draws are not admissible:
+    the drive stops after that many samples, and raises SamplingError when
+    60 * samples draws did not give them.
+    """
+    worst, passed, drawn, done = 0.0, True, 0, 0
+    limit = None if samples is None else 60 * max(samples, 0)
+    for trial in itertools.islice(trials, limit):
+        drawn += 1
+        if trial is None:
+            continue
+        err, n = trial
+        worst = max(worst, err)
+        passed &= err < tol * law(n) * tol_scale
+        done += 1
+        if done == samples:
+            break
+    if not drawn:
+        raise ValueError(f"{name}: no samples requested")
+    if samples is not None and done < samples:
+        raise SamplingError(f"{name}: drew {done} of {samples} "
+                            f"admissible samples in {limit} attempts")
+    return Report(name, done, worst, tol, passed)
 
 
 @dataclass(frozen=True)
@@ -227,13 +268,10 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     return u
 
 
-def verify_mult(a: Mat2, b: Mat2, n: int, tol_scale: float = 1.0) -> Report:
+def verify_mult(a: Mat2, b: Mat2, n: int) -> Report:
     """Compare build(A @ B) against build(A) @ build(B) entrywise."""
-    lhs = build(a @ b, n)
-    rhs = build(a, n) @ build(b, n)
-    err = float(np.abs(lhs - rhs).max())
-    tol = MULT_TOL * n * tol_scale
-    return Report("multiplicativity", 1, err, tol, err < tol)
+    err = float(np.abs(build(a @ b, n) - build(a, n) @ build(b, n)).max())
+    return _drive("multiplicativity", [(err, n)], MULT_TOL)
 
 
 def _hb_h(m: Mat2) -> complex:

@@ -13,14 +13,14 @@ import itertools
 import math
 import random
 from dataclasses import replace
-from typing import Callable, Iterable
 
 import numpy as np
 
 from . import gauss, hecke, weyl
 from .phases import TWO_PI
-from .propagator import (MULT_TOL, UNITARITY_TOL, Report, build, h_phase,
-                         unitarity_defect, verify_mult)
+# SamplingError is raised by the sampled sweeps through _drive
+from .propagator import (MULT_TOL, UNITARITY_TOL, Report, SamplingError,  # noqa: F401
+                         _drive, build, h_phase, unitarity_defect, verify_mult)
 from .sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, decompose, evaluate,
                   random_word, random_theta_general)
 
@@ -44,45 +44,8 @@ GENERATOR_RELATIONS = [
 ]
 
 
-class SamplingError(ValueError):
-    """A sweep could not draw enough admissible samples from its sampler."""
-
-
-# tolerance laws: the factor that scales a check's base rate at dimension n
-def _per_n(n: int) -> int:
-    return n
-
-
 def _constant(n) -> int:
     return 1
-
-
-def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
-           law: Callable = _per_n, tol_scale: float = 1.0,
-           samples: int | None = None) -> Report:
-    """Worst error over a check's trials, each held to tol * law(n) * tol_scale.
-
-    trials yields (error, n) per sample.  With samples given it is an
-    endless sampler that yields None for a draw that is not admissible:
-    the drive stops after that many samples, and raises SamplingError when
-    60 * samples draws did not give them.
-    """
-    worst, passed, done = 0.0, True, 0
-    limit = None if samples is None else 60 * samples
-    for trial in itertools.islice(trials, limit):
-        if trial is None:
-            continue
-        err, n = trial
-        worst = max(worst, err)
-        passed &= err < tol * law(n) * tol_scale
-        done += 1
-        if done == samples:
-            break
-    else:
-        if samples is not None and done < samples:
-            raise SamplingError(f"{name}: drew {done} of {samples} "
-                                f"admissible samples in {limit} attempts")
-    return Report(name, done, worst, tol, passed)
 
 
 def word_product(word, n: int) -> np.ndarray:
@@ -134,8 +97,7 @@ def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
                   tol_scale=tol_scale)
 
 
-def gauss_oracle_sweep(max_abs: int = 40, oracle_tol: float = GAUSS_ORACLE_TOL,
-                       vanish_tol: float = GAUSS_VANISH_TOL) -> Report:
+def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     """Closed-form sums against the defining average over a parameter box.
 
     For coprime (alpha, beta) the closed form must match the direct average
@@ -173,14 +135,15 @@ def gauss_oracle_sweep(max_abs: int = 40, oracle_tol: float = GAUSS_ORACLE_TOL,
                 max_oracle = max(max_oracle,
                                  float(np.abs(closed - direct).max()))
                 compared += gammas.size
-    passed = max_oracle < oracle_tol and max_vanish < vanish_tol
-    note = f"vanish max {max_vanish:.2e} (tol {vanish_tol:.0e})"
-    return Report("gauss-oracle", compared, max_oracle, oracle_tol, passed,
-                  note=note)
+    passed = (max_oracle < GAUSS_ORACLE_TOL * tol_scale
+              and max_vanish < GAUSS_VANISH_TOL * tol_scale)
+    note = f"vanish max {max_vanish:.2e} (tol {GAUSS_VANISH_TOL:.0e})"
+    return Report("gauss-oracle", compared, max_oracle, GAUSS_ORACLE_TOL,
+                  passed, note=note)
 
 
 def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
-                       tol: float = SCALAR_TOL) -> Report:
+                       tol_scale: float = 1.0) -> Report:
     """Endpoint substitution in the general-case kernel.
 
     For b != 0 the kernel entry can be completed from either endpoint:
@@ -210,12 +173,12 @@ def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
         v2 = gauss.gauss_closed(p2) if gauss.is_nonvanishing(p2) else 0.0
         return abs(h_phase(m.a, m.b) * v1 - h_phase(m.d, m.b) * v2), n
 
-    return _drive("substitution", (draw() for _ in itertools.count()), tol,
-                  law=_constant, samples=samples)
+    return _drive("substitution", (draw() for _ in itertools.count()),
+                  SCALAR_TOL, law=_constant, tol_scale=tol_scale, samples=samples)
 
 
 def h_identity_sweep(samples: int = 500, seed: int = 0,
-                     tol: float = SCALAR_TOL) -> Report:
+                     tol_scale: float = 1.0) -> Report:
     """h(a, b) = h(d, b) across random general-case theta matrices."""
     rng = random.Random(seed)
 
@@ -225,8 +188,8 @@ def h_identity_sweep(samples: int = 500, seed: int = 0,
             return None
         return abs(h_phase(m.a, m.b) - h_phase(m.d, m.b)), None
 
-    return _drive("h-identity", (draw() for _ in itertools.count()), tol,
-                  law=_constant, samples=samples)
+    return _drive("h-identity", (draw() for _ in itertools.count()),
+                  SCALAR_TOL, law=_constant, tol_scale=tol_scale, samples=samples)
 
 
 def egorov_sweep(samples: int = 100, max_dim: int = 16, seed: int = 0,
@@ -314,30 +277,30 @@ def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
             if i < build_checks:
                 n = rng.randint(1, max_dim)
                 yield float(np.abs(build(m, n) - word_product(d, n)).max()), n
+            else:
+                yield None
 
     rep = _drive("decomposition", trials(), MULT_TOL, tol_scale=tol_scale)
     return replace(rep, samples=words, passed=rep.passed and failures == 0,
                    note=f"{failures} round-trip failures, longest word {longest}")
 
 
-def hecke_sweep(max_dim: int = 8, per_dim: int = 1, seed: int = 0,
-                cap: int = 64, tol_scale: float = 1.0) -> Report:
-    """Commuting lifted families for random matrices at each dimension."""
+def hecke_sweep(max_dim: int = 8, seed: int = 0, cap: int = 64,
+                tol_scale: float = 1.0) -> Report:
+    """Commuting lifted families for a random matrix at each dimension."""
     rng = random.Random(seed)
-    families = []
+    sizes = []
 
     def trials():
         for n in range(1, max_dim + 1):
-            for _ in range(per_dim):
-                a = random_theta_general(rng, 5)
-                rep = hecke.verify_hecke(a, n, samples=None, cap=cap)
-                families.append(rep)
-                yield max(rep.max_error_vs_a, rep.max_pairwise_error), n
+            a = random_theta_general(rng, 5)
+            # samples=None lifts every member, so samples is the family size
+            rep = hecke.verify_hecke(a, n, samples=None, cap=cap)
+            sizes.append(rep.samples)
+            yield rep.max_error, n
 
     rep = _drive("hecke", trials(), MULT_TOL, tol_scale=tol_scale)
-    sizes = [f.commutant_size for f in families]
-    return replace(rep, samples=sum(f.checked for f in families),
-                   note=f"commutant sizes {sizes}")
+    return replace(rep, samples=sum(sizes), note=f"commutant sizes {sizes}")
 
 
 # The verify checks by command-line name, in the order `verify all` runs
@@ -350,10 +313,11 @@ CHECKS = {
         o.samples or 500, max(o.dims or [32]), seed=o.seed,
         tol_scale=o.tolerance_scale),
     "relations": lambda o: relations_sweep(o.dims, o.tolerance_scale),
-    "gauss-oracle": lambda o: gauss_oracle_sweep(o.max_beta),
+    "gauss-oracle": lambda o: gauss_oracle_sweep(o.max_beta, o.tolerance_scale),
     "substitution": lambda o: substitution_sweep(
-        o.samples or 500, max(o.dims or [32]), o.seed),
-    "h-identity": lambda o: h_identity_sweep(o.samples or 500, o.seed),
+        o.samples or 500, max(o.dims or [32]), o.seed, o.tolerance_scale),
+    "h-identity": lambda o: h_identity_sweep(
+        o.samples or 500, o.seed, o.tolerance_scale),
     "egorov": lambda o: egorov_sweep(
         o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
     "mod4n": lambda o: mod4n_sweep(

@@ -42,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from .phases import e_frac_array
-from .propagator import Report, build
+from .propagator import Report, _drive, build
 from .sl2 import Mat2
 
 Mode = tuple[int, int]
@@ -142,8 +142,7 @@ def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Rep
     lhs = u.conj().T @ quantize(f, n) @ u
     rhs = quantize(compose_classical(f, m), n)
     err = float(np.abs(lhs - rhs).max())
-    tol = EGOROV_TOL * n * tol_scale
-    return Report("egorov", 1, err, tol, err < tol)
+    return _drive("egorov", [(err, n)], EGOROV_TOL, tol_scale=tol_scale)
 
 
 def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from qcatmap import gauss
-from qcatmap.hecke import CapExceededError, HeckeReport
+from qcatmap.hecke import CapExceededError
 from qcatmap.phases import TWO_PI, e_frac, e_frac_array
 from qcatmap.propagator import MULT_TOL, Report, _fits_kernel, build, h_phase
 from qcatmap.sl2 import ModMatrix, lift_theta
@@ -225,7 +225,7 @@ def commutant_mod_reference(a, n: int, cap: int = 64) -> list:
 
 def verify_hecke_reference(a, n: int, samples=None, cap: int = 64,
                            seed: int = 0, pairwise_cap: int = 40,
-                           tol_scale: float = 1.0) -> HeckeReport:
+                           tol_scale: float = 1.0) -> Report:
     """verify_hecke with one commutator per member and one ModMatrix product
     test per pair; hecke.verify_hecke must return an equal report."""
     members = commutant_mod_reference(a, n, cap=cap)
@@ -249,4 +249,5 @@ def verify_hecke_reference(a, n: int, samples=None, cap: int = 64,
                 continue
             max_pair = max(max_pair, float(np.abs(ui @ uj - uj @ ui).max()))
     passed = max_err < tol and max_pair < tol
-    return HeckeReport(len(members), len(lifts), max_err, max_pair, tol, passed)
+    return Report("hecke", len(lifts), max(max_err, max_pair), MULT_TOL, passed,
+                  note=f"commutant size {len(members)}")

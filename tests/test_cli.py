@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from _oracles import (commutant_mod_reference, egorov_mode_errors_reference,
                       verify_hecke_reference)
 
 from qcatmap import cli, hecke, suites, weyl
-from qcatmap.propagator import build
+from qcatmap.propagator import Report, build
 from qcatmap.sl2 import Mat2
 
 
@@ -103,7 +104,7 @@ def test_hecke_subcommand(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert payload["commutant_size"] > 0
+    assert int(payload["note"].removeprefix("commutant size ")) > 0
     # cap exceeded is an input error
     rc = cli.main(["hecke", "--matrix", "2,1,3,2", "--dim", "20"])
     capsys.readouterr()
@@ -301,3 +302,64 @@ sys.exit(cli.main(["propagator", "--matrix", "2,1,3,2", "--dim", "3"]))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "not unitary" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# every command that prints a verdict, on inputs whose errors are nonzero
+VERDICT_ARGV = {
+    **{f"verify-{name}": ["verify", name, "--samples", "3", "--dims", "1..4"]
+       for name in suites.CHECKS},
+    # scalar checks need more draws than 3 for a nonzero error
+    "verify-substitution": ["verify", "substitution"],
+    "verify-h-identity": ["verify", "h-identity"],
+    "verify-gauss-oracle": ["verify", "gauss-oracle", "--max-beta", "3"],
+    "egorov": ["egorov", "--matrix", "2,1,3,2", "--dim", "6"],
+    "egorov-mode": ["egorov", "--matrix", "2,1,3,2", "--dim", "6",
+                    "--mode", "1,2"],
+    "hecke": ["hecke", "--matrix", "2,1,3,2", "--dim", "3"],
+    "gauss": ["gauss", "--alpha", "2", "--beta", "3", "--gamma", "0",
+              "--method", "both"],
+}
+
+
+@pytest.mark.parametrize("argv", VERDICT_ARGV.values(), ids=VERDICT_ARGV)
+def test_tiny_tolerance_scale_fails_every_check(capsys, argv):
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--tolerance-scale", "1e-30"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "relations", "--dims", "1..3"],
+    ["verify", "all", "--samples", "2", "--dims", "1..3", "--max-beta", "2"],
+    VERDICT_ARGV["egorov"], VERDICT_ARGV["egorov-mode"], VERDICT_ARGV["hecke"],
+], ids=["verify", "verify-all", "egorov", "egorov-mode", "hecke"])
+def test_json_output_has_the_report_fields(capsys, argv):
+    rc, out = run(capsys, [*argv, "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    reports = payload if argv[0] == "verify" else [payload]
+    fields = [f.name for f in dataclasses.fields(Report)]
+    assert reports and all(list(r) == fields for r in reports)
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--matrix", "2,1,3,2", "--dim", "3", "--seed", "1"],
+    ["propagator", "--matrix", "2,1,3,2", "--dim", "3", "--samples", "2"],
+    ["propagator", "--matrix", "2,1,3,2", "--dim", "3", "--format", "json"],
+    ["propagator", "--matrix", "2,1,3,2", "--dim", "3",
+     "--tolerance-scale", "2"],
+    ["decompose", "--matrix", "2,1,3,2", "--seed", "1"],
+    ["decompose", "--matrix", "2,1,3,2", "--samples", "2"],
+    ["decompose", "--matrix", "2,1,3,2", "--tolerance-scale", "2"],
+    ["gauss", "--alpha", "2", "--beta", "3", "--gamma", "0", "--seed", "1"],
+    ["gauss", "--alpha", "2", "--beta", "3", "--gamma", "0", "--samples", "2"],
+    ["egorov", "--matrix", "2,1,3,2", "--dim", "3", "--seed", "1"],
+    ["egorov", "--matrix", "2,1,3,2", "--dim", "3", "--samples", "2"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flags_are_usage_errors(capsys, argv):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err

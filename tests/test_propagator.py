@@ -249,7 +249,7 @@ def test_build_validates_input():
 def test_verify_mult_report():
     rep = verify_mult(Mat2(2, 1, 3, 2), T2_PLUS, 6)
     assert rep.passed and rep.max_error < rep.tol
-    assert rep.tol == propagator.MULT_TOL * 6
+    assert rep.tol == propagator.MULT_TOL
 
 
 def test_huge_entries_use_exact_fallback():
