@@ -8,7 +8,8 @@ takes only the options it reads: `--format` on all but `propagator`,
 which always prints JSON; `--tolerance-scale`, which multiplies every
 tolerance and must be a finite number greater than 0, on `verify`,
 `egorov`, `hecke` and `gauss`; `--seed` and `--samples` on `verify` and
-`hecke`.
+`hecke`.  `verify <check>` rejects the `--samples` or `--dims` that its
+check does not read (`suites.UNREAD_OPTIONS`); `verify all` takes both.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
@@ -150,6 +151,9 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for option in suites.UNREAD_OPTIONS.get(args.what, ()):
+        if getattr(args, option) is not None:
+            raise ValueError(f"verify {args.what} does not read --{option}")
     args.dims = _parse_dims(args.dims) if args.dims else None
     names = suites.CHECKS if args.what == "all" else [args.what]
     reports = [suites.CHECKS[name](args) for name in names]
@@ -226,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='dimensions: "8", "1,2,4" or "1..16"; only relations '
                         'runs every listed N, the other checks use the '
                         'maximum: hecke runs every N in 1..min(max, 8), the '
-                        'sampling checks draw N from 1..max')
+                        'sampling checks draw N from 1..max; gauss-oracle '
+                        'and h-identity reject it')
     p.add_argument("--max-beta", dest="max_beta", type=int, default=40,
                    help="parameter box for the Gauss-sum oracle sweep")
     p.add_argument("--max-4n", dest="max_4n", type=int, default=64,

@@ -102,6 +102,9 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
 # large families (a scalar A at 4N = 64 has 65,536 members)
 _CHUNK = 1024
 
+# lifted members whose commuting pairs are checked against each other
+_PAIRWISE_CAP = 40
+
 
 def _max_commutator(x: np.ndarray, y: np.ndarray) -> float:
     """Largest entry of |xy - yx| over broadcast stacks of matrices."""
@@ -109,21 +112,18 @@ def _max_commutator(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
-                 seed: int = 0, pairwise_cap: int = 40,
-                 tol_scale: float = 1.0) -> Report:
+                 seed: int = 0, tol_scale: float = 1.0) -> Report:
     """Lift commutant members and check operator commutation.
 
     Every lifted member must commute with U_N(A).  With samples=None all
     members are lifted; otherwise a seeded random subset of samples >= 1.
-    Pairs of lifted members (up to pairwise_cap >= 0 of them) are checked
-    against each other whenever their reductions already commute mod 4N.
+    Pairs among the first _PAIRWISE_CAP lifted members are checked against
+    each other whenever their reductions already commute mod 4N.
     The report counts the lifted members as samples, takes the larger of
     the two commutator errors and names the commutant size in its note.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be a positive integer or None")
-    if pairwise_cap < 0:
-        raise ValueError("pairwise_cap must be a non-negative integer")
     members = commutant_mod(a, n, cap=cap)
     if samples is None or samples >= len(members):
         picked = members
@@ -138,7 +138,7 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
     # X Y = Y X mod 4N iff b_x c_y = c_x b_y, t_x b_y = b_x t_y and
     # t_x c_y = c_x t_y, with t = a - d
     ea, eb, ec, ed = np.array([(bm.a, bm.b, bm.c, bm.d)
-                               for bm in picked[:pairwise_cap]],
+                               for bm in picked[:_PAIRWISE_CAP]],
                               dtype=np.int64).reshape(-1, 4).T
     et = ea - ed
     commute = np.ones((len(et), len(et)), dtype=bool)

@@ -17,8 +17,8 @@ only through r = (a*Q' - Q) mod |b|, so the kernel reads it from a table
 over r unless |b| is large next to N^2.  The map A -> U_N(A) is
 exactly multiplicative and depends on A only through its residue mod 4N.
 A general matrix whose entries are too large for the int64 entry grids is
-therefore reduced mod 4N and replaced by a small theta lift of the residue
-(sl2.lift_theta), which is built by the same vectorized kernel.
+therefore reduced mod 4N and replaced by its theta lift (sl2.lift_theta),
+a general matrix with 1 <= b <= 4N that the same vectorized kernel builds.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -93,7 +93,9 @@ def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
         if trial is None:
             continue
         err, n = trial
-        worst = max(worst, err)
+        if err > worst or math.isnan(err):
+            # a NaN error stays the worst, as no comparison replaces it
+            worst = err
         passed &= err < tol * law(n) * tol_scale
         done += 1
         if done == samples:
@@ -194,8 +196,8 @@ def _fits_kernel(b: int, n: int) -> bool:
 
     Its int64 grids hold quadratic phase numerators below
     3 * (2N|b|) * N^2 = 6 N^3 |b|, and gauss_closed_many stays vectorized
-    while |b'| <= 10^6.  A lift mod 4N has |b| <= 20N, so 6 N^3 |b| <=
-    120 N^4 < 2^63 and |b'| <= 10^6 for every N <= 16,000.
+    while |b'| <= 10^6.  A lift mod 4N has |b| <= 4N, so 6 N^3 |b| <=
+    24 N^4 < 2^63 and |b'| <= 10^6 for every N <= 24,898.
     """
     return (6 * n**3 * abs(b) < 2**63
             and abs(b) // math.gcd(b, n) <= gauss._CLOSED_VECTOR_MAX_BETA)
@@ -250,15 +252,13 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     require_theta(m)
     if n < 1:
         raise ValueError("dimension must be a positive integer")
-    k = m
-    if k.a != 0 and k.b != 0 and not _fits_kernel(k.b, n):
-        # U_N(A) depends on A only mod 4N; the lift may be a shear
-        k = lift_theta(reduce_mod(m, 4 * n))
-    if k.b == 0:
-        u = _build_shear(k.a, k.c, n)
-    elif k.a == 0:
-        u = _build_antishear(k.b, k.d, n)
+    if m.b == 0:
+        u = _build_shear(m.a, m.c, n)
+    elif m.a == 0:
+        u = _build_antishear(m.b, m.d, n)
     else:
+        # U_N(A) depends on A only mod 4N, and the lift is general too
+        k = m if _fits_kernel(m.b, n) else lift_theta(reduce_mod(m, 4 * n))
         u = _build_general(k, n)
     if check:
         defect = unitarity_defect(u)

@@ -135,54 +135,18 @@ def reduce_mod(m: Mat2, modulus: int) -> ModMatrix:
     return ModMatrix(m.a, m.b, m.c, m.d, modulus)
 
 
-def _solve_linear(a: int, b: int, k: int):
-    """One solution (v, u) of a*v - b*u = k, or None."""
-    if a == 0 and b == 0:
-        return None
-    # extended gcd: x*a + y*b = r, where r = +-gcd(a, b) takes its sign
-    # from the floor divisions on signed arguments
-    x0, x1, y0, y1, r0, r1 = 1, 0, 0, 1, a, b
-    while r1:
-        q, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if k % r0:
-        return None
-    scale = k // r0
-    return x0 * scale, -y0 * scale
-
-
-def _complete_lift(bm: ModMatrix, av: int, bv: int) -> Mat2 | None:
-    """Lift of bm with top row (av, bv), or None when gcd(av, bv) rules it
-    out; av and bv must be congruent to bm.a and bm.b."""
-    m = bm.modulus
-    k = 1 - av * bm.d + bv * bm.c
-    sol = _solve_linear(av, bv, k // m)
-    if sol is None:
-        return None
-    v0, u0 = sol
-    # general solution: v = v0 + (bv/g) j, u = u0 + (av/g) j;
-    # pick j to keep the free bottom-row entry small
-    g = math.gcd(av, bv)
-    if bv != 0:
-        j = round(-(bm.d / m + v0) / (bv // g))
-    else:
-        j = round(-(bm.c / m + u0) / (av // g))
-    v = v0 + (bv // g) * j
-    u = u0 + (av // g) * j
-    return require_theta(Mat2(av, bv, bm.c + m * u, bm.d + m * v))
-
-
-def lift_theta(bm: ModMatrix, search_bound: int = 4) -> Mat2:
+def lift_theta(bm: ModMatrix) -> Mat2:
     """Integer theta-group matrix congruent to bm mod its even modulus m.
 
-    Searches top-row representatives within search_bound moduli of the
-    residues and solves the determinant exactly for the bottom row; the
-    parity conditions hold automatically because the modulus is even.  When
-    the search finds nothing, _coprime_lift always succeeds, so the lift
-    exists and has |b| <= (search_bound + 1) * m for every residue with
-    determinant 1 and theta parities; LiftError is raised for the others,
-    ValueError for an odd modulus.
+    For residues a, b, c, d in [0, m) the top row is (a + t*m, b'), with
+    b' = b, or m when b = 0, and t the largest divisor of b' coprime to a.
+    A prime dividing b' divides exactly one of a and t*m (it cannot divide
+    a, b and m, as ad - bc = 1 mod m), so the top row is coprime and the
+    bottom row (c + u*m, d + v*m), 0 <= v < b', solves the determinant
+    exactly; the parities follow from the residues', m being even.  So every
+    residue with determinant 1 and theta parities lifts, with 1 <= b <= m
+    (|b| <= 4N at modulus 4N) and a >= m: never a shear or an anti-shear.
+    LiftError is raised for the other residues, ValueError for an odd m.
     """
     m = bm.modulus
     if m % 2:
@@ -192,30 +156,15 @@ def lift_theta(bm: ModMatrix, search_bound: int = 4) -> Mat2:
     if (bm.a * bm.b) % 2 or (bm.c * bm.d) % 2:
         # m even, so a lift has the same entry parities as the residues
         raise LiftError(f"{bm} violates the parity conditions")
-    offsets = sorted(range(-search_bound, search_bound + 1), key=abs)
-    for s in offsets:
-        for t in offsets:
-            cand = _complete_lift(bm, bm.a + m * s, bm.b + m * t)
-            if cand is not None:
-                return cand
-    return _coprime_lift(bm)
-
-
-def _coprime_lift(bm: ModMatrix) -> Mat2:
-    """Lift of a valid residue with top row (a + t*m, b'), b' in [1, m].
-
-    A prime p dividing b' either divides t, and then not a, or divides a,
-    and then neither t (coprime to a by construction) nor m (p would divide
-    a, b and m, against ad - bc = 1 mod m); either way p does not divide
-    a + t*m, so the top row is coprime and, both entries being positive,
-    the bottom row always solves.
-    """
-    m = bm.modulus
     bv = bm.b or m
     t = bv
     while (g := math.gcd(t, bm.a)) > 1:
         t //= g
-    return _complete_lift(bm, bm.a + t * m, bv)
+    av = bm.a + t * m
+    k = (1 - av * bm.d + bv * bm.c) // m
+    v = k * pow(av, -1, bv) % bv
+    u = (av * v - k) // bv
+    return require_theta(Mat2(av, bv, bm.c + m * u, bm.d + m * v))
 
 
 def evaluate(word: list[str]) -> Mat2:

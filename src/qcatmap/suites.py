@@ -333,3 +333,12 @@ CHECKS = {
     "unitarity": lambda o: unitarity_sweep(
         o.samples or 64, max(o.dims or [64]), o.seed, o.tolerance_scale),
 }
+
+# The `verify` options that a runner above does not read: `verify <check>`
+# rejects them, `verify all` passes them to the checks that read them.
+UNREAD_OPTIONS = {
+    "relations": ("samples",),
+    "gauss-oracle": ("samples", "dims"),
+    "h-identity": ("dims",),
+    "hecke": ("samples",),
+}

@@ -232,7 +232,11 @@ def verify_all_reports():
 @pytest.mark.parametrize("name", list(suites.CHECKS))
 def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
                                                    name):
-    rc, out = run(capsys, ["verify", name, *REGISTRY_FLAGS])
+    # a single check takes only the registry flags that it reads
+    unread = {f"--{option}" for option in suites.UNREAD_OPTIONS.get(name, ())}
+    flags = [x for flag, value in zip(REGISTRY_FLAGS[::2], REGISTRY_FLAGS[1::2])
+             if flag not in unread for x in (flag, value)]
+    rc, out = run(capsys, ["verify", name, *flags])
     assert rc == 0
     assert json.loads(out) == [verify_all_reports[name]]
 
@@ -282,6 +286,27 @@ def test_exit_codes_without_traceback(argv, want):
         assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "relations", "--samples", "2"], 2),
+    (["verify", "gauss-oracle", "--samples", "2"], 2),
+    (["verify", "hecke", "--samples", "2"], 2),
+    (["verify", "gauss-oracle", "--dims", "3"], 2),
+    (["verify", "h-identity", "--dims", "3"], 2),
+    (["verify", "all", "--samples", "2", "--dims", "3"], 0),
+], ids=["relations-samples", "gauss-oracle-samples", "hecke-samples",
+        "gauss-oracle-dims", "h-identity-dims", "all-takes-both"])
+def test_verify_rejects_the_options_its_check_does_not_read(argv, want):
+    # these used to be accepted and ignored: `verify relations --samples 2`
+    # ran its 576 samples and exited 0
+    proc = run_python(["-m", "qcatmap.cli", *argv])
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if want == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: verify {argv[1]} does not "
+                                      f"read {argv[2]}")
+
+
 def test_unitarity_failure_survives_optimize_flag():
     # python -O strips assert statements; the guard must still raise, and
     # the CLI must report it as a failed verification
@@ -308,6 +333,9 @@ sys.exit(cli.main(["propagator", "--matrix", "2,1,3,2", "--dim", "3"]))
 VERDICT_ARGV = {
     **{f"verify-{name}": ["verify", name, "--samples", "3", "--dims", "1..4"]
        for name in suites.CHECKS},
+    # these checks take no --samples
+    "verify-relations": ["verify", "relations", "--dims", "1..4"],
+    "verify-hecke": ["verify", "hecke", "--dims", "1..4"],
     # scalar checks need more draws than 3 for a nonzero error
     "verify-substitution": ["verify", "substitution"],
     "verify-h-identity": ["verify", "h-identity"],

@@ -252,6 +252,16 @@ def test_verify_mult_report():
     assert rep.tol == propagator.MULT_TOL
 
 
+@pytest.mark.parametrize("trials", [
+    [(math.nan, 1)], [(1e-20, 1), (math.nan, 1)], [(math.nan, 1), (1e-20, 1)],
+], ids=["nan-only", "nan-last", "nan-first"])
+def test_drive_reports_a_nan_error(trials):
+    # max() would keep the earlier worst and report 0.0 or 1e-20
+    rep = propagator._drive("x", trials, 1e-8)
+    assert math.isnan(rep.max_error)
+    assert not rep.passed
+
+
 def test_huge_entries_use_exact_fallback():
     # b = 2000002 shares only its residue mod 8 with b = 2; at N = 2 the
     # propagator depends on the matrix mod 8 only, so the two must agree
@@ -281,11 +291,11 @@ def test_huge_powers_match_exact_reference(n):
         assert np.abs(build(m, n) - propagator_reference(m, n)).max() < 1e-10
 
 
-def test_huge_b_divisible_by_4n_lifts_to_shear():
+def test_huge_b_divisible_by_4n_lifts_to_b_equal_4n():
     n = 12
     m = Mat2(1, 0, 6, 1) @ Mat2(1, 4 * n * (2**64 + 3), 0, 1)
-    assert lift_theta(reduce_mod(m, 4 * n)).b == 0
-    # with a = -1 mod 4N the lift is general again, with |b| = 4N
+    assert lift_theta(reduce_mod(m, 4 * n)).b == 4 * n
+    # A and P A, whose a = -1 mod 4N, both build from a lift with b = 4N
     for mm in (m, P_MAT @ m):
         assert np.abs(build(mm, n) - propagator_reference(mm, n)).max() < 1e-10
 
