@@ -8,8 +8,9 @@ takes only the options it reads: `--format` on all but `propagator`,
 which always prints JSON; `--tolerance-scale`, which multiplies every
 tolerance and must be a finite number greater than 0, on `verify`,
 `egorov`, `hecke` and `gauss`; `--seed` and `--samples` on `verify` and
-`hecke`.  `verify <check>` rejects the `--samples` or `--dims` that its
-check does not read (`suites.UNREAD_OPTIONS`); `verify all` takes both.
+`hecke`.  `verify <check>` rejects the `--samples`, `--dims`,
+`--max-beta` or `--max-4n` that its check does not read
+(`suites.UNREAD_OPTIONS`); `verify all` takes all four.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
@@ -153,7 +154,8 @@ def _cmd_hecke(args) -> int:
 def _cmd_verify(args) -> int:
     for option in suites.UNREAD_OPTIONS.get(args.what, ()):
         if getattr(args, option) is not None:
-            raise ValueError(f"verify {args.what} does not read --{option}")
+            flag = option.replace("_", "-")
+            raise ValueError(f"verify {args.what} does not read --{flag}")
     args.dims = _parse_dims(args.dims) if args.dims else None
     names = suites.CHECKS if args.what == "all" else [args.what]
     reports = [suites.CHECKS[name](args) for name in names]
@@ -232,10 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                         'maximum: hecke runs every N in 1..min(max, 8), the '
                         'sampling checks draw N from 1..max; gauss-oracle '
                         'and h-identity reject it')
-    p.add_argument("--max-beta", dest="max_beta", type=int, default=40,
-                   help="parameter box for the Gauss-sum oracle sweep")
-    p.add_argument("--max-4n", dest="max_4n", type=int, default=64,
-                   help="refuse commutant enumeration above this 4N")
+    p.add_argument("--max-beta", dest="max_beta", type=int, default=None,
+                   help="parameter box for the Gauss-sum oracle sweep "
+                        "(default 40; only gauss-oracle reads it)")
+    p.add_argument("--max-4n", dest="max_4n", type=int, default=None,
+                   help="refuse commutant enumeration above this 4N "
+                        "(default 64; only hecke reads it)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

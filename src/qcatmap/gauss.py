@@ -132,21 +132,52 @@ def gauss_closed(p: GaussParams) -> complex:
     return lead * e_frac(-2 * p.alpha * x * x, p.beta)
 
 
-def gauss_closed_many(alpha: int, beta: int, gammas) -> np.ndarray:
+def _branch_columns(alphas: list, beta: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """_branch for several alphas sharing one branch: the leading constants
+    and inverses as arrays, with the common gamma parity."""
+    if any(math.gcd(a, beta) != 1 for a in alphas):
+        raise NotCoprimeError(f"some alpha in {alphas} shares a factor with beta={beta}")
+    branches = [_branch(a, beta) for a in alphas]
+    parities = {parity for _, _, parity in branches}
+    if len(parities) != 1:
+        raise UnsupportedParityError(
+            f"alphas {alphas} do not share one branch at beta={beta}")
+    lead = np.array([lead for lead, _, _ in branches], dtype=np.complex128)
+    inv = np.array([inv for _, inv, _ in branches], dtype=np.int64)
+    return lead, inv, parities.pop()
+
+
+def gauss_closed_many(alpha, beta: int, gammas) -> np.ndarray:
     """Closed-form values for an array of gamma values at fixed alpha, beta.
 
     Requires gcd(alpha, beta) = 1.  Entries whose gamma has the wrong parity
     for the branch (so alpha*beta + gamma is odd) are returned as 0, matching
     the period-averaged direct sum.
+
+    alpha may also be a 1-D integer array whose entries share one branch
+    (at fixed beta, one parity of alpha).  The result then has one row per
+    alpha, shape (len(alpha), *np.shape(gammas)), and each row equals the
+    call with that alpha alone bit for bit.
     """
-    if math.gcd(alpha, beta) != 1:
-        raise NotCoprimeError(f"alpha={alpha} and beta={beta} share a factor")
     beta_abs = abs(beta)
     s = 1 if beta > 0 else -1
-    lead, inv, gamma_parity = _branch(alpha, beta)
-    gam = np.asarray(gammas, dtype=object if beta_abs > _CLOSED_VECTOR_MAX_BETA else np.int64)
+    huge = beta_abs > _CLOSED_VECTOR_MAX_BETA
+    if isinstance(alpha, np.ndarray):
+        if huge:
+            return np.stack([gauss_closed_many(a, beta, gammas)
+                             for a in alpha.tolist()])
+        lead, inv, gamma_parity = _branch_columns(alpha.tolist(), beta)
+        # one row per alpha, broadcast against every gamma axis
+        column = (-1,) + (1,) * np.ndim(gammas)
+        alpha = alpha.astype(np.int64).reshape(column)
+        lead, inv = lead.reshape(column), inv.reshape(column)
+    else:
+        if math.gcd(alpha, beta) != 1:
+            raise NotCoprimeError(f"alpha={alpha} and beta={beta} share a factor")
+        lead, inv, gamma_parity = _branch(alpha, beta)
+    gam = np.asarray(gammas, dtype=object if huge else np.int64)
     gam = gam % (2 * beta_abs)  # the value has period 2|beta| in gamma
-    if beta_abs > _CLOSED_VECTOR_MAX_BETA:
+    if huge:
         out = np.empty(gam.shape, dtype=np.complex128)
         flat = out.reshape(-1)
         for i, g in enumerate(int(v) for v in gam.reshape(-1)):

@@ -119,8 +119,9 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
     members are lifted; otherwise a seeded random subset of samples >= 1.
     Pairs among the first _PAIRWISE_CAP lifted members are checked against
     each other whenever their reductions already commute mod 4N.
-    The report counts the lifted members as samples, takes the larger of
-    the two commutator errors and names the commutant size in its note.
+    The report counts the lifted members as samples, takes the largest
+    commutator error (a NaN counts as the worst) and names the commutant
+    size in its note.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be a positive integer or None")
@@ -133,8 +134,8 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
     lifts = np.empty((len(picked), n, n), dtype=np.complex128)
     for k, bm in enumerate(picked):
         lifts[k] = build(lift_theta(bm), n)
-    max_err = max(_max_commutator(u_a, lifts[k:k + _CHUNK])
-                  for k in range(0, len(lifts), _CHUNK))
+    errs = [_max_commutator(u_a, lifts[k:k + _CHUNK])
+            for k in range(0, len(lifts), _CHUNK)]
     # X Y = Y X mod 4N iff b_x c_y = c_x b_y, t_x b_y = b_x t_y and
     # t_x c_y = c_x t_y, with t = a - d
     ea, eb, ec, ed = np.array([(bm.a, bm.b, bm.c, bm.d)
@@ -145,8 +146,9 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
     for x, y in ((eb, ec), (et, eb), (et, ec)):
         commute &= (x[:, None] * y - y[:, None] * x) % (4 * n) == 0
     i, j = np.nonzero(np.triu(commute, 1))
-    max_pair = _max_commutator(lifts[i], lifts[j]) if len(i) else 0.0
-    rep = _drive("hecke", [(max(max_err, max_pair), n)], MULT_TOL,
+    if len(i):
+        errs.append(_max_commutator(lifts[i], lifts[j]))
+    rep = _drive("hecke", [(err, n) for err in errs], MULT_TOL,
                  tol_scale=tol_scale)
     return replace(rep, samples=len(picked),
                    note=f"commutant size {len(members)}")

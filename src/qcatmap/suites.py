@@ -49,9 +49,11 @@ def _constant(n) -> int:
 
 
 def word_product(word, n: int) -> np.ndarray:
-    """Product of generator propagators, left to right."""
-    u = np.eye(n, dtype=complex)
-    for tok in word:
+    """Product of generator propagators, left to right (empty: identity)."""
+    if not word:
+        return np.eye(n, dtype=complex)
+    u = build(TOKEN_MATRIX[word[0]], n, check=False)
+    for tok in word[1:]:
         u = u @ build(TOKEN_MATRIX[tok], n, check=False)
     return u
 
@@ -97,6 +99,35 @@ def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
                   tol_scale=tol_scale)
 
 
+# terms of one (k, rho, g) gather while filling a direct-sum table; keeps
+# the gauss-oracle sweep's temporaries near 1 MiB at every beta
+_CHUNK = 1 << 15
+
+
+def _direct_table(beta: int) -> np.ndarray:
+    """Direct averages at every residue pair mod the period P = 2|beta|.
+
+    Entry (rho, g) is sum_k e(sgn(beta) (rho k^2 + g k) / P) / (2 sqrt|beta|)
+    over k = 0..P-1, summed in k order from the P roots of unity, so the
+    exact zeros stay zero to roundoff.  Both terms of the numerator are
+    reduced mod P before they are added, so their sum indexes the roots
+    listed twice.  The rows are filled in chunks of at most _CHUNK terms.
+    """
+    period = 2 * abs(beta)
+    sgn = 1 if beta > 0 else -1
+    k = np.arange(period, dtype=np.int64)
+    roots = np.exp((TWO_PI * 1j / period) * k)
+    roots = np.concatenate([roots, roots])  # e(j/P) for j < 2P
+    k_rho = ((sgn * np.outer(k * k, k)) % period)[:, :, None]
+    k_g = ((sgn * np.outer(k, k)) % period)[:, None, :]
+    table = np.empty((period, period), dtype=np.complex128)
+    rows = max(1, _CHUNK // (period * period))
+    for lo in range(0, period, rows):
+        table[lo:lo + rows] = roots[k_rho[:, lo:lo + rows] + k_g].sum(axis=0)
+    table /= 2.0 * math.sqrt(abs(beta))
+    return table
+
+
 def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     """Closed-form sums against the defining average over a parameter box.
 
@@ -104,41 +135,39 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     at every gamma in the box (including the exact zeros at odd parity).
     For every (alpha, beta) the direct average must vanish to roundoff
     whenever alpha*beta + gamma is odd.
+
+    The summand index sgn(beta) (alpha k^2 + gamma k) mod 2|beta| depends on
+    alpha and gamma only mod P = 2|beta|, so each beta sums one P x P table
+    of residue pairs and gathers the box from it.  The closed forms of each
+    parity of coprime alpha come from one stacked gauss_closed_many call.
+    A NaN in either maximum is the reported error and fails the check.
     """
     if max_abs < 1:
         raise ValueError(f"the parameter box needs max_abs >= 1, got {max_abs}")
-    gammas = np.arange(-max_abs, max_abs + 1)
-    max_oracle = 0.0
-    max_vanish = 0.0
+    values = np.arange(-max_abs, max_abs + 1)
+    oracle, vanish = [], []
     compared = 0
     for beta in range(-max_abs, max_abs + 1):
         if beta == 0:
             continue
         period = 2 * abs(beta)
-        sgn = 1 if beta > 0 else -1
-        k = np.arange(period, dtype=np.int64)
-        kg = np.outer(k, gammas)
-        scale = 2.0 * math.sqrt(abs(beta))
-        # e(j/period) for every reduced numerator j; reducing mod the period
-        # keeps every phase argument small, otherwise roundoff swamps the
-        # exact zeros
-        roots = np.exp((TWO_PI * 1j / period) * k)
-        for alpha in range(-max_abs, max_abs + 1):
-            num = (sgn * ((alpha * k * k)[:, None] + kg)) % period
-            direct = roots[num].sum(axis=0)
-            direct /= scale
-            odd = ((alpha * beta + gammas) % 2).astype(bool)
-            if odd.any():
-                max_vanish = max(max_vanish, float(np.abs(direct[odd]).max()))
-            if math.gcd(alpha, beta) == 1:
-                closed = gauss.gauss_closed_many(alpha, beta, gammas)
-                max_oracle = max(max_oracle,
-                                 float(np.abs(closed - direct).max()))
-                compared += gammas.size
+        # rows alpha, columns gamma
+        direct = _direct_table(beta)[np.ix_(values % period, values % period)]
+        odd = ((values[:, None] * beta + values) % 2).astype(bool)
+        vanish.append(np.abs(direct[odd]).max())
+        coprime = np.gcd(values, beta) == 1
+        for parity in (0, 1):
+            group = coprime & (values % 2 == parity)
+            if group.any():
+                closed = gauss.gauss_closed_many(values[group], beta, values)
+                oracle.append(np.abs(closed - direct[group]).max())
+        compared += int(coprime.sum()) * values.size
+    max_oracle, max_vanish = float(np.max(oracle)), float(np.max(vanish))
     passed = (max_oracle < GAUSS_ORACLE_TOL * tol_scale
               and max_vanish < GAUSS_VANISH_TOL * tol_scale)
+    error = max_vanish if math.isnan(max_vanish) else max_oracle
     note = f"vanish max {max_vanish:.2e} (tol {GAUSS_VANISH_TOL:.0e})"
-    return Report("gauss-oracle", compared, max_oracle, GAUSS_ORACLE_TOL,
+    return Report("gauss-oracle", compared, error, GAUSS_ORACLE_TOL,
                   passed, note=note)
 
 
@@ -305,15 +334,17 @@ def hecke_sweep(max_dim: int = 8, seed: int = 0, cap: int = 64,
 
 # The verify checks by command-line name, in the order `verify all` runs
 # them.  A runner takes the parsed `verify` options (seed, samples, dims as
-# a list or None, tolerance_scale, max_beta, max_4n) and fills in its
-# check's defaults.  It looks its sweep up by name at call time, so a
-# wrapper set on this module's attribute is the one that runs.
+# a list or None, tolerance_scale, max_beta, max_4n; all but seed and
+# tolerance_scale None when not given) and fills in its check's defaults.
+# It looks its sweep up by name at call time, so a wrapper set on this
+# module's attribute is the one that runs.
 CHECKS = {
     "mult": lambda o: multiplicativity_sweep(
         o.samples or 500, max(o.dims or [32]), seed=o.seed,
         tol_scale=o.tolerance_scale),
     "relations": lambda o: relations_sweep(o.dims, o.tolerance_scale),
-    "gauss-oracle": lambda o: gauss_oracle_sweep(o.max_beta, o.tolerance_scale),
+    "gauss-oracle": lambda o: gauss_oracle_sweep(
+        40 if o.max_beta is None else o.max_beta, o.tolerance_scale),
     "substitution": lambda o: substitution_sweep(
         o.samples or 500, max(o.dims or [32]), o.seed, o.tolerance_scale),
     "h-identity": lambda o: h_identity_sweep(
@@ -328,8 +359,8 @@ CHECKS = {
         o.samples or 1000, max_dim=max(o.dims or [16]), seed=o.seed,
         tol_scale=o.tolerance_scale),
     "hecke": lambda o: hecke_sweep(
-        min(max(o.dims or [8]), 8), seed=o.seed, cap=o.max_4n,
-        tol_scale=o.tolerance_scale),
+        min(max(o.dims or [8]), 8), seed=o.seed,
+        cap=64 if o.max_4n is None else o.max_4n, tol_scale=o.tolerance_scale),
     "unitarity": lambda o: unitarity_sweep(
         o.samples or 64, max(o.dims or [64]), o.seed, o.tolerance_scale),
 }
@@ -337,8 +368,9 @@ CHECKS = {
 # The `verify` options that a runner above does not read: `verify <check>`
 # rejects them, `verify all` passes them to the checks that read them.
 UNREAD_OPTIONS = {
-    "relations": ("samples",),
-    "gauss-oracle": ("samples", "dims"),
-    "h-identity": ("dims",),
-    "hecke": ("samples",),
+    **{name: ("max_beta", "max_4n") for name in CHECKS},
+    "relations": ("samples", "max_beta", "max_4n"),
+    "gauss-oracle": ("samples", "dims", "max_4n"),
+    "h-identity": ("dims", "max_beta", "max_4n"),
+    "hecke": ("samples", "max_beta"),
 }

@@ -117,6 +117,62 @@ def gauss_oracle_sweep_reference(max_abs: int = 40,
                   passed, note=note)
 
 
+def gauss_oracle_sweep_loop_reference(max_abs: int = 40,
+                                      tol_scale: float = 1.0) -> Report:
+    """The gauss-oracle sweep with one direct-sum row and one closed-form
+    call per (alpha, beta), gathered from the period's roots of unity;
+    suites.gauss_oracle_sweep must return an equal report.  Its running
+    maxima drop a NaN, as this loop always did."""
+    if max_abs < 1:
+        raise ValueError(f"the parameter box needs max_abs >= 1, got {max_abs}")
+    gammas = np.arange(-max_abs, max_abs + 1)
+    max_oracle = 0.0
+    max_vanish = 0.0
+    compared = 0
+    for beta in range(-max_abs, max_abs + 1):
+        if beta == 0:
+            continue
+        period = 2 * abs(beta)
+        sgn = 1 if beta > 0 else -1
+        k = np.arange(period, dtype=np.int64)
+        kg = np.outer(k, gammas)
+        scale = 2.0 * math.sqrt(abs(beta))
+        # e(j/period) for every reduced numerator j; reducing mod the period
+        # keeps every phase argument small, otherwise roundoff swamps the
+        # exact zeros
+        roots = np.exp((TWO_PI * 1j / period) * k)
+        for alpha in range(-max_abs, max_abs + 1):
+            num = (sgn * ((alpha * k * k)[:, None] + kg)) % period
+            direct = roots[num].sum(axis=0)
+            direct /= scale
+            odd = ((alpha * beta + gammas) % 2).astype(bool)
+            if odd.any():
+                max_vanish = max(max_vanish, float(np.abs(direct[odd]).max()))
+            if math.gcd(alpha, beta) == 1:
+                closed = gauss.gauss_closed_many(alpha, beta, gammas)
+                max_oracle = max(max_oracle,
+                                 float(np.abs(closed - direct).max()))
+                compared += gammas.size
+    passed = (max_oracle < GAUSS_ORACLE_TOL * tol_scale
+              and max_vanish < GAUSS_VANISH_TOL * tol_scale)
+    note = f"vanish max {max_vanish:.2e} (tol {GAUSS_VANISH_TOL:.0e})"
+    return Report("gauss-oracle", compared, max_oracle, GAUSS_ORACLE_TOL,
+                  passed, note=note)
+
+
+def direct_row_reference(alpha: int, beta: int, gammas) -> np.ndarray:
+    """One row of the loop above: the direct averages at alpha, beta and
+    every gamma, gathered from the roots of unity and summed in k order."""
+    period = 2 * abs(beta)
+    sgn = 1 if beta > 0 else -1
+    k = np.arange(period, dtype=np.int64)
+    roots = np.exp((TWO_PI * 1j / period) * k)
+    num = (sgn * ((alpha * k * k)[:, None] + np.outer(k, gammas))) % period
+    direct = roots[num].sum(axis=0)
+    direct /= 2.0 * math.sqrt(abs(beta))
+    return direct
+
+
 def propagator_reference(m, n: int) -> np.ndarray:
     """U_N(A) of a theta matrix with a, b != 0 from the general-case formula,
     entry by entry in exact integer arithmetic on the unreduced matrix:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _oracles import (commutant_mod_reference, egorov_mode_errors_reference,
-                      verify_hecke_reference)
+                      gauss_oracle_sweep_loop_reference, verify_hecke_reference)
 
 from qcatmap import cli, hecke, suites, weyl
 from qcatmap.propagator import Report, build
@@ -215,7 +215,7 @@ def test_verify_choices_follow_check_registry():
 
 
 REGISTRY_FLAGS = ["--seed", "3", "--samples", "5", "--dims", "1..6",
-                  "--format", "json"]
+                  "--max-beta", "6", "--max-4n", "32", "--format", "json"]
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,8 @@ def verify_all_reports():
 def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
                                                    name):
     # a single check takes only the registry flags that it reads
-    unread = {f"--{option}" for option in suites.UNREAD_OPTIONS.get(name, ())}
+    unread = {"--" + option.replace("_", "-")
+              for option in suites.UNREAD_OPTIONS.get(name, ())}
     flags = [x for flag, value in zip(REGISTRY_FLAGS[::2], REGISTRY_FLAGS[1::2])
              if flag not in unread for x in (flag, value)]
     rc, out = run(capsys, ["verify", name, *flags])
@@ -241,13 +242,15 @@ def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
     assert json.loads(out) == [verify_all_reports[name]]
 
 
-@pytest.mark.parametrize("what", ["egorov", "hecke"])
+@pytest.mark.parametrize("what", ["egorov", "hecke", "gauss-oracle"])
 def test_batched_checks_print_the_loop_output(capsys, monkeypatch, what):
     argv = ["verify", what, "--seed", "3", "--format", "json"]
     rc, out = run(capsys, argv)
     monkeypatch.setattr(weyl, "egorov_mode_errors", egorov_mode_errors_reference)
     monkeypatch.setattr(hecke, "commutant_mod", commutant_mod_reference)
     monkeypatch.setattr(hecke, "verify_hecke", verify_hecke_reference)
+    monkeypatch.setattr(suites, "gauss_oracle_sweep",
+                        gauss_oracle_sweep_loop_reference)
     rc_loop, out_loop = run(capsys, argv)
     assert rc == rc_loop == 0
     assert out == out_loop
@@ -293,11 +296,19 @@ def test_exit_codes_without_traceback(argv, want):
     (["verify", "gauss-oracle", "--dims", "3"], 2),
     (["verify", "h-identity", "--dims", "3"], 2),
     (["verify", "all", "--samples", "2", "--dims", "3"], 0),
+    (["verify", "mult", "--max-beta", "3"], 2),
+    (["verify", "hecke", "--max-beta", "3"], 2),
+    (["verify", "relations", "--max-4n", "8"], 2),
+    (["verify", "gauss-oracle", "--max-4n", "8"], 2),
+    # the cap of 8 refuses N = 3, so the dims stop at 2
+    (["verify", "all", "--max-beta", "3", "--max-4n", "8", "--dims", "1..2"], 0),
 ], ids=["relations-samples", "gauss-oracle-samples", "hecke-samples",
-        "gauss-oracle-dims", "h-identity-dims", "all-takes-both"])
+        "gauss-oracle-dims", "h-identity-dims", "all-takes-both",
+        "mult-max-beta", "hecke-max-beta", "relations-max-4n",
+        "gauss-oracle-max-4n", "all-takes-max-beta-and-max-4n"])
 def test_verify_rejects_the_options_its_check_does_not_read(argv, want):
     # these used to be accepted and ignored: `verify relations --samples 2`
-    # ran its 576 samples and exited 0
+    # ran its 576 samples and exited 0, `verify mult --max-beta 3` its 500
     proc = run_python(["-m", "qcatmap.cli", *argv])
     assert proc.returncode == want, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -150,6 +150,39 @@ def test_closed_many_bits_do_not_depend_on_batch_size():
         assert np.array_equal(whole.view(np.float64), parts.view(np.float64))
 
 
+@pytest.mark.parametrize("beta", [1, -1, 2, 3, -3, 8, -8, 15, 64, -97, 100, -100])
+def test_closed_many_alpha_rows_bit_equal_to_single_calls(beta):
+    gammas = np.arange(-100, 101)
+    alphas = np.arange(-120, 121)
+    alphas = alphas[np.gcd(alphas, beta) == 1]
+    for group in (alphas[alphas % 2 == 0], alphas[alphas % 2 == 1]):
+        if not group.size:
+            continue
+        rows = gauss.gauss_closed_many(group, beta, gammas)
+        want = np.stack([gauss.gauss_closed_many(int(a), beta, gammas)
+                         for a in group])
+        assert rows.shape == (group.size, gammas.size)
+        assert np.array_equal(rows.view(np.float64), want.view(np.float64))
+
+
+def test_closed_many_alpha_rows_past_the_vectorized_cutoff():
+    beta = 10**6 + 1
+    gammas = np.arange(-3, 4).reshape(7, 1)
+    rows = gauss.gauss_closed_many(np.array([2, -4]), beta, gammas)
+    assert rows.shape == (2, 7, 1)
+    for row, alpha in zip(rows, (2, -4)):
+        assert np.array_equal(row, gauss.gauss_closed_many(alpha, beta, gammas))
+
+
+@pytest.mark.parametrize("alphas, error", [
+    ([1, 2], UnsupportedParityError), ([1, 3], NotCoprimeError),
+    ([], UnsupportedParityError),
+], ids=["two-branches", "shared-factor", "empty"])
+def test_closed_many_alpha_rows_need_one_coprime_branch(alphas, error):
+    with pytest.raises(error):
+        gauss.gauss_closed_many(np.array(alphas, dtype=np.int64), 3, np.arange(4))
+
+
 def test_closed_many_rejects_shared_factor():
     with pytest.raises(NotCoprimeError):
         gauss.gauss_closed_many(2, 4, np.arange(4))

@@ -213,3 +213,24 @@ def test_verify_hecke_pairs_of_scalar_commutant(n):
 def test_verify_hecke_rejects_vacuous_requests(kwargs, match):
     with pytest.raises(ValueError, match=match):
         verify_hecke(Mat2(2, 1, 3, 2), 3, **kwargs)
+
+
+@pytest.mark.parametrize("nan_call", [0, 1, 3],
+                         ids=["first-chunk", "later-chunk", "pairs"])
+def test_verify_hecke_reports_a_nan_commutator(monkeypatch, nan_call):
+    # a NaN in a later chunk or in the pair check used to be dropped by
+    # max(), so the report named a finite error
+    real = hecke._max_commutator
+    calls = []
+
+    def nan_at_one_call(x, y):
+        calls.append(None)
+        return float("nan") if len(calls) - 1 == nan_call else real(x, y)
+
+    monkeypatch.setattr(hecke, "_CHUNK", 16)
+    monkeypatch.setattr(hecke, "_max_commutator", nan_at_one_call)
+    rep = verify_hecke(Mat2(2, 1, 3, 2), 3)
+    # 48 members in three chunks of 16, then one batch of commuting pairs
+    assert len(calls) == 4
+    assert np.isnan(rep.max_error) and not rep.passed
+    assert rep.samples == 48

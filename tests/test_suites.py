@@ -1,6 +1,11 @@
-import pytest
+import math
+import tracemalloc
 
-from qcatmap import hecke, suites, weyl
+import numpy as np
+import pytest
+from _oracles import direct_row_reference, gauss_oracle_sweep_loop_reference
+
+from qcatmap import gauss, hecke, suites, weyl
 from qcatmap.propagator import MULT_TOL, verify_mult
 from qcatmap.sl2 import IDENTITY, T2_PLUS, Mat2
 
@@ -46,3 +51,66 @@ def test_single_comparisons_report_the_base_rate():
     # the verdict still holds each error to the base rate times N
     assert not weyl.verify_egorov(a, n, {(1, 2): 1.0}, tol_scale=1e-30).passed
     assert not hecke.verify_hecke(a, 3, tol_scale=1e-30).passed
+
+
+# |beta| up to 45, past the box of the default sweep, and chunk sizes down
+# to one residue row per chunk
+@pytest.mark.parametrize("chunk", [suites._CHUNK, 1, 100])
+def test_direct_table_rows_equal_loop_rows(monkeypatch, chunk):
+    monkeypatch.setattr(suites, "_CHUNK", chunk)
+    values = np.arange(-45, 46)
+    for beta in (1, -1, 2, 7, -12, 33, 40, -40, 45):
+        period = 2 * abs(beta)
+        table = suites._direct_table(beta)
+        for alpha in values:
+            row = table[alpha % period, values % period].view(np.float64)
+            want = direct_row_reference(int(alpha), beta, values)
+            assert np.array_equal(row, want.view(np.float64)), (alpha, beta)
+
+
+@pytest.mark.parametrize("max_abs", [1, 2, 5, 12, 40])
+def test_gauss_oracle_sweep_equals_loop_reference(max_abs):
+    assert (suites.gauss_oracle_sweep(max_abs)
+            == gauss_oracle_sweep_loop_reference(max_abs))
+
+
+def test_gauss_oracle_sweep_peak_memory():
+    tracemalloc.start()
+    try:
+        suites.gauss_oracle_sweep(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_gauss_oracle_sweep_reports_a_nan_closed_value(monkeypatch):
+    # max(max_oracle, nan) kept the old value, so this passed with 2.48e-16
+    real = gauss.gauss_closed_many
+
+    def nan_at_one_point(alpha, beta, gammas):
+        out = real(alpha, beta, gammas)
+        if beta == 1:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(gauss, "gauss_closed_many", nan_at_one_point)
+    rep = suites.gauss_oracle_sweep(2)
+    assert math.isnan(rep.max_error) and not rep.passed
+
+
+def test_gauss_oracle_sweep_reports_a_nan_vanishing_sum(monkeypatch):
+    # at beta = 2, residue pair (0, 1) is an odd-parity entry whose alpha
+    # shares the factor 2 with beta, so only the vanish maximum sees it
+    real = suites._direct_table
+
+    def nan_at_one_pair(beta):
+        table = real(beta)
+        if beta == 2:
+            table[0, 1] = np.nan
+        return table
+
+    monkeypatch.setattr(suites, "_direct_table", nan_at_one_pair)
+    rep = suites.gauss_oracle_sweep(2)
+    assert math.isnan(rep.max_error) and not rep.passed
+    assert rep.note.startswith("vanish max nan")
