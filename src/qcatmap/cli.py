@@ -8,9 +8,9 @@ takes only the options it reads: `--format` on all but `propagator`,
 which always prints JSON; `--tolerance-scale`, which multiplies every
 tolerance and must be a finite number greater than 0, on `verify`,
 `egorov`, `hecke` and `gauss`; `--seed` and `--samples` on `verify` and
-`hecke`.  `verify <check>` rejects the `--samples`, `--dims`,
+`hecke`.  `verify <check>` rejects the `--seed`, `--samples`, `--dims`,
 `--max-beta` or `--max-4n` that its check does not read
-(`suites.UNREAD_OPTIONS`); `verify all` takes all four.
+(`suites.UNREAD_OPTIONS`); `verify all` takes all five.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
@@ -179,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                          type=_positive_float, default=1.0,
                          help="multiply every tolerance by this factor")
     sampled = argparse.ArgumentParser(add_help=False, parents=[checked])
-    sampled.add_argument("--seed", type=int, default=0,
-                         help="seed for the pseudorandom samples")
     sampled.add_argument("--samples", type=_positive_int, default=None,
                          help="number of samples (default depends on the task)")
+    seed_help = "seed for the pseudorandom samples (default 0)"
 
     parser = argparse.ArgumentParser(
         prog="qcatmap",
@@ -221,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lift a commuting family and check it")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--max-4n", dest="max_4n", type=int, default=64,
                    help="refuse commutant enumeration above this 4N")
     p.set_defaults(func=_cmd_hecke)
@@ -228,12 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[sampled],
                        help="run a verification sweep")
     p.add_argument("what", choices=VERIFY_CHOICES)
+    # None, so that a check drawing nothing can reject a given seed
+    p.add_argument("--seed", type=int, default=None,
+                   help=seed_help + "; relations and gauss-oracle reject it")
     p.add_argument("--dims", default=None,
                    help='dimensions: "8", "1,2,4" or "1..16"; only relations '
                         'runs every listed N, the other checks use the '
-                        'maximum: hecke runs every N in 1..min(max, 8), the '
-                        'sampling checks draw N from 1..max; gauss-oracle '
-                        'and h-identity reject it')
+                        'maximum: hecke runs every N in 1..min(max, 8, '
+                        'max-4n // 4), the sampling checks draw N from '
+                        '1..max; gauss-oracle and h-identity reject it')
     p.add_argument("--max-beta", dest="max_beta", type=int, default=None,
                    help="parameter box for the Gauss-sum oracle sweep "
                         "(default 40; only gauss-oracle reads it)")

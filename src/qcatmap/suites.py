@@ -332,45 +332,51 @@ def hecke_sweep(max_dim: int = 8, seed: int = 0, cap: int = 64,
     return replace(rep, samples=sum(sizes), note=f"commutant sizes {sizes}")
 
 
+def _hecke_run(o) -> Report:
+    cap = 64 if o.max_4n is None else o.max_4n
+    # the cap bounds 4N, so the dimensions stop at cap // 4; below 4 none
+    # is left and the empty sweep is a ValueError
+    return hecke_sweep(min(max(o.dims or [8]), 8, cap // 4),
+                       seed=o.seed or 0, cap=cap, tol_scale=o.tolerance_scale)
+
+
 # The verify checks by command-line name, in the order `verify all` runs
 # them.  A runner takes the parsed `verify` options (seed, samples, dims as
-# a list or None, tolerance_scale, max_beta, max_4n; all but seed and
-# tolerance_scale None when not given) and fills in its check's defaults.
+# a list or None, tolerance_scale, max_beta, max_4n; all but tolerance_scale
+# None when not given) and fills in its check's defaults.
 # It looks its sweep up by name at call time, so a wrapper set on this
 # module's attribute is the one that runs.
 CHECKS = {
     "mult": lambda o: multiplicativity_sweep(
-        o.samples or 500, max(o.dims or [32]), seed=o.seed,
+        o.samples or 500, max(o.dims or [32]), seed=o.seed or 0,
         tol_scale=o.tolerance_scale),
     "relations": lambda o: relations_sweep(o.dims, o.tolerance_scale),
     "gauss-oracle": lambda o: gauss_oracle_sweep(
         40 if o.max_beta is None else o.max_beta, o.tolerance_scale),
     "substitution": lambda o: substitution_sweep(
-        o.samples or 500, max(o.dims or [32]), o.seed, o.tolerance_scale),
+        o.samples or 500, max(o.dims or [32]), o.seed or 0, o.tolerance_scale),
     "h-identity": lambda o: h_identity_sweep(
-        o.samples or 500, o.seed, o.tolerance_scale),
+        o.samples or 500, o.seed or 0, o.tolerance_scale),
     "egorov": lambda o: egorov_sweep(
-        o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
+        o.samples or 100, max(o.dims or [16]), o.seed or 0, o.tolerance_scale),
     "mod4n": lambda o: mod4n_sweep(
-        o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
+        o.samples or 100, max(o.dims or [16]), o.seed or 0, o.tolerance_scale),
     "mod2n": lambda o: mod2n_sweep(
-        o.samples or 100, max(o.dims or [16]), o.seed, o.tolerance_scale),
+        o.samples or 100, max(o.dims or [16]), o.seed or 0, o.tolerance_scale),
     "decompose": lambda o: decomposition_sweep(
-        o.samples or 1000, max_dim=max(o.dims or [16]), seed=o.seed,
+        o.samples or 1000, max_dim=max(o.dims or [16]), seed=o.seed or 0,
         tol_scale=o.tolerance_scale),
-    "hecke": lambda o: hecke_sweep(
-        min(max(o.dims or [8]), 8), seed=o.seed,
-        cap=64 if o.max_4n is None else o.max_4n, tol_scale=o.tolerance_scale),
+    "hecke": _hecke_run,
     "unitarity": lambda o: unitarity_sweep(
-        o.samples or 64, max(o.dims or [64]), o.seed, o.tolerance_scale),
+        o.samples or 64, max(o.dims or [64]), o.seed or 0, o.tolerance_scale),
 }
 
 # The `verify` options that a runner above does not read: `verify <check>`
 # rejects them, `verify all` passes them to the checks that read them.
 UNREAD_OPTIONS = {
     **{name: ("max_beta", "max_4n") for name in CHECKS},
-    "relations": ("samples", "max_beta", "max_4n"),
-    "gauss-oracle": ("samples", "dims", "max_4n"),
+    "relations": ("seed", "samples", "max_beta", "max_4n"),
+    "gauss-oracle": ("seed", "samples", "dims", "max_4n"),
     "h-identity": ("dims", "max_beta", "max_4n"),
     "hecke": ("samples", "max_beta"),
 }

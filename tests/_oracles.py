@@ -204,6 +204,15 @@ def propagator_reference(m, n: int) -> np.ndarray:
     return u
 
 
+def unitarity_defect_reference(u: np.ndarray) -> float:
+    """Max-entry deviation of u^dagger u from the identity, from the whole
+    dense N x N product; the blocked propagator.unitarity_defect must match
+    it to rounding, and bit for bit while N fits one block."""
+    p = u.conj().T @ u
+    p.flat[::u.shape[0] + 1] -= 1
+    return float(np.abs(p).max())
+
+
 def build_general_reference(m, n: int) -> np.ndarray:
     """The general-case kernel that recovered its Gauss factors with
     np.unique over the N x N grid of gamma = 2(aQ' - Q)/g mod 2|b'|; the

@@ -163,8 +163,9 @@ def test_invalid_dims_is_input_error(capsys):
     ["verify", "mult", "--samples", "0"],
     ["verify", "mult", "--samples", "-1"],
     ["hecke", "--matrix", "2,1,3,2", "--dim", "3", "--samples", "0"],
+    ["verify", "hecke", "--max-4n", "3"],
 ], ids=["max-beta-0", "max-beta-negative", "samples-0", "samples-negative",
-        "hecke-samples-0"])
+        "hecke-samples-0", "max-4n-below-4"])
 def test_empty_sample_requests_are_input_errors(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
@@ -242,9 +243,20 @@ def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
     assert json.loads(out) == [verify_all_reports[name]]
 
 
+def test_verify_seed_defaults_to_zero(capsys):
+    argv = ["verify", "all", "--samples", "4", "--dims", "1..4",
+            "--max-beta", "3", "--format", "json"]
+    rc, out = run(capsys, argv)
+    rc_seeded, out_seeded = run(capsys, [*argv, "--seed", "0"])
+    assert rc == rc_seeded == 0
+    assert out == out_seeded
+
+
 @pytest.mark.parametrize("what", ["egorov", "hecke", "gauss-oracle"])
 def test_batched_checks_print_the_loop_output(capsys, monkeypatch, what):
-    argv = ["verify", what, "--seed", "3", "--format", "json"]
+    argv = ["verify", what, "--format", "json"]
+    if what != "gauss-oracle":
+        argv += ["--seed", "3"]
     rc, out = run(capsys, argv)
     monkeypatch.setattr(weyl, "egorov_mode_errors", egorov_mode_errors_reference)
     monkeypatch.setattr(hecke, "commutant_mod", commutant_mod_reference)
@@ -300,12 +312,16 @@ def test_exit_codes_without_traceback(argv, want):
     (["verify", "hecke", "--max-beta", "3"], 2),
     (["verify", "relations", "--max-4n", "8"], 2),
     (["verify", "gauss-oracle", "--max-4n", "8"], 2),
-    # the cap of 8 refuses N = 3, so the dims stop at 2
-    (["verify", "all", "--max-beta", "3", "--max-4n", "8", "--dims", "1..2"], 0),
+    (["verify", "relations", "--seed", "5", "--dims", "1..2"], 2),
+    (["verify", "gauss-oracle", "--seed", "5"], 2),
+    # a cap of 8 stops hecke at N = 2 (it used to refuse N = 3 and exit 2)
+    (["verify", "all", "--max-beta", "3", "--max-4n", "8"], 0),
+    (["verify", "hecke", "--max-4n", "8"], 0),
 ], ids=["relations-samples", "gauss-oracle-samples", "hecke-samples",
         "gauss-oracle-dims", "h-identity-dims", "all-takes-both",
         "mult-max-beta", "hecke-max-beta", "relations-max-4n",
-        "gauss-oracle-max-4n", "all-takes-max-beta-and-max-4n"])
+        "gauss-oracle-max-4n", "relations-seed", "gauss-oracle-seed",
+        "all-takes-max-beta-and-max-4n", "hecke-takes-max-4n"])
 def test_verify_rejects_the_options_its_check_does_not_read(argv, want):
     # these used to be accepted and ignored: `verify relations --samples 2`
     # ran its 576 samples and exited 0, `verify mult --max-beta 3` its 500

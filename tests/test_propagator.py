@@ -14,7 +14,7 @@ from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
                          Mat2, NotThetaError, evaluate, lift_theta,
                          random_theta_general, random_word, reduce_mod)
 from _oracles import (build_general_reference, gauss_reference,
-                      propagator_reference)
+                      propagator_reference, unitarity_defect_reference)
 
 
 def e(t):
@@ -190,6 +190,69 @@ def test_unitarity_defect_equals_full_identity_difference():
         want = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
         assert unitarity_defect(u) == want
         assert np.array_equal(u, before)
+
+
+B = propagator._GRAM_BLOCK
+GRAM_DIMS = [1, 2, B - 1, B, B + 1, 2 * B + 3, 300]
+
+
+@pytest.mark.parametrize("n", GRAM_DIMS)
+def test_blocked_unitarity_defect_equals_dense_product(n):
+    # built propagators, and random matrices far from unitary whose columns
+    # have unit norm on average, so the entries of u^dagger u are O(1)
+    rng = np.random.default_rng(n)
+    mats = [build(random_theta_general(random.Random(n + k), 8), n, check=False)
+            for k in range(2)]
+    for _ in range(2):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mats.append(z / math.sqrt(2 * n))
+    for u in mats:
+        before = u.copy()
+        assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
+        assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("row, col", [(2 * B + 2, 0), (B + 5, B - 1)],
+                         ids=["corner", "below-diagonal-block"])
+def test_blocked_unitarity_defect_sees_a_lower_left_entry(row, col):
+    # the upper block triangle of u^dagger u still holds every column of u
+    n = 2 * B + 3
+    u = build(Mat2(2, 1, 3, 2), n)
+    u[row, col] += 1e-3
+    got = unitarity_defect(u)
+    assert got > propagator.UNITARITY_TOL * math.sqrt(n)
+    assert abs(got - unitarity_defect_reference(u)) <= 1e-15 * n
+
+
+def test_blocked_unitarity_defect_holds_no_square_temporary():
+    # the dense product held an N x N conjugate copy and an N x N product
+    n = 4 * B
+    u = build(Mat2(2, 1, 3, 2), n)
+    tracemalloc.start()
+    try:
+        unitarity_defect(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes
+
+
+@pytest.mark.parametrize("at", [(0, 0), (2 * B + 2, 2 * B + 2)],
+                         ids=["first-block", "last-block"])
+def test_unitarity_guard_rejects_a_nan(monkeypatch, at):
+    n = 2 * B + 3
+    real = propagator._build_general
+
+    def nan_at_one_entry(m, n):
+        u = real(m, n)
+        u[at] = np.nan
+        return u
+
+    monkeypatch.setattr(propagator, "_build_general", nan_at_one_entry)
+    m = Mat2(2, 1, 3, 2)
+    assert math.isnan(unitarity_defect(build(m, n, check=False)))
+    with pytest.raises(propagator.UnitarityError, match="defect nan"):
+        build(m, n)
 
 
 def _general_kernel_cases():
