@@ -14,7 +14,7 @@ tolerance and must be a finite number greater than 0, on `verify`,
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
-invalid input.
+invalid input or when the run runs out of memory.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except UnitarityError as exc:
         print(f"error: {exc}", file=sys.stderr)

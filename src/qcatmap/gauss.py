@@ -12,7 +12,9 @@ identically when alpha*beta + gamma is odd.
 
 For coprime alpha, beta the nonzero values have unit modulus and a closed
 form per parity branch, evaluated by gauss_closed through Jacobi symbols,
-eighth roots of unity and one modular inverse.
+eighth roots of unity and one modular inverse, on Python ints for any
+beta.  gauss_direct and gauss_closed_many work in int64 and raise
+ValueError for |beta| > 10^6, where gauss_closed takes over.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import numpy as np
 from .numtheory import NotCoprimeError, jacobi, sign
 from .phases import e8, e_frac, e_frac_array
 
-# Above these sizes the vectorized int64 reductions could overflow; fall back
-# to exact Python-int arithmetic.
-_DIRECT_VECTOR_MAX_BETA = 500_000
-_CLOSED_VECTOR_MAX_BETA = 1_000_000
+# Largest |beta| of the int64 array routines: at |beta| = 10^6 every
+# numerator in gauss_direct and gauss_closed_many stays below
+# (2|beta|)^3 + (2|beta|)^2 = 8.000004e18 < 2^63.
+_MAX_ARRAY_BETA = 1_000_000
 
 
 class VanishingError(ValueError):
@@ -67,18 +69,18 @@ def gauss_direct(p: GaussParams) -> complex:
 
     Equals the |beta|-term sum |beta|^(-1/2) * sum_{k=0}^{|beta|-1} whenever
     alpha*beta + gamma is even (the summand then has period |beta|), and is
-    exactly zero when alpha*beta + gamma is odd.
+    exactly zero when alpha*beta + gamma is odd.  Sums in int64 and
+    raises ValueError for |beta| > 10^6; gauss_closed takes any beta.
     """
     beta_abs = abs(p.beta)
+    if beta_abs > _MAX_ARRAY_BETA:
+        raise ValueError(f"|beta| = {beta_abs} exceeds 10^6; use gauss_closed")
     n = 2 * beta_abs
     s = 1 if p.beta > 0 else -1
-    if beta_abs <= _DIRECT_VECTOR_MAX_BETA:
-        a_r = (s * p.alpha) % n
-        g_r = (s * p.gamma) % n
-        k = np.arange(n, dtype=np.int64)
-        total = e_frac_array(a_r * k * k + g_r * k, n).sum()
-    else:
-        total = sum(e_frac(s * (p.alpha * k * k + p.gamma * k), n) for k in range(n))
+    a_r = (s * p.alpha) % n
+    g_r = (s * p.gamma) % n
+    k = np.arange(n, dtype=np.int64)
+    total = e_frac_array(a_r * k * k + g_r * k, n).sum()
     return complex(total) / (2.0 * math.sqrt(beta_abs))
 
 
@@ -89,16 +91,16 @@ def _branch(alpha: int, beta: int) -> tuple[complex, int, int]:
     if alpha % 2 == 0:
         # alpha even, beta odd, gamma even
         lead = jacobi(abs(alpha), beta_abs) * e8(-sign(alpha * beta) * (beta_abs - 1))
-        inv = pow(alpha, -1, beta_abs) if beta_abs > 1 else 0
+        inv = pow(alpha, -1, beta_abs)
         return lead, inv, 0
     if beta % 2 == 0:
         # alpha odd, beta even, gamma even
         lead = jacobi(beta_abs, abs(alpha)) * e8(sign(alpha * beta) * abs(alpha))
-        inv = pow(alpha, -1, beta_abs) if beta_abs > 1 else 0
+        inv = pow(alpha, -1, beta_abs)
         return lead, inv, 0
     # alpha odd, beta odd, gamma odd
     lead = jacobi(abs(alpha), beta_abs) * e8(-sign(alpha * beta) * (beta_abs - 1))
-    inv4 = pow(4 * alpha, -1, beta_abs) if beta_abs > 1 else 0
+    inv4 = pow(4 * alpha, -1, beta_abs)
     return lead, inv4, 1
 
 
@@ -157,15 +159,14 @@ def gauss_closed_many(alpha, beta: int, gammas) -> np.ndarray:
     alpha may also be a 1-D integer array whose entries share one branch
     (at fixed beta, one parity of alpha).  The result then has one row per
     alpha, shape (len(alpha), *np.shape(gammas)), and each row equals the
-    call with that alpha alone bit for bit.
+    call with that alpha alone bit for bit.  Works in int64 and raises
+    ValueError for |beta| > 10^6; gauss_closed takes any beta.
     """
     beta_abs = abs(beta)
+    if beta_abs > _MAX_ARRAY_BETA:
+        raise ValueError(f"|beta| = {beta_abs} exceeds 10^6; use gauss_closed")
     s = 1 if beta > 0 else -1
-    huge = beta_abs > _CLOSED_VECTOR_MAX_BETA
     if isinstance(alpha, np.ndarray):
-        if huge:
-            return np.stack([gauss_closed_many(a, beta, gammas)
-                             for a in alpha.tolist()])
         lead, inv, gamma_parity = _branch_columns(alpha.tolist(), beta)
         # one row per alpha, broadcast against every gamma axis
         column = (-1,) + (1,) * np.ndim(gammas)
@@ -175,17 +176,8 @@ def gauss_closed_many(alpha, beta: int, gammas) -> np.ndarray:
         if math.gcd(alpha, beta) != 1:
             raise NotCoprimeError(f"alpha={alpha} and beta={beta} share a factor")
         lead, inv, gamma_parity = _branch(alpha, beta)
-    gam = np.asarray(gammas, dtype=object if huge else np.int64)
-    gam = gam % (2 * beta_abs)  # the value has period 2|beta| in gamma
-    if huge:
-        out = np.empty(gam.shape, dtype=np.complex128)
-        flat = out.reshape(-1)
-        for i, g in enumerate(int(v) for v in gam.reshape(-1)):
-            if g % 2 != gamma_parity:
-                flat[i] = 0.0
-            else:
-                flat[i] = gauss_closed(GaussParams(alpha, beta, g))
-        return out
+    # the value has period 2|beta| in gamma
+    gam = np.asarray(gammas, dtype=np.int64) % (2 * beta_abs)
     valid = (gam % 2) == gamma_parity
     if gamma_parity == 0:
         x = (inv * (gam // 2)) % beta_abs

@@ -16,7 +16,6 @@ which pairs commute mod 4N is decided by integer array arithmetic.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import replace
 
@@ -159,26 +158,21 @@ def congruent_companion(a: Mat2, modulus: int, rng: random.Random) -> Mat2:
 
     Multiplies A on the right by a matrix C = 1 mod modulus.  C is drawn
     either as an elementary shear (top-left entry 1) or with top-left entry
-    1 + modulus*t, which is what makes the mod-2N sign nontrivial.
+    1 + modulus*t, which is what makes the mod-2N sign nontrivial.  Raises
+    ValueError unless the modulus is even and at least 2.
     """
     m = modulus
+    if m < 2 or m % 2:
+        raise ValueError(f"modulus must be even and at least 2, got {m}")
     kind = rng.randrange(3)
     if kind == 0:
         return a @ Mat2(1, m * rng.randint(-3, 3), 0, 1)
     if kind == 1:
         return a @ Mat2(1, 0, m * rng.randint(-3, 3), 1)
-    for _ in range(64):
-        t = rng.choice([-2, -1, 1, 2])
-        s = rng.choice([-2, -1, 1, 2])
-        ca = 1 + m * t
-        cb = m * s
-        if math.gcd(ca, m * abs(cb)) != 1:
-            continue
-        cd = pow(ca, -1, m * abs(cb))
-        if (ca * cd - 1) % cb:
-            continue
-        cc = (ca * cd - 1) // cb
-        c = Mat2(ca, cb, cc, cd)
-        if c.det() == 1 and cc % m == 0:
-            return a @ c
-    return a @ Mat2(1, m * rng.randint(-3, 3), 0, 1)
+    # ca = 1 + m*t is odd and 1 mod m, so a unit mod m*|cb| = m^2*|s|; then
+    # m*cb divides ca*cd - 1, so cc is a multiple of m and det C = 1
+    t = rng.choice([-2, -1, 1, 2])
+    s = rng.choice([-2, -1, 1, 2])
+    ca, cb = 1 + m * t, m * s
+    cd = pow(ca, -1, m * abs(cb))
+    return a @ Mat2(ca, cb, (ca * cd - 1) // cb, cd)

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: gcd, modular inverses, Euler phi, Jacobi symbols, CRT.
+"""Exact integer arithmetic: modular inverses, Euler phi, Jacobi symbols, CRT.
 
 All functions operate on arbitrary-precision Python ints.
 """
@@ -25,11 +25,6 @@ class Residue:
             raise ValueError("modulus must be a positive integer")
         if not 0 <= self.value < self.modulus:
             object.__setattr__(self, "value", self.value % self.modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor; gcd(0, 0) = 0."""
-    return math.gcd(a, b)
 
 
 def sign(x: int) -> int:

@@ -221,12 +221,12 @@ def _fits_kernel(b: int, n: int) -> bool:
     """Whether the general kernel can build a matrix with top-right entry b.
 
     Its int64 grids hold quadratic phase numerators below
-    3 * (2N|b|) * N^2 = 6 N^3 |b|, and gauss_closed_many stays vectorized
-    while |b'| <= 10^6.  A lift mod 4N has |b| <= 4N, so 6 N^3 |b| <=
+    3 * (2N|b|) * N^2 = 6 N^3 |b|, and gauss_closed_many takes |b'| up
+    to its int64 bound of 10^6.  A lift mod 4N has |b| <= 4N, so 6 N^3 |b| <=
     24 N^4 < 2^63 and |b'| <= 10^6 for every N <= 24,898.
     """
     return (6 * n**3 * abs(b) < 2**63
-            and abs(b) // math.gcd(b, n) <= gauss._CLOSED_VECTOR_MAX_BETA)
+            and abs(b) // math.gcd(b, n) <= gauss._MAX_ARRAY_BETA)
 
 
 def _build_general(m: Mat2, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from qcatmap import gauss
 from qcatmap.hecke import CapExceededError
 from qcatmap.phases import TWO_PI, e_frac, e_frac_array
 from qcatmap.propagator import MULT_TOL, Report, _fits_kernel, build, h_phase
-from qcatmap.sl2 import ModMatrix, lift_theta
+from qcatmap.sl2 import Mat2, ModMatrix, lift_theta
 from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL
 from qcatmap.weyl import weyl_op
 
@@ -316,3 +316,29 @@ def verify_hecke_reference(a, n: int, samples=None, cap: int = 64,
     passed = max_err < tol and max_pair < tol
     return Report("hecke", len(lifts), max(max_err, max_pair), MULT_TOL, passed,
                   note=f"commutant size {len(members)}")
+
+
+def congruent_companion_reference(a, modulus: int, rng: random.Random):
+    """hecke.congruent_companion as it was with its retry loop; the library
+    function must draw the same matrices from the same generator state."""
+    m = modulus
+    kind = rng.randrange(3)
+    if kind == 0:
+        return a @ Mat2(1, m * rng.randint(-3, 3), 0, 1)
+    if kind == 1:
+        return a @ Mat2(1, 0, m * rng.randint(-3, 3), 1)
+    for _ in range(64):
+        t = rng.choice([-2, -1, 1, 2])
+        s = rng.choice([-2, -1, 1, 2])
+        ca = 1 + m * t
+        cb = m * s
+        if math.gcd(ca, m * abs(cb)) != 1:
+            continue
+        cd = pow(ca, -1, m * abs(cb))
+        if (ca * cd - 1) % cb:
+            continue
+        cc = (ca * cd - 1) // cb
+        c = Mat2(ca, cb, cc, cd)
+        if c.det() == 1 and cc % m == 0:
+            return a @ c
+    return a @ Mat2(1, m * rng.randint(-3, 3), 0, 1)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,40 @@ def test_exit_codes_without_traceback(argv, want):
     assert "Traceback" not in proc.stderr
     if want == 2:
         assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("method, want", [("both", 2), ("direct", 2),
+                                          ("closed", 0)])
+def test_gauss_past_the_int64_bound(method, want):
+    # the direct sum used to run 2*10^11 Python terms here; it now refuses
+    # at once, and the closed form still answers
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcatmap.cli", "gauss", "--alpha", "1",
+         "--beta", "100000000000", "--gamma", "1", "--method", method],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if want == 2:
+        assert proc.stderr.startswith("error: ") and "gauss_closed" in proc.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_out_of_memory_is_an_error_line():
+    # the gauss-oracle table at --max-beta 50000 is 100000 x 100000 int64
+    # (74.5 GiB); the limit, set in the child only, makes its allocation fail
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcatmap.cli", "verify", "gauss-oracle",
+         "--max-beta", "50000"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, want", [

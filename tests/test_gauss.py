@@ -166,12 +166,39 @@ def test_closed_many_alpha_rows_bit_equal_to_single_calls(beta):
 
 
 def test_closed_many_alpha_rows_past_the_vectorized_cutoff():
-    beta = 10**6 + 1
+    # |beta| = 10^6 is the last beta of the int64 path; past it both forms
+    # of alpha raise and point to the scalar gauss_closed
     gammas = np.arange(-3, 4).reshape(7, 1)
-    rows = gauss.gauss_closed_many(np.array([2, -4]), beta, gammas)
-    assert rows.shape == (2, 7, 1)
-    for row, alpha in zip(rows, (2, -4)):
-        assert np.array_equal(row, gauss.gauss_closed_many(alpha, beta, gammas))
+    alphas = np.array([3, -7, 11])
+    for beta in (10**6, -10**6):
+        rows = gauss.gauss_closed_many(alphas, beta, gammas)
+        assert rows.shape == (3, 7, 1)
+        for row, alpha in zip(rows, alphas.tolist()):
+            want = gauss.gauss_closed_many(alpha, beta, gammas)
+            assert np.array_equal(row.view(np.float64), want.view(np.float64))
+    for beta in (10**6 + 1, -10**6 - 1):
+        with pytest.raises(ValueError, match="gauss_closed"):
+            gauss.gauss_closed_many(2, beta, gammas)
+        with pytest.raises(ValueError, match="gauss_closed"):
+            gauss.gauss_closed_many(np.array([2, -4]), beta, gammas)
+
+
+def test_direct_matches_reference_at_beta_500001():
+    # the first beta that the int64 sum takes past its former 500,000 limit
+    p = GaussParams(3, 500_001, 1)
+    assert abs(gauss.gauss_direct(p) - gauss_reference(3, 500_001, 1)) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [10**6, -10**6])
+def test_direct_at_the_int64_bound(beta):
+    p = GaussParams(7, beta, 4)
+    assert abs(gauss.gauss_direct(p) - gauss.gauss_closed(p)) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [10**6 + 1, -10**6 - 1])
+def test_direct_past_the_int64_bound_raises(beta):
+    with pytest.raises(ValueError, match="gauss_closed"):
+        gauss.gauss_direct(GaussParams(1, beta, 1))
 
 
 @pytest.mark.parametrize("alphas, error", [

@@ -2,7 +2,8 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import commutant_mod_reference, verify_hecke_reference
+from _oracles import (commutant_mod_reference, congruent_companion_reference,
+                      verify_hecke_reference)
 
 from qcatmap import hecke
 from qcatmap.hecke import (CapExceededError, NotCongruentError, commutant_mod,
@@ -100,6 +101,24 @@ def test_congruent_companion_is_congruent_theta():
         assert is_theta(b)
         assert all((x - y) % modulus == 0
                    for x, y in zip(a.entries(), b.entries()))
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 6, 12, 64, 998])
+def test_congruent_companion_draws_as_the_retry_loop_did(modulus):
+    # the straight-line draw consumes the generator exactly as the old loop
+    # did on its first pass, so the two stay in step over 1,000 draws
+    rng, ref_rng = random.Random(modulus), random.Random(modulus)
+    a = evaluate(random_word(random.Random(7), 6))
+    for _ in range(1000):
+        assert (congruent_companion(a, modulus, rng)
+                == congruent_companion_reference(a, modulus, ref_rng))
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("modulus", [3, 1, 0, -2])
+def test_congruent_companion_rejects_odd_or_small_modulus(modulus):
+    with pytest.raises(ValueError):
+        congruent_companion(IDENTITY, modulus, random.Random(0))
 
 
 def test_commutant_contains_expected_members():

@@ -354,6 +354,15 @@ def test_huge_powers_match_exact_reference(n):
         assert np.abs(build(m, n) - propagator_reference(m, n)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 61])
+def test_fits_kernel_stops_at_the_gauss_int64_bound(n):
+    # the bound is on b' = b / gcd(b, N), the beta of the Gauss sums
+    for g in {1, n}:
+        assert propagator._fits_kernel(g * 10**6, n)
+        assert not propagator._fits_kernel(g * (10**6 + 1), n)
+        assert not propagator._fits_kernel(-g * (10**6 + 1), n)
+
+
 def test_huge_b_divisible_by_4n_lifts_to_b_equal_4n():
     n = 12
     m = Mat2(1, 0, 6, 1) @ Mat2(1, 4 * n * (2**64 + 3), 0, 1)

@@ -3,7 +3,8 @@
 Every check in the package must survive `python -O`, which strips `assert`
 statements, and every failure must be a typed error: a ValueError subclass
 for bad input, or a RuntimeError subclass such as UnitarityError, never a
-bare RuntimeError.
+bare RuntimeError.  The array code keeps one int64 path: no `dtype=object`
+arrays of Python ints, which gauss_closed covers for large parameters.
 """
 
 import ast
@@ -42,3 +43,37 @@ def test_rule_catches_both_forms():
     assert _violations(tree) == ["line 1: assert",
                                  "line 2: raise RuntimeError",
                                  "line 3: raise RuntimeError"]
+
+
+def _object_arrays(tree: ast.AST) -> list[str]:
+    """Lines that make an object array: a dtype= or astype() argument that
+    names object or "O" anywhere, as in `object if huge else np.int64`."""
+    def is_object(node):
+        return ((isinstance(node, ast.Name) and node.id == "object")
+                or (isinstance(node, ast.Constant) and node.value == "O"))
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+                and node.args):
+            dtypes.append(node.args[0])
+        if any(is_object(n) for d in dtypes for n in ast.walk(d)):
+            found.append(f"line {node.lineno}: object array")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_object_arrays(path):
+    assert _object_arrays(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_object_rule_catches_every_form():
+    tree = ast.parse("np.asarray(g, dtype=object)\nnp.empty(3, dtype='O')\n"
+                     "x.astype(object)\nx.astype('O')\n"
+                     "np.asarray(g, dtype=object if huge else np.int64)\n"
+                     "np.asarray(g, dtype=np.int64)\nx.astype(np.int64)\n")
+    assert _object_arrays(tree) == [f"line {i}: object array"
+                                    for i in (1, 2, 3, 4, 5)]
