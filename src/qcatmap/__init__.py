@@ -28,8 +28,7 @@ from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
                   random_theta, reduce_mod, reduce_word)
 from .weyl import (EGOROV_TOL, bracket_deviation, compose_classical,
                    delta_basis, egorov_mode_errors, inner_product, quantize,
-                   symplectic_form, translation_t1, translation_t2,
-                   verify_egorov, weyl_op)
+                   symplectic_form, verify_egorov, weyl_op)
 
 __version__ = "0.1.0"
 
@@ -49,6 +48,6 @@ __all__ = [
     "format_word", "is_theta", "parse_word", "random_theta", "reduce_word",
     "EGOROV_TOL", "bracket_deviation", "compose_classical", "delta_basis",
     "egorov_mode_errors", "inner_product", "quantize", "symplectic_form",
-    "translation_t1", "translation_t2", "verify_egorov", "weyl_op",
+    "verify_egorov", "weyl_op",
     "__version__",
 ]

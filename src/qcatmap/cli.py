@@ -7,10 +7,11 @@ registry `suites.CHECKS`, `verify all` runs every entry in table order
 takes only the options it reads: `--format` on all but `propagator`,
 which always prints JSON; `--tolerance-scale`, which multiplies every
 tolerance and must be a finite number greater than 0, on `verify`,
-`egorov`, `hecke` and `gauss`; `--seed` and `--samples` on `verify` and
-`hecke`.  `verify <check>` rejects the `--seed`, `--samples`, `--dims`,
-`--max-beta` or `--max-4n` that its check does not read
-(`suites.UNREAD_OPTIONS`); `verify all` takes all five.
+`egorov`, `hecke` and `gauss --method both`; `--seed` and `--samples` on
+`verify` and `hecke` (which reads `--seed` only with `--samples`).
+`verify <check>` rejects the `--seed`, `--samples`, `--dims`, `--max-beta`
+or `--max-4n` that its check does not read (`suites.CHECKS`, the one place
+that says which it reads); `verify all` takes all five.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
@@ -104,6 +105,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
+    if args.tolerance_scale is not None and args.method != "both":
+        raise ValueError(f"gauss --method {args.method} compares nothing and "
+                         "does not read --tolerance-scale")
     p = gauss.GaussParams(args.alpha, args.beta, args.gamma)
     payload = {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
                "nonvanishing": gauss.is_nonvanishing(p)}
@@ -124,7 +128,8 @@ def _cmd_gauss(args) -> int:
         diff = abs(direct - closed)
         payload["difference"] = diff
         lines.append(f"difference  {diff:.3e}")
-        rc = 0 if diff < suites.GAUSS_ORACLE_TOL * args.tolerance_scale else 1
+        tol = suites.GAUSS_ORACLE_TOL * (args.tolerance_scale or 1.0)
+        rc = 0 if diff < tol else 1
     _emit(args, payload, "\n".join(lines))
     return rc
 
@@ -144,21 +149,28 @@ def _cmd_egorov(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
+    if args.seed is not None and args.samples is None:
+        raise ValueError("hecke lifts every member without --samples "
+                         "and does not read --seed")
     m = Mat2.from_string(args.matrix)
     rep = hecke.verify_hecke(m, args.dim, samples=args.samples,
-                             cap=args.max_4n, seed=args.seed,
+                             cap=args.max_4n, seed=args.seed or 0,
                              tol_scale=args.tolerance_scale)
     return _print_report(args, rep)
 
 
 def _cmd_verify(args) -> int:
-    for option in suites.UNREAD_OPTIONS.get(args.what, ()):
-        if getattr(args, option) is not None:
+    given = {option: getattr(args, option) for option in VERIFY_OPTIONS
+             if getattr(args, option) is not None}
+    for option in given:
+        if args.what != "all" and option not in suites.CHECKS[args.what][1]:
             flag = option.replace("_", "-")
             raise ValueError(f"verify {args.what} does not read --{flag}")
-    args.dims = _parse_dims(args.dims) if args.dims else None
+    if "dims" in given:
+        given["dims"] = _parse_dims(given["dims"])
     names = suites.CHECKS if args.what == "all" else [args.what]
-    reports = [suites.CHECKS[name](args) for name in names]
+    reports = [suites.run_check(name, given, args.tolerance_scale)
+               for name in names]
     if args.format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in reports]))
     else:
@@ -168,16 +180,19 @@ def _cmd_verify(args) -> int:
 
 
 VERIFY_CHOICES = (*suites.CHECKS, "all")
+# every option that some check reads, in the order of first use in the table
+VERIFY_OPTIONS = tuple(dict.fromkeys(
+    option for _, params in suites.CHECKS.values() for option in params))
 
 
 def build_parser() -> argparse.ArgumentParser:
     # nested option groups: printed, then checked, then sampled
     printed = argparse.ArgumentParser(add_help=False)
     printed.add_argument("--format", choices=("text", "json"), default="text")
+    tolerance = {"type": _positive_float,
+                 "help": "multiply every tolerance by this factor"}
     checked = argparse.ArgumentParser(add_help=False, parents=[printed])
-    checked.add_argument("--tolerance-scale", dest="tolerance_scale",
-                         type=_positive_float, default=1.0,
-                         help="multiply every tolerance by this factor")
+    checked.add_argument("--tolerance-scale", default=1.0, **tolerance)
     sampled = argparse.ArgumentParser(add_help=False, parents=[checked])
     sampled.add_argument("--samples", type=_positive_int, default=None,
                          help="number of samples (default depends on the task)")
@@ -200,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("gauss", parents=[checked],
+    p = sub.add_parser("gauss", parents=[printed],
                        help="evaluate a quadratic exponential sum")
+    # None, so that a method comparing nothing can reject a given scale
+    p.add_argument("--tolerance-scale", default=None, **tolerance)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--gamma", type=int, required=True)
@@ -220,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lift a commuting family and check it")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    # None, so that a run lifting every member can reject a given seed
+    p.add_argument("--seed", type=int, default=None,
+                   help=seed_help + "; read only with --samples")
     p.add_argument("--max-4n", dest="max_4n", type=int, default=64,
                    help="refuse commutant enumeration above this 4N")
     p.set_defaults(func=_cmd_hecke)

@@ -4,7 +4,8 @@ Each sweep draws reproducible pseudorandom samples, exercises one exact
 identity of the propagator construction, and reports the worst numerical
 error found.  Tolerances that scale with the dimension are applied per
 sample; the reported `tol` field is the base rate before scaling.
-`CHECKS` maps each command-line check name to its sweep and defaults.
+`CHECKS` maps each command-line check name to its sweep and to the options
+it reads; `run_check` runs one entry.
 """
 
 from __future__ import annotations
@@ -316,12 +317,16 @@ def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
 
 def hecke_sweep(max_dim: int = 8, seed: int = 0, cap: int = 64,
                 tol_scale: float = 1.0) -> Report:
-    """Commuting lifted families for a random matrix at each dimension."""
+    """Commuting lifted families for a random matrix at each dimension.
+
+    N runs up to min(max_dim, 8, cap // 4): the cap bounds 4N, and past
+    N = 8 the O((4N)^4) commutant scan takes seconds per N.
+    """
     rng = random.Random(seed)
     sizes = []
 
     def trials():
-        for n in range(1, max_dim + 1):
+        for n in range(1, min(max_dim, 8, cap // 4) + 1):
             a = random_theta_general(rng, 5)
             # samples=None lifts every member, so samples is the family size
             rep = hecke.verify_hecke(a, n, samples=None, cap=cap)
@@ -332,51 +337,40 @@ def hecke_sweep(max_dim: int = 8, seed: int = 0, cap: int = 64,
     return replace(rep, samples=sum(sizes), note=f"commutant sizes {sizes}")
 
 
-def _hecke_run(o) -> Report:
-    cap = 64 if o.max_4n is None else o.max_4n
-    # the cap bounds 4N, so the dimensions stop at cap // 4; below 4 none
-    # is left and the empty sweep is a ValueError
-    return hecke_sweep(min(max(o.dims or [8]), 8, cap // 4),
-                       seed=o.seed or 0, cap=cap, tol_scale=o.tolerance_scale)
-
+_SAMPLED = {"seed": "seed", "samples": "samples", "dims": "max_dim"}
+_PAIRED = {**_SAMPLED, "samples": "pairs"}
 
 # The verify checks by command-line name, in the order `verify all` runs
-# them.  A runner takes the parsed `verify` options (seed, samples, dims as
-# a list or None, tolerance_scale, max_beta, max_4n; all but tolerance_scale
-# None when not given) and fills in its check's defaults.
-# It looks its sweep up by name at call time, so a wrapper set on this
-# module's attribute is the one that runs.
+# them: the name of each check's sweep in this module, and the `verify`
+# options the check reads, each mapped to the sweep parameter it sets.
+# Every other option is rejected by `verify <check>`.
 CHECKS = {
-    "mult": lambda o: multiplicativity_sweep(
-        o.samples or 500, max(o.dims or [32]), seed=o.seed or 0,
-        tol_scale=o.tolerance_scale),
-    "relations": lambda o: relations_sweep(o.dims, o.tolerance_scale),
-    "gauss-oracle": lambda o: gauss_oracle_sweep(
-        40 if o.max_beta is None else o.max_beta, o.tolerance_scale),
-    "substitution": lambda o: substitution_sweep(
-        o.samples or 500, max(o.dims or [32]), o.seed or 0, o.tolerance_scale),
-    "h-identity": lambda o: h_identity_sweep(
-        o.samples or 500, o.seed or 0, o.tolerance_scale),
-    "egorov": lambda o: egorov_sweep(
-        o.samples or 100, max(o.dims or [16]), o.seed or 0, o.tolerance_scale),
-    "mod4n": lambda o: mod4n_sweep(
-        o.samples or 100, max(o.dims or [16]), o.seed or 0, o.tolerance_scale),
-    "mod2n": lambda o: mod2n_sweep(
-        o.samples or 100, max(o.dims or [16]), o.seed or 0, o.tolerance_scale),
-    "decompose": lambda o: decomposition_sweep(
-        o.samples or 1000, max_dim=max(o.dims or [16]), seed=o.seed or 0,
-        tol_scale=o.tolerance_scale),
-    "hecke": _hecke_run,
-    "unitarity": lambda o: unitarity_sweep(
-        o.samples or 64, max(o.dims or [64]), o.seed or 0, o.tolerance_scale),
+    "mult": ("multiplicativity_sweep", _PAIRED),
+    "relations": ("relations_sweep", {"dims": "dims"}),
+    "gauss-oracle": ("gauss_oracle_sweep", {"max_beta": "max_abs"}),
+    "substitution": ("substitution_sweep", _SAMPLED),
+    "h-identity": ("h_identity_sweep", {"seed": "seed", "samples": "samples"}),
+    "egorov": ("egorov_sweep", _SAMPLED),
+    "mod4n": ("mod4n_sweep", _PAIRED),
+    "mod2n": ("mod2n_sweep", _PAIRED),
+    "decompose": ("decomposition_sweep", {**_SAMPLED, "samples": "words"}),
+    "hecke": ("hecke_sweep", {"seed": "seed", "dims": "max_dim",
+                              "max_4n": "cap"}),
+    "unitarity": ("unitarity_sweep", _SAMPLED),
 }
 
-# The `verify` options that a runner above does not read: `verify <check>`
-# rejects them, `verify all` passes them to the checks that read them.
-UNREAD_OPTIONS = {
-    **{name: ("max_beta", "max_4n") for name in CHECKS},
-    "relations": ("seed", "samples", "max_beta", "max_4n"),
-    "gauss-oracle": ("seed", "samples", "dims", "max_4n"),
-    "h-identity": ("dims", "max_beta", "max_4n"),
-    "hecke": ("samples", "max_beta"),
-}
+
+def run_check(name: str, options: dict, tol_scale: float = 1.0) -> Report:
+    """Run the check `name` of CHECKS on the given `verify` options.
+
+    options maps option names to values (dims as a list); the sweep gets
+    only those that the check reads, so its own defaults fill the rest.
+    """
+    sweep, params = CHECKS[name]
+    kwargs = {param: options[option] for option, param in params.items()
+              if option in options}
+    if "max_dim" in kwargs:
+        kwargs["max_dim"] = max(kwargs["max_dim"])
+    # looked up at call time, so a wrapper set on this module's attribute
+    # is the one that runs
+    return globals()[sweep](**kwargs, tol_scale=tol_scale)

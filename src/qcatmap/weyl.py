@@ -65,20 +65,6 @@ def inner_product(phi: np.ndarray, psi: np.ndarray) -> complex:
     return complex(np.vdot(phi, psi) / len(phi))
 
 
-def translation_t1(n: int) -> np.ndarray:
-    """Diagonal phase translation: multiplies f(Q) by e(Q/N)."""
-    q = np.arange(n, dtype=np.int64)
-    return np.diag(e_frac_array(q, n))
-
-
-def translation_t2(n: int) -> np.ndarray:
-    """Cyclic position shift: maps f(Q) to f(Q + 1)."""
-    q = np.arange(n)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[q, (q + 1) % n] = 1.0
-    return m
-
-
 def symplectic_form(m: Mode, n: Mode) -> int:
     return m[0] * n[1] - m[1] * n[0]
 

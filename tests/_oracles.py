@@ -247,6 +247,20 @@ def build_general_reference(m, n: int) -> np.ndarray:
     return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases
 
 
+def translation_t1(n: int) -> np.ndarray:
+    """Dense diagonal phase translation: multiplies f(Q) by e(Q/N)."""
+    q = np.arange(n, dtype=np.int64)
+    return np.diag(e_frac_array(q, n))
+
+
+def translation_t2(n: int) -> np.ndarray:
+    """Dense cyclic position shift: maps f(Q) to f(Q + 1)."""
+    q = np.arange(n)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[q, (q + 1) % n] = 1.0
+    return m
+
+
 def egorov_mode_errors_reference(m, n: int) -> np.ndarray:
     """Conjugation error of every single mode, one mode at a time with two
     weyl_op builds and two dense products per mode; the row-batched

