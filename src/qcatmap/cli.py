@@ -33,17 +33,20 @@ from .sl2 import Mat2, decompose, format_word
 
 
 def _parse_dims(text: str) -> list[int]:
-    """Dimension lists: "8", "1,2,4" or "1..16"."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        dims = list(range(int(lo), int(hi) + 1))
-    elif "," in text:
-        dims = [int(t) for t in text.split(",") if t.strip()]
-    else:
-        dims = [int(text)]
+    """Dimension lists: "8", "1,2,4" or "1..16", every dimension >= 1."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            dims = list(range(int(lo), int(hi) + 1))
+        elif "," in text:
+            dims = [int(t) for t in text.split(",") if t.strip()]
+        else:
+            dims = [int(text)]
+    except ValueError:
+        dims = []
     if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid dimension list: {text!r}")
+        raise ValueError(f"--dims {text!r} is not a list of dimensions >= 1; "
+                         'use "8", "1,2,4" or "1..16"')
     return dims
 
 
@@ -185,6 +188,12 @@ VERIFY_OPTIONS = tuple(dict.fromkeys(
     option for _, params in suites.CHECKS.values() for option in params))
 
 
+def _read_by(option: str) -> str:
+    """Help clause naming the checks that read a verify option."""
+    return "; read by " + ", ".join(
+        name for name, (_, params) in suites.CHECKS.items() if option in params)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # nested option groups: printed, then checked, then sampled
     printed = argparse.ArgumentParser(add_help=False)
@@ -249,19 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=VERIFY_CHOICES)
     # None, so that a check drawing nothing can reject a given seed
     p.add_argument("--seed", type=int, default=None,
-                   help=seed_help + "; relations and gauss-oracle reject it")
+                   help=seed_help + _read_by("seed"))
     p.add_argument("--dims", default=None,
-                   help='dimensions: "8", "1,2,4" or "1..16"; only relations '
-                        'runs every listed N, the other checks use the '
-                        'maximum: hecke runs every N in 1..min(max, 8, '
-                        'max-4n // 4), the sampling checks draw N from '
-                        '1..max; gauss-oracle and h-identity reject it')
+                   help='dimensions: "8", "1,2,4" or "1..16"; relations runs '
+                        'every listed N, hecke every N up to min(max, 8, '
+                        'max-4n // 4), the sampling checks draw N up to the '
+                        'maximum' + _read_by("dims"))
     p.add_argument("--max-beta", dest="max_beta", type=int, default=None,
                    help="parameter box for the Gauss-sum oracle sweep "
-                        "(default 40; only gauss-oracle reads it)")
+                        "(default 40)" + _read_by("max_beta"))
     p.add_argument("--max-4n", dest="max_4n", type=int, default=None,
                    help="refuse commutant enumeration above this 4N "
-                        "(default 64; only hecke reads it)")
+                        "(default 64)" + _read_by("max_4n"))
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -20,6 +20,16 @@ A general matrix whose entries are too large for the int64 entry grids is
 therefore reduced mod 4N and replaced by its theta lift (sl2.lift_theta),
 a general matrix with 1 <= b <= 4N that the same vectorized kernel builds.
 
+The anti-shear and general kernels fill the N x N output in row blocks of
+at most _BLOCK entries, so every temporary is block-sized.  What does not
+depend on the block is made once per build: the 2|b| Gauss table with
+h(a,b)/sqrt(N_b) folded in (1/sqrt(N) into the 2N phases of the
+anti-shear), the column parts of the phase numerator and of r, and the
+table of the den = 2N|b| roots of unity, which is kept, as in
+phases.e_frac_array, only when den <= N^2: the rule is applied to the
+whole grid, never to one block.  The result equals the whole-grid kernels
+bit for bit.
+
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
 """
@@ -35,7 +45,7 @@ import numpy as np
 
 from . import gauss
 from .numtheory import NotCoprimeError, jacobi, sign
-from .phases import e8, e_frac_array
+from .phases import e8, e_frac_array, root_table
 from .sl2 import Mat2, lift_theta, reduce_mod, require_theta
 
 # Contractual tolerance coefficients
@@ -210,17 +220,36 @@ def _build_shear(a: int, c: int, n: int) -> np.ndarray:
     return u
 
 
+# Entries per row block of the anti-shear and general kernels: each of
+# their N x N temporaries is one block (128 KiB of int64, 256 KiB of
+# complex) that stays in cache.  On 2 cores with 4 MiB of L2, median
+# build(A, 1024, check=False) times were flat from 2^13 to 2^17 entries
+# (general 12.6-16.5 ms, anti-shear 10.1-11.5 ms, two sweeps) and a
+# little slower at 2^12.  Every N <= 128 is one block.
+_BLOCK = 1 << 14
+
+
 def _build_antishear(b: int, d: int, n: int) -> np.ndarray:
     q = np.arange(n, dtype=np.int64)
     two_n = 2 * n
-    num = ((b * d) % two_n) * (q * q)[:, None] + ((-2 * b) % two_n) * np.outer(q, q)
-    return e_frac_array(num, two_n) / math.sqrt(n)
+    row, cross = ((b * d) % two_n) * (q * q), ((-2 * b) % two_n) * q
+    # e(j/2N) / sqrt(N) for every residue j: the grid reads N^2 >= 2N of
+    # them from N = 2 on, and at N = 1 the table's two exps are as cheap
+    table = root_table(two_n, two_n) / math.sqrt(n)
+    u = np.empty((n, n), dtype=np.complex128)
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, n, rows):
+        num = cross[lo:lo + rows, None] * q
+        num += row[lo:lo + rows, None]
+        num %= two_n
+        u[lo:lo + rows] = table[num]
+    return u
 
 
 def _fits_kernel(b: int, n: int) -> bool:
     """Whether the general kernel can build a matrix with top-right entry b.
 
-    Its int64 grids hold quadratic phase numerators below
+    Its int64 blocks hold quadratic phase numerators below
     3 * (2N|b|) * N^2 = 6 N^3 |b|, and gauss_closed_many takes |b'| up
     to its int64 bound of 10^6.  A lift mod 4N has |b| <= 4N, so 6 N^3 |b| <=
     24 N^4 < 2^63 and |b'| <= 10^6 for every N <= 24,898.
@@ -230,9 +259,8 @@ def _fits_kernel(b: int, n: int) -> bool:
 
 
 def _build_general(m: Mat2, n: int) -> np.ndarray:
+    # build has checked _fits_kernel(m.b, n)
     a, b, d = m.a, m.b, m.d
-    if not _fits_kernel(b, n):
-        raise ValueError(f"N = {n} is too large for the int64 propagator kernel")
     g = math.gcd(b, n)
     n_b = n // g
     b_abs = abs(b)
@@ -240,21 +268,36 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
     den = 2 * n * b_abs
     q = np.arange(n, dtype=np.int64)
     qq = q * q
-    quad = (
-        ((s * d) % den) * qq[:, None]
-        + ((-2 * s) % den) * np.outer(q, q)
-        + ((s * a) % den) * qq[None, :]
-    )
-    phases = e_frac_array(quad, den)
+    row, cross, col = (((s * d) % den) * qq, ((-2 * s) % den) * q,
+                       ((s * a) % den) * qq)
     # G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r), shifted
-    # by |b| here to need no N x N `%`: tabulate it over [0, 2|b|), or over the
-    # grid's r if shorter, and gather a temporary that numpy reuses in place
-    r = ((a % b_abs) * q % b_abs)[None, :] + (b_abs - q % b_abs)[:, None]
-    keys, pos = ((np.arange(2 * b_abs), r) if 2 * b_abs <= n * n
-                 else (r.ravel(), np.arange(n * n).reshape(n, n)))
+    # by |b| here to need no N x N `%`: tabulate it over [0, 2|b|) and read
+    # it at r_col[Q'] + r_row[Q], or, if 2|b| > N^2, over the grid's own r
+    # and read it back by grid position
+    r_row, r_col = b_abs - q % b_abs, (a % b_abs) * q % b_abs
+    if 2 * b_abs <= n * n:
+        keys = np.arange(2 * b_abs)
+    else:
+        keys = (r_col + r_row[:, None]).ravel()
+        r_row, r_col = n * q, q
     gvals = np.where((2 * keys) % g == 0,
                      gauss.gauss_closed_many(n_b * a, b // g, 2 * keys // g), 0.0)
-    return (h_phase(a, b) / math.sqrt(n_b)) * gvals[pos] * phases
+    # h/sqrt(N_b) is folded into the table.  Its bits are those of the
+    # whole-grid product c * gvals[pos] * phases, in which numpy reuses a
+    # gathered grid of 256 KiB or more (N >= 128) in place as gvals[pos] * c;
+    # a complex product can round differently with its operands swapped.
+    c = h_phase(a, b) / math.sqrt(n_b)
+    table = gvals * c if n >= 128 else c * gvals
+    roots = root_table(den, n * n)
+    u = np.empty((n, n), dtype=np.complex128)
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, n, rows):
+        num = cross[lo:lo + rows, None] * q
+        num += row[lo:lo + rows, None]
+        num += col
+        np.multiply(table[r_col + r_row[lo:lo + rows, None]],
+                    e_frac_array(num, den, roots), out=u[lo:lo + rows])
+    return u
 
 
 def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
@@ -283,8 +326,13 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     elif m.a == 0:
         u = _build_antishear(m.b, m.d, n)
     else:
-        # U_N(A) depends on A only mod 4N, and the lift is general too
-        k = m if _fits_kernel(m.b, n) else lift_theta(reduce_mod(m, 4 * n))
+        k = m
+        if not _fits_kernel(m.b, n):
+            # U_N(A) depends on A only mod 4N, and the lift is general too
+            k = lift_theta(reduce_mod(m, 4 * n))
+            if not _fits_kernel(k.b, n):
+                raise ValueError(f"N = {n} is too large for the int64 "
+                                 "propagator kernel")
         u = _build_general(k, n)
     if check:
         defect = unitarity_defect(u)

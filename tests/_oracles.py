@@ -215,8 +215,9 @@ def unitarity_defect_reference(u: np.ndarray) -> float:
 
 def build_general_reference(m, n: int) -> np.ndarray:
     """The general-case kernel that recovered its Gauss factors with
-    np.unique over the N x N grid of gamma = 2(aQ' - Q)/g mod 2|b'|; the
-    table-driven propagator._build_general must match it bit for bit."""
+    np.unique over the N x N grid of gamma = 2(aQ' - Q)/g mod 2|b'|, over
+    the whole grid at once; the table-driven, row-blocked
+    propagator._build_general must match it bit for bit."""
     a, b, d = m.a, m.b, m.d
     if not _fits_kernel(b, n):
         raise ValueError(f"N = {n} is too large for the int64 propagator kernel")
@@ -245,6 +246,16 @@ def build_general_reference(m, n: int) -> np.ndarray:
     gvals = gauss.gauss_closed_many(alpha, bp, uniq)
     ggrid = gvals[inv_idx].reshape(n, n)
     return (hval / math.sqrt(n_b)) * np.where(mask, ggrid, 0.0) * phases
+
+
+def build_antishear_reference(b: int, d: int, n: int) -> np.ndarray:
+    """The anti-shear kernel of (0, b; -b, d) over the whole N x N grid at
+    once; the row-blocked propagator._build_antishear must match it bit for
+    bit."""
+    q = np.arange(n, dtype=np.int64)
+    two_n = 2 * n
+    num = ((b * d) % two_n) * (q * q)[:, None] + ((-2 * b) % two_n) * np.outer(q, q)
+    return e_frac_array(num, two_n) / math.sqrt(n)
 
 
 def translation_t1(n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import inspect
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -187,6 +189,30 @@ def test_invalid_dims_is_input_error(capsys):
     rc = cli.main(["verify", "relations", "--dims", "0..4"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("text", ["", "abc", "3..x"], ids=["empty", "word", "range"])
+def test_malformed_dims_names_the_option_and_its_forms(capsys, text):
+    rc = cli.main(["verify", "mult", "--dims", text])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: --dims {text!r} is not a list of dimensions >= 1; "
+                   'use "8", "1,2,4" or "1..16"\n')
+
+
+def test_verify_help_names_only_checks_that_read_the_option():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub.choices["verify"]._actions}
+    for option in cli.VERIFY_OPTIONS:
+        readers = {name for name, (_, params) in suites.CHECKS.items()
+                   if option in params}
+        named = {name for name in suites.CHECKS
+                 if re.search(rf"(?<![\w-]){name}(?![\w-])", helps[option])}
+        assert named <= readers, (option, named - readers)
+        if "read by" in helps[option]:
+            assert named == readers, option
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcatmap import suites
-from qcatmap.phases import e_frac, e_frac_array
+from qcatmap.phases import e_frac, e_frac_array, root_table
 from _oracles import e_frac_array_reference, gauss_oracle_sweep_reference
 
 BIG = 2**62
@@ -32,6 +32,23 @@ def test_e_frac_array_bit_equal_to_exp_path(num, den):
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).dtype == np.complex128
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("den", [7, 200, 2 * 61 * 1220])
+def test_blocks_given_the_whole_table_equal_the_whole_array(den):
+    # 18 x 18 numerators in blocks of 5 rows (90 numerators): den = 200
+    # takes the table of the whole array, though a block alone would not
+    num = np.outer(np.arange(-9, 9), np.arange(-9, 9))
+    roots = root_table(den, num.size)
+    assert (roots is None) == (den > num.size)
+    blocks = [e_frac_array(num[lo:lo + 5], den, roots) for lo in range(0, 18, 5)]
+    assert np.array_equal(np.concatenate(blocks), e_frac_array(num, den))
+
+
+def test_a_given_table_is_read_by_residue():
+    num = np.arange(-40, 40, dtype=np.int64)
+    table = np.arange(1000) + 0j
+    assert np.array_equal(e_frac_array(num, 1000, table), num % 1000)
 
 
 def test_e_frac_array_matches_scalar_phase():

@@ -13,8 +13,9 @@ from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
 from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
                          Mat2, NotThetaError, evaluate, lift_theta,
                          random_theta_general, random_word, reduce_mod)
-from _oracles import (build_general_reference, gauss_reference,
-                      propagator_reference, unitarity_defect_reference)
+from _oracles import (build_antishear_reference, build_general_reference,
+                      gauss_reference, propagator_reference,
+                      unitarity_defect_reference)
 
 
 def e(t):
@@ -256,9 +257,13 @@ def test_unitarity_guard_rejects_a_nan(monkeypatch, at):
 
 
 def _general_kernel_cases():
-    """General matrices at N = 1..32, 61, 64, 256: random words, which reach
-    b < 0 and gcd(b, N) > 1, lifts mod 4N, which reach |b| > N, and matrices
-    with 2|b| > N^2, whose Gauss factor is evaluated on the grid itself."""
+    """General matrices at N = 1..32, 61, 64, 127, 128, 129, 200, 256, 1024:
+    random words, which reach b < 0 and gcd(b, N) > 1, lifts mod 4N, which
+    reach |b| > N, and matrices with 2|b| > N^2, whose Gauss factor is
+    evaluated on the grid itself.  N = 129 and 200 end in a partial row
+    block, N = 256 and 1024 take several full ones, and N = 127, 128
+    straddle the size from which numpy reuses the whole-grid kernel's
+    gathered Gauss grid in place."""
     rng = random.Random(41)
     # A lift mod 1024 whose entries round one ulp differently when
     # h/sqrt(N_b) multiplies the Gauss table before the gather, or the
@@ -268,7 +273,7 @@ def _general_kernel_cases():
     cases = [(Mat2(875, 558, -96722, -61681), 256),
              (Mat2(3, 40000, 2, 26667), 256), (Mat2(-3, -40000, -2, -26667), 256),
              (Mat2(2, 59049, -1, -29524), 243)]
-    for n in [*range(1, 33), 61, 64, 256]:
+    for n in [*range(1, 33), 61, 64, 127, 128, 129, 200, 256, 1024]:
         for _ in range(8 if n <= 64 else 3):
             cases.append((random_theta_general(rng, 10), n))
         for _ in range(3):
@@ -288,6 +293,31 @@ def test_general_kernel_bit_equal_to_unique_kernel():
         got = propagator._build_general(m, n)
         want = build_general_reference(m, n)
         assert np.array_equal(got.view(np.float64), want.view(np.float64)), (m, n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 128, 129, 200, 1024])
+def test_antishear_kernel_bit_equal_to_whole_grid_kernel(n):
+    rng = random.Random(n)
+    for s in (1, -1):
+        for w in (0, 2 * rng.randint(-8, 8)):
+            got = build(Mat2(0, s, -s, w), n, check=False)
+            want = build_antishear_reference(s, w, n)
+            assert np.array_equal(got.view(np.float64),
+                                  want.view(np.float64)), (s, w)
+
+
+@pytest.mark.parametrize("m", [Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5),
+                               Mat2(0, 1, -1, 6)],
+                         ids=["general-odd-b", "general-even-b", "antishear"])
+def test_build_holds_little_more_than_its_output(m):
+    # the whole-grid kernels held 3 (general) and 2 (anti-shear) N x N grids
+    tracemalloc.start()
+    try:
+        u = build(m, 1024, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes
 
 
 def test_general_kernel_memory_is_bounded_by_the_grid():
