@@ -66,10 +66,11 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_mode(text: str) -> tuple[int, int]:
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"a mode needs two components: {text!r}")
-    return parts[0], parts[1]
+    try:
+        n1, n2 = (int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f'--mode {text!r} is not a mode "n1,n2" of integers') from None
+    return n1, n2
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -195,16 +196,13 @@ def _read_by(option: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # nested option groups: printed, then checked, then sampled
+    # nested option groups: printed, then checked
     printed = argparse.ArgumentParser(add_help=False)
     printed.add_argument("--format", choices=("text", "json"), default="text")
     tolerance = {"type": _positive_float,
                  "help": "multiply every tolerance by this factor"}
     checked = argparse.ArgumentParser(add_help=False, parents=[printed])
     checked.add_argument("--tolerance-scale", default=1.0, **tolerance)
-    sampled = argparse.ArgumentParser(add_help=False, parents=[checked])
-    sampled.add_argument("--samples", type=_positive_int, default=None,
-                         help="number of samples (default depends on the task)")
     seed_help = "seed for the pseudorandom samples (default 0)"
 
     parser = argparse.ArgumentParser(
@@ -242,10 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None, help='mode "n1,n2" (default: all)')
     p.set_defaults(func=_cmd_egorov)
 
-    p = sub.add_parser("hecke", parents=[sampled],
+    p = sub.add_parser("hecke", parents=[checked],
                        help="lift a commuting family and check it")
     p.add_argument("--matrix", required=True, help='entries "a,b,c,d"')
     p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, default=None,
+                   help="lift a seeded subset of this many members (default all)")
     # None, so that a run lifting every member can reject a given seed
     p.add_argument("--seed", type=int, default=None,
                    help=seed_help + "; read only with --samples")
@@ -253,9 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse commutant enumeration above this 4N")
     p.set_defaults(func=_cmd_hecke)
 
-    p = sub.add_parser("verify", parents=[sampled],
+    p = sub.add_parser("verify", parents=[checked],
                        help="run a verification sweep")
     p.add_argument("what", choices=VERIFY_CHOICES)
+    p.add_argument("--samples", type=_positive_int, default=None,
+                   help="number of samples (default depends on the check)"
+                        + _read_by("samples"))
     # None, so that a check drawing nothing can reject a given seed
     p.add_argument("--seed", type=int, default=None,
                    help=seed_help + _read_by("seed"))

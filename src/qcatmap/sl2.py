@@ -64,10 +64,11 @@ class Mat2:
     @classmethod
     def from_string(cls, text: str) -> "Mat2":
         """Parse 'a,b,c,d' into a matrix."""
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 comma-separated integers, got {text!r}")
-        return cls(*(int(p) for p in parts))
+        try:
+            a, b, c, d = (int(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError(f'matrix {text!r} is not 4 integers "a,b,c,d"') from None
+        return cls(a, b, c, d)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

@@ -10,7 +10,6 @@ it reads; `run_check` runs one entry.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -19,9 +18,8 @@ import numpy as np
 
 from . import gauss, hecke, weyl
 from .phases import TWO_PI
-# SamplingError is raised by the sampled sweeps through _drive
-from .propagator import (MULT_TOL, UNITARITY_TOL, Report, SamplingError,  # noqa: F401
-                         _drive, build, h_phase, unitarity_defect, verify_mult)
+from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, build,
+                         h_phase, unitarity_defect, verify_mult)
 from .sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, decompose, evaluate,
                   random_word, random_theta_general)
 
@@ -172,6 +170,14 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
                   passed, note=note)
 
 
+def _admissible_pair(rng: random.Random, a: int, n: int, g: int) -> tuple[int, int]:
+    """(Q, Q') uniform over [0, N)^2 given g | 2(aQ' - Q), that is
+    Q = aQ' mod step with step = g / gcd(g, 2), a divisor of N."""
+    step = g // math.gcd(g, 2)
+    qp = rng.randrange(n)
+    return (a * qp) % step + step * rng.randrange(n // step), qp
+
+
 def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
                        tol_scale: float = 1.0) -> Report:
     """Endpoint substitution in the general-case kernel.
@@ -179,47 +185,34 @@ def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
     For b != 0 the kernel entry can be completed from either endpoint:
     h(a,b) G(N_b a, b', 2(aQ'-Q)/g) = h(d,b) G(N_b d, b', 2(dQ-Q')/g)
     with g = (b, N), whenever the left gamma is an integer (the right one
-    then is too).
+    then is too).  Each sample draws a matrix, N and such a pair (Q, Q').
     """
     rng = random.Random(seed)
 
     def draw():
         m = random_theta_general(rng, 8)
-        if m.d == 0:
-            # both endpoints must stay in the b != 0, a != 0 case
-            return None
         n = rng.randint(1, max_dim)
         g = math.gcd(abs(m.b), n)
-        q = rng.randrange(n)
-        qp = rng.randrange(n)
-        t1 = 2 * (m.a * qp - q)
-        if t1 % g:
-            return None
-        t2 = 2 * (m.d * q - qp)
+        q, qp = _admissible_pair(rng, m.a, n, g)
         nb = n // g
-        p1 = gauss.GaussParams(nb * m.a, m.b // g, t1 // g)
-        p2 = gauss.GaussParams(nb * m.d, m.b // g, t2 // g)
+        p1 = gauss.GaussParams(nb * m.a, m.b // g, 2 * (m.a * qp - q) // g)
+        p2 = gauss.GaussParams(nb * m.d, m.b // g, 2 * (m.d * q - qp) // g)
         v1 = gauss.gauss_closed(p1) if gauss.is_nonvanishing(p1) else 0.0
         v2 = gauss.gauss_closed(p2) if gauss.is_nonvanishing(p2) else 0.0
         return abs(h_phase(m.a, m.b) * v1 - h_phase(m.d, m.b) * v2), n
 
-    return _drive("substitution", (draw() for _ in itertools.count()),
-                  SCALAR_TOL, law=_constant, tol_scale=tol_scale, samples=samples)
+    return _drive("substitution", (draw() for _ in range(samples)),
+                  SCALAR_TOL, law=_constant, tol_scale=tol_scale)
 
 
 def h_identity_sweep(samples: int = 500, seed: int = 0,
                      tol_scale: float = 1.0) -> Report:
     """h(a, b) = h(d, b) across random general-case theta matrices."""
     rng = random.Random(seed)
-
-    def draw():
-        m = random_theta_general(rng, 8)
-        if m.d == 0:
-            return None
-        return abs(h_phase(m.a, m.b) - h_phase(m.d, m.b)), None
-
-    return _drive("h-identity", (draw() for _ in itertools.count()),
-                  SCALAR_TOL, law=_constant, tol_scale=tol_scale, samples=samples)
+    trials = ((abs(h_phase(m.a, m.b) - h_phase(m.d, m.b)), None)
+              for m in (random_theta_general(rng, 8) for _ in range(samples)))
+    return _drive("h-identity", trials, SCALAR_TOL, law=_constant,
+                  tol_scale=tol_scale)
 
 
 def egorov_sweep(samples: int = 100, max_dim: int = 16, seed: int = 0,

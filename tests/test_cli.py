@@ -200,6 +200,20 @@ def test_malformed_dims_names_the_option_and_its_forms(capsys, text):
                    'use "8", "1,2,4" or "1..16"\n')
 
 
+@pytest.mark.parametrize("argv, form", [
+    (["egorov", "--matrix", "2,1,3,2", "--dim", "3", "--mode", "abc"], '"n1,n2"'),
+    (["egorov", "--matrix", "2,1,3,2", "--dim", "3", "--mode", "1,x"], '"n1,n2"'),
+    (["egorov", "--matrix", "2,1,x,2", "--dim", "3"], '"a,b,c,d"'),
+], ids=["mode-word", "mode-component", "matrix-entry"])
+def test_malformed_integers_name_the_expected_form(capsys, argv, form):
+    # these printed a bare "invalid literal for int()" message
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and form in err
+    assert "Traceback" not in err and "invalid literal" not in err
+
+
 def test_verify_help_names_only_checks_that_read_the_option():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
@@ -211,8 +225,8 @@ def test_verify_help_names_only_checks_that_read_the_option():
         named = {name for name in suites.CHECKS
                  if re.search(rf"(?<![\w-]){name}(?![\w-])", helps[option])}
         assert named <= readers, (option, named - readers)
-        if "read by" in helps[option]:
-            assert named == readers, option
+        assert "read by" in helps[option], option
+        assert named == readers, option
 
 
 @pytest.mark.parametrize("argv", [
@@ -233,17 +247,16 @@ def test_empty_sample_requests_are_input_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("what", ["substitution", "h-identity"])
-def test_sampling_failure_is_input_error(capsys, monkeypatch, what):
-    # a sampler that only yields d = 0 matrices never gives an admissible one
+def test_d_zero_samples_are_checked(capsys, monkeypatch, what):
+    # a sampler that only yields d = 0 matrices, which both sweeps used to
+    # reject: h(0, b) = 1 = h(a, b) there, so every draw is a sample
     monkeypatch.setattr(suites, "random_theta_general",
                         lambda rng, max_word_len: Mat2(2, 1, -1, 0))
-    with pytest.raises(suites.SamplingError):
-        getattr(suites, what.replace("-", "_") + "_sweep")(samples=3)
-    rc = cli.main(["verify", what, "--samples", "3"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith(f"error: {what}: drew 0 of 3")
-    assert "Traceback" not in captured.err
+    rep = getattr(suites, what.replace("-", "_") + "_sweep")(samples=3)
+    assert rep.passed and rep.samples == 3
+    rc, out = run(capsys, ["verify", what, "--samples", "3"])
+    assert rc == 0
+    assert out.startswith(f"[PASS] {what}: 3 samples,")
 
 
 def test_tolerance_scale_flag(capsys):

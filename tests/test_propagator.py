@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qcatmap import gauss, propagator
+from qcatmap.numtheory import NotCoprimeError
 from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
                                 projective_phase, propagator_json,
                                 unitarity_defect, verify_mult)
@@ -93,6 +94,9 @@ def test_h_phase_values():
     assert abs(h_phase(3, 2) - e(1 / 8)) < 1e-12
     assert abs(h_phase(2, 1) - 1.0) < 1e-12
     assert abs(h_phase(2, 3) - (-1j)) < 1e-12
+    # the top rows of the anti-shears and the shears
+    for a, b in [(0, 1), (0, -1), (1, 0), (-1, 0)]:
+        assert h_phase(a, b) == 1
 
 
 def test_h_phase_rejects():
@@ -100,8 +104,10 @@ def test_h_phase_rejects():
         h_phase(1, 3)
     with pytest.raises(InvalidParityError):
         h_phase(2, 4)
-    with pytest.raises(ValueError):
-        h_phase(0, 1)
+    with pytest.raises(InvalidParityError):
+        h_phase(0, 0)
+    with pytest.raises(NotCoprimeError):
+        h_phase(0, 3)
 
 
 def test_entries_against_reference_formula():
@@ -302,6 +308,20 @@ def test_antishear_kernel_bit_equal_to_whole_grid_kernel(n):
         for w in (0, 2 * rng.randint(-8, 8)):
             got = build(Mat2(0, s, -s, w), n, check=False)
             want = build_antishear_reference(s, w, n)
+            assert np.array_equal(got.view(np.float64),
+                                  want.view(np.float64)), (s, w)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 128, 129, 200, 1024])
+def test_general_kernel_covers_antishears(n):
+    # with h(0, +-1) = 1 the general formula at a = 0 is the anti-shear one,
+    # to the bit, so 1 is the value of h there and not just a value
+    rng = random.Random(n)
+    for s in (1, -1):
+        for w in (0, 2 * rng.randint(-8, 8)):
+            m = Mat2(0, s, -s, w)
+            got = propagator._build_general(m, n)
+            want = build(m, n, check=False)
             assert np.array_equal(got.view(np.float64),
                                   want.view(np.float64)), (s, w)
 

@@ -48,8 +48,9 @@ def test_string_roundtrip():
     m = Mat2(2, 1, 3, 2)
     assert Mat2.from_string(str(m)) == m
     assert Mat2.from_string("0,-1, 1, 0") == S_PLUS
-    with pytest.raises(ValueError):
-        Mat2.from_string("1,2,3")
+    for text in ("1,2,3", "1,2,3,4,5", "2,1,x,2", ""):
+        with pytest.raises(ValueError, match='4 integers "a,b,c,d"'):
+            Mat2.from_string(text)
 
 
 def test_parse_word_case_insensitive():

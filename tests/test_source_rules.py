@@ -3,7 +3,9 @@
 Every check in the package must survive `python -O`, which strips `assert`
 statements, and every failure must be a typed error: a ValueError subclass
 for bad input, or a RuntimeError subclass such as UnitarityError, never a
-bare RuntimeError.  The array code keeps one int64 path: no `dtype=object`
+bare RuntimeError.  Every exception class the package defines is raised
+somewhere in it, so a deletion cannot leave a typed error behind that no
+caller can meet.  The array code keeps one int64 path: no `dtype=object`
 arrays of Python ints, which gauss_closed covers for large parameters.
 """
 
@@ -77,3 +79,38 @@ def test_object_rule_catches_every_form():
                      "np.asarray(g, dtype=np.int64)\nx.astype(np.int64)\n")
     assert _object_arrays(tree) == [f"line {i}: object array"
                                     for i in (1, 2, 3, 4, 5)]
+
+
+def _unraised(trees: list[ast.AST]) -> list[str]:
+    """Exception classes defined in the trees that none of them raises: a
+    class counts as an exception when a base name ends in Error or
+    Exception, and as raised when a raise statement names it, bare, called
+    or as a module attribute."""
+    raised = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(exc.attr if isinstance(exc, ast.Attribute)
+                       else getattr(exc, "id", None))
+    return sorted(node.name for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name not in raised
+                  and any(isinstance(base, ast.Name)
+                          and base.id.endswith(("Error", "Exception"))
+                          for base in node.bases))
+
+
+def test_every_exception_class_is_raised():
+    assert _unraised([ast.parse(p.read_text(), str(p)) for p in SOURCES]) == []
+
+
+def test_raised_rule_catches_a_dead_class():
+    defined = ast.parse("class DeadError(ValueError):\n    pass\n"
+                        "class CalledError(ValueError):\n    pass\n"
+                        "class BareError(CalledError):\n    pass\n"
+                        "class QualifiedError(Exception):\n    pass\n"
+                        "class Plain:\n    pass\n")
+    raising = ast.parse("raise CalledError('x')\nraise BareError\n"
+                        "raise mod.QualifiedError('y') from None\n")
+    assert _unraised([defined, raising]) == ["DeadError"]
+    assert _unraised([defined]) == ["BareError", "CalledError", "DeadError",
+                                    "QualifiedError"]

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,6 +41,49 @@ def test_hecke_sweep_stops_at_8_and_at_the_cap(kwargs, count):
     rep = suites.hecke_sweep(**kwargs)
     sizes = json.loads(rep.note.removeprefix("commutant sizes "))
     assert rep.passed and len(sizes) == count and rep.samples == sum(sizes)
+
+
+@pytest.mark.parametrize("sweep", ["substitution_sweep", "h_identity_sweep"])
+def test_sampled_sweeps_draw_exactly_their_samples(monkeypatch, sweep):
+    # d = 0 draws (about a third) are samples too; substitution draws an
+    # admissible (Q, Q') for every matrix instead of rejecting pairs
+    mats, pairs = [], []
+    draw_matrix, draw_pair = suites.random_theta_general, suites._admissible_pair
+
+    def counted(rng, max_word_len):
+        mats.append(draw_matrix(rng, max_word_len))
+        return mats[-1]
+
+    def recorded(rng, a, n, g):
+        pairs.append((a, n, g, draw_pair(rng, a, n, g)))
+        return pairs[-1][3]
+
+    monkeypatch.setattr(suites, "random_theta_general", counted)
+    monkeypatch.setattr(suites, "_admissible_pair", recorded)
+    rep = getattr(suites, sweep)(samples=120, seed=7)
+    assert rep.passed and rep.samples == len(mats) == 120
+    assert any(m.d == 0 for m in mats)
+    if sweep == "h_identity_sweep":
+        assert pairs == []
+        return
+    assert len(pairs) == 120
+    for m, (a, n, g, (q, qp)) in zip(mats, pairs):
+        assert a == m.a and g == math.gcd(m.b, n)
+        assert 0 <= q < n and 0 <= qp < n and 2 * (a * qp - q) % g == 0
+    assert any(g > 2 for _, _, g, _ in pairs)
+
+
+@pytest.mark.parametrize("a, n, g", [(1, 8, 8), (3, 12, 4), (5, 9, 3),
+                                     (2, 7, 1), (-3, 30, 10)])
+def test_admissible_pair_is_uniform_over_the_admissible_pairs(a, n, g):
+    want = {(q, qp) for q in range(n) for qp in range(n)
+            if 2 * (a * qp - q) % g == 0}
+    rng = random.Random(g)
+    counts = Counter(suites._admissible_pair(rng, a, n, g)
+                     for _ in range(100 * len(want)))
+    assert set(counts) == want
+    # 100 draws expected per pair; the bounds are over 5 standard deviations
+    assert 50 <= min(counts.values()) and max(counts.values()) <= 150
 
 
 def test_round_trip_only_decomposition_is_a_valid_sweep():
