@@ -9,9 +9,9 @@ which always prints JSON; `--tolerance-scale`, which multiplies every
 tolerance and must be a finite number greater than 0, on `verify`,
 `egorov`, `hecke` and `gauss --method both`; `--seed` and `--samples` on
 `verify` and `hecke` (which reads `--seed` only with `--samples`).
-`verify <check>` rejects the `--seed`, `--samples`, `--dims`, `--max-beta`
-or `--max-4n` that its check does not read (`suites.CHECKS`, the one place
-that says which it reads); `verify all` takes all five.
+`verify <check>` rejects the `--seed`, `--samples`, `--dims` or
+`--max-beta` that its check does not read (`suites.CHECKS`, the one place
+that says which it reads); `verify all` takes all four.
 
 Exit codes: 0 on success, 1 when a verification ran but failed its
 tolerance (including a propagator failing its unitarity check), 2 on
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help=seed_help + "; read only with --samples")
     p.add_argument("--max-4n", dest="max_4n", type=int, default=64,
-                   help="refuse commutant enumeration above this 4N")
+                   help="refuse the O((4N)^4) commutant scan when 4N exceeds "
+                        "this (default 64)")
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("verify", parents=[checked],
@@ -264,15 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=seed_help + _read_by("seed"))
     p.add_argument("--dims", default=None,
                    help='dimensions: "8", "1,2,4" or "1..16"; relations runs '
-                        'every listed N, hecke every N up to min(max, 8, '
-                        'max-4n // 4), the sampling checks draw N up to the '
-                        'maximum' + _read_by("dims"))
+                        'every listed N, hecke every N up to min(max, 8), '
+                        'the sampling checks draw N up to the maximum'
+                        + _read_by("dims"))
     p.add_argument("--max-beta", dest="max_beta", type=int, default=None,
                    help="parameter box for the Gauss-sum oracle sweep "
                         "(default 40)" + _read_by("max_beta"))
-    p.add_argument("--max-4n", dest="max_4n", type=int, default=None,
-                   help="refuse commutant enumeration above this 4N "
-                        "(default 64)" + _read_by("max_4n"))
     p.set_defaults(func=_cmd_verify)
 
     return parser

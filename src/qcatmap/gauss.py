@@ -38,7 +38,7 @@ class VanishingError(ValueError):
 
 
 class UnsupportedParityError(ValueError):
-    """Raised when the parameter parities match no closed-form branch."""
+    """Raised when gauss_closed_many's alphas span two closed-form branches."""
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,11 @@ def gauss_closed(p: GaussParams) -> complex:
 
     with all inverses taken mod |beta|; the resulting value does not depend
     on the representative chosen.  Raises VanishingError if is_nonvanishing
-    fails, UnsupportedParityError if no branch matches (unreachable for
-    nonvanishing parameters, kept as a guard).
+    fails, the one case in which gamma lacks the parity of the branch.
     """
     if not is_nonvanishing(p):
         raise VanishingError(f"sum vanishes for {p}")
     lead, inv, gamma_parity = _branch(p.alpha, p.beta)
-    if p.gamma % 2 != gamma_parity:
-        raise UnsupportedParityError(f"parities of {p} match no branch")
     beta_abs = abs(p.beta)
     if gamma_parity == 0:
         x = (inv * (p.gamma // 2)) % beta_abs

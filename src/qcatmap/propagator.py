@@ -2,13 +2,11 @@
 
 A matrix A = (a, b; c, d) in the theta group acts on the N-dimensional state
 space of the quantized torus (wavefunctions on Z/NZ, with 2*pi*hbar = 1/N).
-Its propagator U_N(A) is assembled case by case from the entries of A:
+Its propagator U_N(A) is given by one of two formulas:
 
-  b = 0 (shear):       [U f](Q) = e(s*m*Q^2/(2N)) f(s*Q),  A = (s, 0; m, s)
-  a = 0 (anti-shear):  [U f](Q) = N^(-1/2) * sum_Q' e(s*(w*Q^2 - 2*Q*Q')/(2N)) f(Q'),
-                       A = (0, s; -s, w)
-  general a, b != 0:   [U f](Q) = h(a,b)/sqrt(N_b) * sum_Q' G(N_b*a, b', g(Q,Q'))
-                       * e((d*Q^2 - 2*Q*Q' + a*Q'^2)/(2*N*b)) f(Q')
+  b = 0 (shear):  [U f](Q) = e(s*m*Q^2/(2N)) f(s*Q),  A = (s, 0; m, s)
+  b != 0:         [U f](Q) = h(a,b)/sqrt(N_b) * sum_Q' G(N_b*a, b', g(Q,Q'))
+                  * e((d*Q^2 - 2*Q*Q' + a*Q'^2)/(2*N*b)) f(Q')
 
 with N_b = N/gcd(b,N), b' = b/gcd(b,N), g(Q,Q') = 2*(a*Q' - Q)/gcd(b,N), and
 G the normalized Gauss sum of the gauss module.  Entries vanish when g is not
@@ -17,24 +15,23 @@ only through r = (a*Q' - Q) mod |b|, so the kernel reads it from a table
 over r unless |b| is large next to N^2.  The map A -> U_N(A) is
 exactly multiplicative and depends on A only through its residue mod 4N.
 
-A general matrix whose entries are too large for the int64 entry grids is
+A matrix whose entries are too large for the int64 entry grids is
 therefore reduced mod 4N and replaced by its theta lift (sl2.lift_theta),
-a general matrix with 1 <= b <= 4N that the same vectorized kernel builds.
+a matrix with 1 <= b <= 4N that the same vectorized kernel builds.
 
-The phase h(a, b) (h_phase) is 1 on the shears and anti-shears.  At a = 0,
-b = s = +-1 the general formula has N_b = N and G = 1, so it is the
-anti-shear formula; the anti-shear keeps its own kernel, which builds the
-same bits in 0.3 of the general kernel's time at N = 16 and 0.7 at N = 1024.
+At |b| = 1, a is even (A is a theta matrix), so h(a, b) = 1 and
+G(N*a, b, 2r) = 1 exactly: every entry is e(num/2N)/sqrt(N), gathered from
+the 2N roots of unity with no Gauss table.  These are the anti-shears
+(a = 0, A = (0, s; -s, w)) and a third of the general matrices.
 
-The anti-shear and general kernels fill the N x N output in row blocks of
-at most _BLOCK entries, so every temporary is block-sized.  What does not
-depend on the block is made once per build: the 2|b| Gauss table with
-h(a,b)/sqrt(N_b) folded in (1/sqrt(N) into the 2N phases of the
-anti-shear), the column parts of the phase numerator and of r, and the
-table of the den = 2N|b| roots of unity, which is kept, as in
-phases.e_frac_array, only when den <= N^2: the rule is applied to the
-whole grid, never to one block.  The result equals the whole-grid kernels
-bit for bit.
+The b != 0 kernel fills the N x N output in row blocks of at most _BLOCK
+entries, so every temporary is block-sized.  What does not depend on the
+block is made once per build: the 2|b| Gauss table with h(a,b)/sqrt(N_b)
+folded in (or, at |b| = 1, the 2N phases over sqrt(N)), the column parts
+of the phase numerator and of r, and the table of the den = 2N|b| roots
+of unity, which is kept, as in phases.e_frac_array, only when den <= N^2:
+the rule is applied to the whole grid, never to one block.  The result
+equals the whole-grid kernels bit for bit.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -112,7 +109,7 @@ def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
 
 @dataclass(frozen=True)
 class CaseTag:
-    """Structural case of a theta matrix: which propagator formula applies."""
+    """Structural case of a theta matrix, as printed by propagator_json."""
 
     kind: str  # "fourier" | "parity" | "shear" | "antishear" | "general"
     sign: int = 0
@@ -132,7 +129,8 @@ class CaseTag:
 
 
 def classify(m: Mat2) -> CaseTag:
-    """Most specific case tag for a theta matrix.
+    """Most specific structural case of a theta matrix; build does not
+    dispatch on it.
 
     Precedence: b = 0 gives a shear (parity when it is the point reflection),
     a = 0 gives an anti-shear (fourier when w = 0), anything else is general.
@@ -213,30 +211,13 @@ def _build_shear(a: int, c: int, n: int) -> np.ndarray:
     return u
 
 
-# Entries per row block of the anti-shear and general kernels: each of
-# their N x N temporaries is one block (128 KiB of int64, 256 KiB of
-# complex) that stays in cache.  On 2 cores with 4 MiB of L2, median
+# Entries per row block of the general kernel: each of its N x N
+# temporaries is one block (128 KiB of int64, 256 KiB of complex) that
+# stays in cache.  On 2 cores with 4 MiB of L2, median
 # build(A, 1024, check=False) times were flat from 2^13 to 2^17 entries
 # (general 12.6-16.5 ms, anti-shear 10.1-11.5 ms, two sweeps) and a
 # little slower at 2^12.  Every N <= 128 is one block.
 _BLOCK = 1 << 14
-
-
-def _build_antishear(b: int, d: int, n: int) -> np.ndarray:
-    q = np.arange(n, dtype=np.int64)
-    two_n = 2 * n
-    row, cross = ((b * d) % two_n) * (q * q), ((-2 * b) % two_n) * q
-    # e(j/2N) / sqrt(N) for every residue j: the grid reads N^2 >= 2N of
-    # them from N = 2 on, and at N = 1 the table's two exps are as cheap
-    table = root_table(two_n, two_n) / math.sqrt(n)
-    u = np.empty((n, n), dtype=np.complex128)
-    rows = max(1, _BLOCK // n)
-    for lo in range(0, n, rows):
-        num = cross[lo:lo + rows, None] * q
-        num += row[lo:lo + rows, None]
-        num %= two_n
-        u[lo:lo + rows] = table[num]
-    return u
 
 
 def _fits_kernel(b: int, n: int) -> bool:
@@ -254,8 +235,6 @@ def _fits_kernel(b: int, n: int) -> bool:
 def _build_general(m: Mat2, n: int) -> np.ndarray:
     # build has checked _fits_kernel(m.b, n)
     a, b, d = m.a, m.b, m.d
-    g = math.gcd(b, n)
-    n_b = n // g
     b_abs = abs(b)
     s = 1 if b > 0 else -1
     den = 2 * n * b_abs
@@ -263,33 +242,45 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
     qq = q * q
     row, cross, col = (((s * d) % den) * qq, ((-2 * s) % den) * q,
                        ((s * a) % den) * qq)
-    # G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r), shifted
-    # by |b| here to need no N x N `%`: tabulate it over [0, 2|b|) and read
-    # it at r_col[Q'] + r_row[Q], or, if 2|b| > N^2, over the grid's own r
-    # and read it back by grid position
-    r_row, r_col = b_abs - q % b_abs, (a % b_abs) * q % b_abs
-    if 2 * b_abs <= n * n:
-        keys = np.arange(2 * b_abs)
+    if b_abs == 1:
+        # h = G = 1: gather e(num/2N)/sqrt(N) from all 2N phases, of which
+        # the grid reads N^2 >= 2N from N = 2 on
+        gauss_table, roots = None, root_table(den, den) / math.sqrt(n)
     else:
-        keys = (r_col + r_row[:, None]).ravel()
-        r_row, r_col = n * q, q
-    gvals = np.where((2 * keys) % g == 0,
-                     gauss.gauss_closed_many(n_b * a, b // g, 2 * keys // g), 0.0)
-    # h/sqrt(N_b) is folded into the table.  Its bits are those of the
-    # whole-grid product c * gvals[pos] * phases, in which numpy reuses a
-    # gathered grid of 256 KiB or more (N >= 128) in place as gvals[pos] * c;
-    # a complex product can round differently with its operands swapped.
-    c = h_phase(a, b) / math.sqrt(n_b)
-    table = gvals * c if n >= 128 else c * gvals
-    roots = root_table(den, n * n)
+        g = math.gcd(b, n)
+        n_b = n // g
+        # G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r),
+        # shifted by |b| here to need no N x N `%`: tabulate it over
+        # [0, 2|b|) and read it at r_col[Q'] + r_row[Q], or, if 2|b| > N^2,
+        # over the grid's own r and read it back by grid position
+        r_row, r_col = b_abs - q % b_abs, (a % b_abs) * q % b_abs
+        if 2 * b_abs <= n * n:
+            keys = np.arange(2 * b_abs)
+        else:
+            keys = (r_col + r_row[:, None]).ravel()
+            r_row, r_col = n * q, q
+        gvals = gauss.gauss_closed_many(n_b * a, b // g, 2 * keys // g)
+        gvals = np.where((2 * keys) % g == 0, gvals, 0.0)
+        # h/sqrt(N_b) is folded into the table in the operand order of the
+        # whole-grid product c * gvals[pos] * phases, which numpy computes
+        # in place as gvals[pos] * c from 256 KiB (N >= 128) on: a complex
+        # product can round differently with its operands swapped.
+        c = h_phase(a, b) / math.sqrt(n_b)
+        gauss_table = gvals * c if n >= 128 else c * gvals
+        roots = root_table(den, n * n)
     u = np.empty((n, n), dtype=np.complex128)
     rows = max(1, _BLOCK // n)
     for lo in range(0, n, rows):
         num = cross[lo:lo + rows, None] * q
         num += row[lo:lo + rows, None]
-        num += col
-        np.multiply(table[r_col + r_row[lo:lo + rows, None]],
-                    e_frac_array(num, den, roots), out=u[lo:lo + rows])
+        if a:
+            num += col
+        if gauss_table is None:
+            num %= den
+            u[lo:lo + rows] = roots[num]
+        else:
+            np.multiply(gauss_table[r_col + r_row[lo:lo + rows, None]],
+                        e_frac_array(num, den, roots), out=u[lo:lo + rows])
     return u
 
 
@@ -316,8 +307,6 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
         raise ValueError("dimension must be a positive integer")
     if m.b == 0:
         u = _build_shear(m.a, m.c, n)
-    elif m.a == 0:
-        u = _build_antishear(m.b, m.d, n)
     else:
         k = m
         if not _fits_kernel(m.b, n):

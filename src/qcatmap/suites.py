@@ -308,21 +308,21 @@ def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
                    note=f"{failures} round-trip failures, longest word {longest}")
 
 
-def hecke_sweep(max_dim: int = 8, seed: int = 0, cap: int = 64,
+def hecke_sweep(max_dim: int = 8, seed: int = 0,
                 tol_scale: float = 1.0) -> Report:
     """Commuting lifted families for a random matrix at each dimension.
 
-    N runs up to min(max_dim, 8, cap // 4): the cap bounds 4N, and past
-    N = 8 the O((4N)^4) commutant scan takes seconds per N.
+    N runs up to min(max_dim, 8): past N = 8 the O((4N)^4) commutant scan
+    takes seconds per N.
     """
     rng = random.Random(seed)
     sizes = []
 
     def trials():
-        for n in range(1, min(max_dim, 8, cap // 4) + 1):
+        for n in range(1, min(max_dim, 8) + 1):
             a = random_theta_general(rng, 5)
             # samples=None lifts every member, so samples is the family size
-            rep = hecke.verify_hecke(a, n, samples=None, cap=cap)
+            rep = hecke.verify_hecke(a, n, samples=None)
             sizes.append(rep.samples)
             yield rep.max_error, n
 
@@ -347,8 +347,7 @@ CHECKS = {
     "mod4n": ("mod4n_sweep", _PAIRED),
     "mod2n": ("mod2n_sweep", _PAIRED),
     "decompose": ("decomposition_sweep", {**_SAMPLED, "samples": "words"}),
-    "hecke": ("hecke_sweep", {"seed": "seed", "dims": "max_dim",
-                              "max_4n": "cap"}),
+    "hecke": ("hecke_sweep", {"seed": "seed", "dims": "max_dim"}),
     "unitarity": ("unitarity_sweep", _SAMPLED),
 }
 

@@ -249,9 +249,9 @@ def build_general_reference(m, n: int) -> np.ndarray:
 
 
 def build_antishear_reference(b: int, d: int, n: int) -> np.ndarray:
-    """The anti-shear kernel of (0, b; -b, d) over the whole N x N grid at
-    once; the row-blocked propagator._build_antishear must match it bit for
-    bit."""
+    """The anti-shear propagator of (0, b; -b, d) over the whole N x N grid
+    at once; build, which gathers it in row blocks as a |b| = 1 matrix, must
+    match it bit for bit."""
     q = np.arange(n, dtype=np.int64)
     two_n = 2 * n
     num = ((b * d) % two_n) * (q * q)[:, None] + ((-2 * b) % two_n) * np.outer(q, q)

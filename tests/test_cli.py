@@ -214,6 +214,15 @@ def test_malformed_integers_name_the_expected_form(capsys, argv, form):
     assert "Traceback" not in err and "invalid literal" not in err
 
 
+def test_only_hecke_takes_max_4n(capsys):
+    # verify --max-4n could only lower hecke's N range, which --dims sets
+    assert cli.main(["verify", "hecke", "--max-4n", "8"]) == 2
+    assert "unrecognized arguments: --max-4n" in capsys.readouterr().err
+    rc, out = run(capsys, ["hecke", "--matrix", "2,1,3,2", "--dim", "2",
+                           "--max-4n", "8"])
+    assert rc == 0 and out.startswith("[PASS] hecke:")
+
+
 def test_verify_help_names_only_checks_that_read_the_option():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
@@ -235,9 +244,8 @@ def test_verify_help_names_only_checks_that_read_the_option():
     ["verify", "mult", "--samples", "0"],
     ["verify", "mult", "--samples", "-1"],
     ["hecke", "--matrix", "2,1,3,2", "--dim", "3", "--samples", "0"],
-    ["verify", "hecke", "--max-4n", "3"],
 ], ids=["max-beta-0", "max-beta-negative", "samples-0", "samples-negative",
-        "hecke-samples-0", "max-4n-below-4"])
+        "hecke-samples-0"])
 def test_empty_sample_requests_are_input_errors(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
@@ -287,7 +295,7 @@ def test_verify_choices_follow_check_registry():
 
 
 REGISTRY_FLAGS = ["--seed", "3", "--samples", "5", "--dims", "1..6",
-                  "--max-beta", "6", "--max-4n", "32", "--format", "json"]
+                  "--max-beta", "6", "--format", "json"]
 
 
 @pytest.fixture(scope="module")
@@ -316,9 +324,9 @@ def test_single_check_matches_its_verify_all_entry(capsys, verify_all_reports,
 # the value each registry flag gives, and the value that reaches the sweep
 # parameter it sets
 REGISTRY_VALUES = {"seed": "3", "samples": "5", "dims": "1..6",
-                   "max_beta": "6", "max_4n": "32"}
+                   "max_beta": "6"}
 PARAM_VALUES = {"seed": 3, "samples": 5, "pairs": 5, "words": 5, "max_dim": 6,
-                "dims": [1, 2, 3, 4, 5, 6], "max_abs": 6, "cap": 32}
+                "dims": [1, 2, 3, 4, 5, 6], "max_abs": 6}
 
 
 @pytest.mark.parametrize("name", list(suites.CHECKS))
@@ -465,18 +473,13 @@ def test_out_of_memory_is_an_error_line():
     (["verify", "all", "--samples", "2", "--dims", "3"], 0),
     (["verify", "mult", "--max-beta", "3"], 2),
     (["verify", "hecke", "--max-beta", "3"], 2),
-    (["verify", "relations", "--max-4n", "8"], 2),
-    (["verify", "gauss-oracle", "--max-4n", "8"], 2),
     (["verify", "relations", "--seed", "5", "--dims", "1..2"], 2),
     (["verify", "gauss-oracle", "--seed", "5"], 2),
-    # a cap of 8 stops hecke at N = 2 (it used to refuse N = 3 and exit 2)
-    (["verify", "all", "--max-beta", "3", "--max-4n", "8"], 0),
-    (["verify", "hecke", "--max-4n", "8"], 0),
+    (["verify", "all", "--max-beta", "3"], 0),
 ], ids=["relations-samples", "gauss-oracle-samples", "hecke-samples",
         "gauss-oracle-dims", "h-identity-dims", "all-takes-both",
-        "mult-max-beta", "hecke-max-beta", "relations-max-4n",
-        "gauss-oracle-max-4n", "relations-seed", "gauss-oracle-seed",
-        "all-takes-max-beta-and-max-4n", "hecke-takes-max-4n"])
+        "mult-max-beta", "hecke-max-beta", "relations-seed",
+        "gauss-oracle-seed", "all-takes-max-beta"])
 def test_verify_rejects_the_options_its_check_does_not_read(argv, want):
     # these used to be accepted and ignored: `verify relations --samples 2`
     # ran its 576 samples and exited 0, `verify mult --max-beta 3` its 500

@@ -216,8 +216,20 @@ def test_closed_many_rejects_shared_factor():
 
 
 def test_closed_rejects_vanishing_parity():
-    with pytest.raises((VanishingError, UnsupportedParityError)):
+    with pytest.raises(VanishingError):
         gauss.gauss_closed(GaussParams(1, 1, 0))
+
+
+def test_nonvanishing_gamma_has_the_parity_of_its_branch():
+    # so gauss_closed needs no parity check after is_nonvanishing
+    for alpha in range(-40, 41):
+        for beta in range(-40, 41):
+            if beta == 0 or math.gcd(alpha, beta) != 1:
+                continue
+            parity = gauss._branch(alpha, beta)[2]
+            for gamma in range(-41, 42):
+                if (alpha * beta + gamma) % 2 == 0:
+                    assert parity == gamma % 2, (alpha, beta, gamma)
 
 
 def test_params_validation():

@@ -291,6 +291,7 @@ def _general_kernel_cases():
 
 def test_general_kernel_bit_equal_to_unique_kernel():
     cases = _general_kernel_cases()
+    assert any(abs(m.b) == 1 and m.a != 0 for m, _ in cases)
     assert any(m.b < 0 for m, _ in cases)
     assert any(math.gcd(m.b, n) > 1 for m, n in cases)
     assert any(abs(m.b) > n for m, n in cases)
@@ -314,21 +315,34 @@ def test_antishear_kernel_bit_equal_to_whole_grid_kernel(n):
 
 @pytest.mark.parametrize("n", [*range(1, 65), 128, 129, 200, 1024])
 def test_general_kernel_covers_antishears(n):
-    # with h(0, +-1) = 1 the general formula at a = 0 is the anti-shear one,
-    # to the bit, so 1 is the value of h there and not just a value
+    # the whole-grid general formula, with its h(0, +-1) and Gauss factors,
+    # gives the anti-shears the bits of their |b| = 1 gather, so 1 is the
+    # value of h there and not just a value
     rng = random.Random(n)
     for s in (1, -1):
         for w in (0, 2 * rng.randint(-8, 8)):
             m = Mat2(0, s, -s, w)
-            got = propagator._build_general(m, n)
-            want = build(m, n, check=False)
+            got = build(m, n, check=False)
+            want = build_general_reference(m, n)
             assert np.array_equal(got.view(np.float64),
                                   want.view(np.float64)), (s, w)
 
 
-@pytest.mark.parametrize("m", [Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5),
-                               Mat2(0, 1, -1, 6)],
-                         ids=["general-odd-b", "general-even-b", "antishear"])
+@pytest.mark.parametrize("n", [*range(1, 65), 1024])
+def test_unit_b_has_unit_h_and_gauss_factors(n):
+    # why the kernel gathers e(num/2N)/sqrt(N) at |b| = 1: a is even there,
+    # and h(a, +-1) and G(N*a, +-1, 2r) are exactly 1 for both r mod 1
+    for b in (1, -1):
+        for a in (*range(-16, 17, 2), 2 * 10**9, -2 * 10**9 + 4):
+            assert h_phase(a, b) == 1 + 0j
+            got = gauss.gauss_closed_many(n * a, b, [0, 2])
+            assert got.tolist() == [1 + 0j, 1 + 0j], (a, b)
+
+
+@pytest.mark.parametrize("m", [Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5),
+                               Mat2(0, 1, -1, 6), Mat2(2, 1, 3, 2)],
+                         ids=["general-odd-b", "general-even-b", "antishear",
+                              "general-unit-b"])
 def test_build_holds_little_more_than_its_output(m):
     # the whole-grid kernels held 3 (general) and 2 (anti-shear) N x N grids
     tracemalloc.start()

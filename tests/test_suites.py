@@ -32,15 +32,11 @@ def test_empty_sweeps_are_input_errors(sweep, kwargs):
         getattr(suites, sweep)(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs, count", [({"max_dim": 12}, 8),
-                                           ({"cap": 8}, 2)],
-                         ids=["max-dim-past-8", "cap-8"])
-def test_hecke_sweep_stops_at_8_and_at_the_cap(kwargs, count):
-    # max_dim=12 used to run 12 dimensions, and cap=8 to raise
-    # CapExceededError at N = 3
-    rep = suites.hecke_sweep(**kwargs)
+def test_hecke_sweep_stops_at_8():
+    # max_dim=12 used to run 12 dimensions
+    rep = suites.hecke_sweep(max_dim=12)
     sizes = json.loads(rep.note.removeprefix("commutant sizes "))
-    assert rep.passed and len(sizes) == count and rep.samples == sum(sizes)
+    assert rep.passed and len(sizes) == 8 and rep.samples == sum(sizes)
 
 
 @pytest.mark.parametrize("sweep", ["substitution_sweep", "h_identity_sweep"])
