@@ -20,8 +20,7 @@ from .numtheory import (NotCoprimeError, Residue, crt_pair, euler_phi, jacobi,
                         mod_inverse)
 from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
                          Report, UnitarityError, build, classify, h_phase,
-                         projective_phase, propagator_json, unitarity_defect,
-                         verify_mult)
+                         propagator_json, unitarity_defect, verify_mult)
 from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
                   LiftError, Mat2, ModMatrix, NotThetaError, decompose,
                   evaluate, format_word, is_theta, lift_theta, parse_word,
@@ -41,8 +40,8 @@ __all__ = [
     "NotCoprimeError", "Residue", "crt_pair", "euler_phi", "jacobi",
     "mod_inverse",
     "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError", "Report",
-    "UnitarityError", "build", "classify", "h_phase", "projective_phase",
-    "propagator_json", "unitarity_defect", "verify_mult",
+    "UnitarityError", "build", "classify", "h_phase", "propagator_json",
+    "unitarity_defect", "verify_mult",
     "IDENTITY", "P_MAT", "S_MINUS", "S_PLUS", "T2_MINUS", "T2_PLUS",
     "TOKENS", "Mat2", "NotThetaError", "decompose", "evaluate",
     "format_word", "is_theta", "parse_word", "random_theta", "reduce_word",

@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except UnitarityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,10 @@ A caller that evaluates one large array in row blocks (the general
 propagator kernel) makes that choice once for the whole array: it builds
 root_table(den, whole size) and passes it to e_frac_array with every
 block, so a block reads the table exactly when the whole array would.
+
+Arrays of _FLOOR_DIVIDE_FROM numerators or more are reduced, in place, as
+num - den * (num // den): equal to num % den, and faster there, as numpy's
+floor_divide by a scalar uses libdivide and its remainder does not.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ TWO_PI = 2.0 * np.pi
 
 # e(t/8) for t = 0..7, the only eighth-roots the closed forms need
 _EIGHTH = tuple(cmath.exp(2j * cmath.pi * t / 8) for t in range(8))
+
+# On 2 cores (numpy 2.4), % and the floor-division form took 0.7 and 1.7 us
+# at 8 int64 numerators, 2.6 and 2.5 us at 512, and 62 and 24 us at 2^14.
+_FLOOR_DIVIDE_FROM = 512
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -52,7 +60,12 @@ def e_frac_array(num, den: int, roots: np.ndarray | None = None) -> np.ndarray:
     """
     if den < 0:
         num, den = -num, -den
-    r = num % den
+    if np.size(num) < _FLOOR_DIVIDE_FROM:
+        r = num % den
+    else:
+        r = num // den
+        r *= -den
+        r += num
     if roots is None:
         roots = root_table(den, np.size(r))
     if roots is not None:

@@ -30,8 +30,9 @@ block is made once per build: the 2|b| Gauss table with h(a,b)/sqrt(N_b)
 folded in (or, at |b| = 1, the 2N phases over sqrt(N)), the column parts
 of the phase numerator and of r, and the table of the den = 2N|b| roots
 of unity, which is kept, as in phases.e_frac_array, only when den <= N^2:
-the rule is applied to the whole grid, never to one block.  The result
-equals the whole-grid kernels bit for bit.
+the rule is applied to the whole grid, never to one block.  The gather
+takes num % den as num - den * (num // den) at every N (it is faster from
+N = 23 on).  The result equals the whole-grid kernels bit for bit.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -180,15 +181,25 @@ _GRAM_BLOCK = 128
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of u^dagger u from the identity.
 
-    u^dagger u is Hermitian for any u, so its lower triangle mirrors the
-    upper one in magnitude (to rounding).  Only the upper block triangle
-    is formed: for each block of _GRAM_BLOCK columns starting at lo, the
-    block row u[:, lo:hi]^dagger u[:, lo:], whose leading square holds that
-    block's diagonal.  Past one block no N x N product or conjugate copy
-    is held.  A NaN block maximum stays the defect, so a NaN anywhere in
-    u^dagger u is reported.
+    Past one Gram block, a u with one nonzero per row (a shear or parity)
+    takes an O(N^2) path: u^dagger u is then diagonal, holding the column
+    sums of |u|^2, so the defect is max |sum - 1|, with no approximation.
+
+    Otherwise u^dagger u, Hermitian for any u, is formed only in its upper
+    block triangle: for each block of _GRAM_BLOCK columns starting at lo,
+    the block row u[:, lo:hi]^dagger u[:, lo:], whose leading square holds
+    that block's diagonal.  Past one block no N x N product or conjugate
+    copy is held.  A NaN block maximum stays the defect; a NaN or inf in a
+    monomial u reaches its column sum, or makes u not monomial.
     """
     n = u.shape[0]
+    if n > _GRAM_BLOCK and np.count_nonzero(u[0]) <= 1:
+        nonzero = u != 0
+        if (nonzero.sum(axis=1) == 1).all():
+            cols = nonzero.argmax(axis=1)
+            v = u[np.arange(n), cols]
+            norms = np.bincount(cols, v.real**2 + v.imag**2, minlength=n)
+            return float(np.abs(norms - 1).max())
     worst = 0.0
     for lo in range(0, n, _GRAM_BLOCK):
         p = u[:, lo:lo + _GRAM_BLOCK].conj().T @ u[:, lo:]
@@ -276,7 +287,7 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
         if a:
             num += col
         if gauss_table is None:
-            num %= den
+            num -= den * (num // den)
             u[lo:lo + rows] = roots[num]
         else:
             np.multiply(gauss_table[r_col + r_row[lo:lo + rows, None]],
@@ -328,29 +339,6 @@ def verify_mult(a: Mat2, b: Mat2, n: int) -> Report:
     """Compare build(A @ B) against build(A) @ build(B) entrywise."""
     err = float(np.abs(build(a @ b, n) - build(a, n) @ build(b, n)).max())
     return _drive("multiplicativity", [(err, n)], MULT_TOL)
-
-
-def projective_phase(a: Mat2, b: Mat2, n: int, variant: str = "paper") -> complex:
-    """Scalar lambda with U(AB) = lambda * U(A) U(B) under a normalization.
-
-    variant "paper" uses build() directly, whose normalization is exactly
-    multiplicative, so lambda = 1 up to rounding.  variant "hannay_berry"
-    rescales each propagator to sqrt(i) * U / h(a, b), the normalization of
-    Hannay and Berry (Physica D 1, 1980), with h = 1 on the shears and
-    anti-shears as h_phase gives it; the resulting lambda is a nontrivial
-    eighth root of unity in general.
-    """
-    if variant not in ("paper", "hannay_berry"):
-        raise ValueError(f"unknown variant {variant!r}")
-    mats = (a @ b, a, b)
-    u_ab, u_a, u_b = (build(m, n) for m in mats)
-    if variant == "hannay_berry":
-        u_ab, u_a, u_b = (e8(1) * u / h_phase(m.a, m.b)
-                          for u, m in zip((u_ab, u_a, u_b), mats))
-    prod = u_a @ u_b
-    idx = int(np.abs(prod).argmax())
-    lam = complex(u_ab.flat[idx] / prod.flat[idx])
-    return lam
 
 
 def propagator_json(m: Mat2, n: int) -> dict:

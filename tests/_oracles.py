@@ -14,7 +14,7 @@ import numpy as np
 
 from qcatmap import gauss
 from qcatmap.hecke import CapExceededError
-from qcatmap.phases import TWO_PI, e_frac, e_frac_array
+from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
 from qcatmap.propagator import MULT_TOL, Report, _fits_kernel, build, h_phase
 from qcatmap.sl2 import Mat2, ModMatrix, lift_theta
 from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL
@@ -204,9 +204,32 @@ def propagator_reference(m, n: int) -> np.ndarray:
     return u
 
 
+def projective_phase(a, b, n: int, variant: str = "paper") -> complex:
+    """Scalar lambda with U(AB) = lambda * U(A) U(B) under a normalization.
+
+    variant "paper" uses build() directly, whose normalization is exactly
+    multiplicative, so lambda = 1 up to rounding.  variant "hannay_berry"
+    rescales each propagator to sqrt(i) * U / h(a, b), the normalization of
+    Hannay and Berry (Physica D 1, 1980), with h = 1 on the shears and
+    anti-shears as h_phase gives it; the resulting lambda is a nontrivial
+    eighth root of unity in general.
+    """
+    if variant not in ("paper", "hannay_berry"):
+        raise ValueError(f"unknown variant {variant!r}")
+    mats = (a @ b, a, b)
+    u_ab, u_a, u_b = (build(m, n) for m in mats)
+    if variant == "hannay_berry":
+        u_ab, u_a, u_b = (e8(1) * u / h_phase(m.a, m.b)
+                          for u, m in zip((u_ab, u_a, u_b), mats))
+    prod = u_a @ u_b
+    idx = int(np.abs(prod).argmax())
+    return complex(u_ab.flat[idx] / prod.flat[idx])
+
+
 def unitarity_defect_reference(u: np.ndarray) -> float:
     """Max-entry deviation of u^dagger u from the identity, from the whole
-    dense N x N product; the blocked propagator.unitarity_defect must match
+    dense N x N product; propagator.unitarity_defect, blocked or, for a u
+    with one nonzero per row past one block, by column norms, must match
     it to rounding, and bit for bit while N fits one block."""
     p = u.conj().T @ u
     p.flat[::u.shape[0] + 1] -= 1
@@ -216,7 +239,8 @@ def unitarity_defect_reference(u: np.ndarray) -> float:
 def build_general_reference(m, n: int) -> np.ndarray:
     """The general-case kernel that recovered its Gauss factors with
     np.unique over the N x N grid of gamma = 2(aQ' - Q)/g mod 2|b'|, over
-    the whole grid at once; the table-driven, row-blocked
+    the whole grid at once, with its phases from e_frac_array_reference
+    (num % den, one exp each); the table-driven, row-blocked
     propagator._build_general must match it bit for bit."""
     a, b, d = m.a, m.b, m.d
     if not _fits_kernel(b, n):
@@ -236,7 +260,7 @@ def build_general_reference(m, n: int) -> np.ndarray:
         + ((-2 * s) % den) * np.outer(q, q)
         + ((s * a) % den) * qq[None, :]
     )
-    phases = e_frac_array(quad, den)
+    phases = e_frac_array_reference(quad, den)
     # gamma = 2(aQ' - Q)/g, needed only mod 2|b'| and mod g for the mask
     span = 2 * beta_abs * g
     t = 2 * ((a % span) * q[None, :] - q[:, None])
@@ -255,7 +279,7 @@ def build_antishear_reference(b: int, d: int, n: int) -> np.ndarray:
     q = np.arange(n, dtype=np.int64)
     two_n = 2 * n
     num = ((b * d) % two_n) * (q * q)[:, None] + ((-2 * b) % two_n) * np.outer(q, q)
-    return e_frac_array(num, two_n) / math.sqrt(n)
+    return e_frac_array_reference(num, two_n) / math.sqrt(n)
 
 
 def translation_t1(n: int) -> np.ndarray:

@@ -450,7 +450,7 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
-def test_out_of_memory_is_an_error_line():
+def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
     # the gauss-oracle table at --max-beta 50000 is 100000 x 100000 int64
     # (74.5 GiB); the limit, set in the child only, makes its allocation fail
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -462,6 +462,17 @@ def test_out_of_memory_is_an_error_line():
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    # numpy says what it could not allocate
+    assert proc.stderr.removeprefix("error: ").strip(), proc.stderr
+
+    def out_of_memory(args):
+        raise MemoryError()
+
+    # a MemoryError without a message, as the interpreter raises, still
+    # gets one
+    monkeypatch.setattr(cli, "_cmd_decompose", out_of_memory)
+    assert cli.main(["decompose", "--matrix", "1,0,2,1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv, want", [

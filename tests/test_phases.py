@@ -45,6 +45,22 @@ def test_blocks_given_the_whole_table_equal_the_whole_array(den):
     assert np.array_equal(np.concatenate(blocks), e_frac_array(num, den))
 
 
+@pytest.mark.parametrize("n, b", [(1, 1), (2, 1), (127, 3), (1024, 1),
+                                  (1024, 4096), (24898, 4 * 24898)])
+def test_remainder_by_floor_division_equals_percent(n, b):
+    # the general kernel's numerators lie below 6 N^3 |b|, under 2^63 for
+    # every lift mod 4N (|b| <= 4N, N <= 24,898); den = 2N|b|
+    bound, den = 6 * n**3 * b, 2 * n * b
+    rng = np.random.default_rng(n)
+    num = np.concatenate([rng.integers(1 - bound, bound, 3000),
+                          [1 - bound, -den - 1, -den, -1, 0, 1, den - 1, den,
+                           bound - 1]])
+    assert np.array_equal(e_frac_array(num, den), e_frac_array_reference(num, den))
+    if den <= 1 << 20:
+        residues = e_frac_array(num, den, np.arange(den) + 0j)
+        assert np.array_equal(residues, num % den)
+
+
 def test_a_given_table_is_read_by_residue():
     num = np.arange(-40, 40, dtype=np.int64)
     table = np.arange(1000) + 0j

@@ -9,13 +9,12 @@ import pytest
 from qcatmap import gauss, propagator
 from qcatmap.numtheory import NotCoprimeError
 from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
-                                projective_phase, propagator_json,
-                                unitarity_defect, verify_mult)
+                                propagator_json, unitarity_defect, verify_mult)
 from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
                          Mat2, NotThetaError, evaluate, lift_theta,
                          random_theta_general, random_word, reduce_mod)
 from _oracles import (build_antishear_reference, build_general_reference,
-                      gauss_reference, propagator_reference,
+                      gauss_reference, projective_phase, propagator_reference,
                       unitarity_defect_reference)
 
 
@@ -262,6 +261,105 @@ def test_unitarity_guard_rejects_a_nan(monkeypatch, at):
         build(m, n)
 
 
+def _monomials(n):
+    """Shears, parity, and seeded permutation x phase matrices, two of them
+    with moduli off 1 so that the defect is O(1)."""
+    rng = np.random.default_rng(n)
+    mats = [build(m, n) for m in (Mat2(1, 0, 6, 1), Mat2(-1, 0, -4, -1),
+                                  P_MAT, T2_PLUS, T2_MINUS)]
+    for scale in (1.0, rng.uniform(0.5, 1.5, n), rng.uniform(0.9, 1.1, n)):
+        u = np.zeros((n, n), dtype=complex)
+        u[np.arange(n), rng.permutation(n)] = scale * np.exp(2j * np.pi * rng.random(n))
+        mats.append(u)
+    return mats
+
+
+@pytest.mark.parametrize("n", [B + 1, 300, 1024])
+def test_monomial_guard_equals_dense_product(n):
+    for u in _monomials(n):
+        before = u.copy()
+        assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
+        assert np.array_equal(u, before)
+
+
+def test_monomial_within_one_block_keeps_the_gram_bits():
+    for u in _monomials(B):
+        assert unitarity_defect(u) == unitarity_defect_reference(u)
+
+
+def _repeat_a_column(u):
+    u[5] = 0
+    u[5, np.flatnonzero(u[6])] = 1
+
+
+def _share_the_last_column(u):
+    # two half-weight entries fill column N - 2 exactly, and the last
+    # column is empty
+    u[-2:] = 0
+    u[-2:, -2] = math.sqrt(0.5)
+
+
+def _empty_row(row):
+    def edit(u):
+        u[row] = 0
+    return edit
+
+
+def _set_entry(value, nonzero):
+    # row 9's nonzero entry, or the entry next to it, which is zero
+    def edit(u):
+        col = np.flatnonzero(u[9])[0]
+        u[9, col if nonzero else (col + 1) % len(u)] = value
+    return edit
+
+
+DEFECTIVE_MONOMIALS = {
+    "repeated-column": _repeat_a_column,
+    "shared-last-column": _share_the_last_column,
+    "empty-row": _empty_row(7),
+    "empty-first-row": _empty_row(0),
+    "nan-at-nonzero": _set_entry(np.nan, True),
+    "nan-at-zero": _set_entry(np.nan, False),
+    "inf-at-nonzero": _set_entry(np.inf, True),
+    "inf-at-zero": _set_entry(np.inf, False),
+}
+
+
+@pytest.mark.parametrize("edit", DEFECTIVE_MONOMIALS.values(),
+                         ids=DEFECTIVE_MONOMIALS.keys())
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_unitarity_guard_rejects_a_defective_shear(monkeypatch, edit):
+    n = 2 * B + 3
+    real = propagator._build_shear
+
+    def defective(a, c, n):
+        u = real(a, c, n)
+        edit(u)
+        return u
+
+    monkeypatch.setattr(propagator, "_build_shear", defective)
+    m = Mat2(1, 0, 6, 1)
+    u = build(m, n, check=False)
+    got, want = unitarity_defect(u), unitarity_defect_reference(u)
+    if math.isfinite(want):
+        # an empty column, or a column of norm 2 next to an empty one
+        assert abs(want - 1) < 1e-12
+        assert abs(got - want) <= 1e-15 * n
+    else:
+        assert not math.isfinite(got)
+    with pytest.raises(propagator.UnitarityError):
+        build(m, n)
+
+
+def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
+    n = 2 * B + 3
+    rng = np.random.default_rng(3)
+    u = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
+    u[0] = 0
+    u[0, 4] = 1
+    assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
+
+
 def _general_kernel_cases():
     """General matrices at N = 1..32, 61, 64, 127, 128, 129, 200, 256, 1024:
     random words, which reach b < 0 and gcd(b, N) > 1, lifts mod 4N, which
@@ -300,6 +398,21 @@ def test_general_kernel_bit_equal_to_unique_kernel():
         got = propagator._build_general(m, n)
         want = build_general_reference(m, n)
         assert np.array_equal(got.view(np.float64), want.view(np.float64)), (m, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1024])
+def test_build_bit_equal_to_whole_grid_general_formula(n):
+    # the whole-grid oracle reduces its phase numerators with `%`, and the
+    # kernel with floor division
+    rng = random.Random(n)
+    unit_b, wide_b = [Mat2(2, 1, 3, 2), Mat2(2, -1, -3, 2)], [Mat2(2, 3, 1, 2)]
+    while len(unit_b) < 4 or len(wide_b) < 4:
+        m = random_theta_general(rng, 10)
+        (unit_b if abs(m.b) == 1 else wide_b).append(m)
+    for m in unit_b[:4] + wide_b[:4]:
+        got = build(m, n, check=False)
+        want = build_general_reference(m, n)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64)), m
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 128, 129, 200, 1024])
