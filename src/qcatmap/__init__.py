@@ -26,8 +26,8 @@ from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
                   evaluate, format_word, is_theta, lift_theta, parse_word,
                   random_theta, reduce_mod, reduce_word)
 from .weyl import (EGOROV_TOL, bracket_deviation, compose_classical,
-                   delta_basis, egorov_mode_errors, inner_product, quantize,
-                   symplectic_form, verify_egorov, weyl_op)
+                   delta_basis, egorov_mode_errors, quantize, symplectic_form,
+                   verify_egorov, weyl_op)
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "TOKENS", "Mat2", "NotThetaError", "decompose", "evaluate",
     "format_word", "is_theta", "parse_word", "random_theta", "reduce_word",
     "EGOROV_TOL", "bracket_deviation", "compose_classical", "delta_basis",
-    "egorov_mode_errors", "inner_product", "quantize", "symplectic_form",
-    "verify_egorov", "weyl_op",
+    "egorov_mode_errors", "quantize", "symplectic_form", "verify_egorov",
+    "weyl_op",
     "__version__",
 ]

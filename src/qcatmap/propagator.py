@@ -30,9 +30,9 @@ block is made once per build: the 2|b| Gauss table with h(a,b)/sqrt(N_b)
 folded in (or, at |b| = 1, the 2N phases over sqrt(N)), the column parts
 of the phase numerator and of r, and the table of the den = 2N|b| roots
 of unity, which is kept, as in phases.e_frac_array, only when den <= N^2:
-the rule is applied to the whole grid, never to one block.  The gather
-takes num % den as num - den * (num // den) at every N (it is faster from
-N = 23 on).  The result equals the whole-grid kernels bit for bit.
+the rule is applied to the whole grid, never to one block.  Every block
+reads its phases through e_frac_array.  The result equals the whole-grid
+kernels bit for bit.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -287,8 +287,7 @@ def _build_general(m: Mat2, n: int) -> np.ndarray:
         if a:
             num += col
         if gauss_table is None:
-            num -= den * (num // den)
-            u[lo:lo + rows] = roots[num]
+            u[lo:lo + rows] = e_frac_array(num, den, roots)
         else:
             np.multiply(gauss_table[r_col + r_row[lo:lo + rows, None]],
                         e_frac_array(num, den, roots), out=u[lo:lo + rows])

@@ -60,11 +60,6 @@ def delta_basis(nu: int, n: int) -> np.ndarray:
     return v
 
 
-def inner_product(phi: np.ndarray, psi: np.ndarray) -> complex:
-    """(1/N) * sum conj(phi) * psi, antilinear in the first argument."""
-    return complex(np.vdot(phi, psi) / len(phi))
-
-
 def symplectic_form(m: Mode, n: Mode) -> int:
     return m[0] * n[1] - m[1] * n[0]
 
@@ -111,15 +106,6 @@ def compose_classical(f: Observable, m: Mat2) -> dict[Mode, complex]:
         (m.a * n1 + m.c * n2, m.b * n1 + m.d * n2): coeff
         for (n1, n2), coeff in f.items()
     }
-
-
-def is_real_observable(f: Observable, tol: float = 1e-12) -> bool:
-    """True iff fhat(-m) = conj(fhat(m)) throughout, so Op_N(f) is Hermitian."""
-    for (n1, n2), coeff in f.items():
-        other = f.get((-n1, -n2), 0.0)
-        if abs(other - coeff.conjugate()) > tol:
-            return False
-    return True
 
 
 def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Report:

