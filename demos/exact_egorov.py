@@ -10,8 +10,8 @@ in 1/N.
 
 import numpy as np
 
-from qcatmap import (Mat2, bracket_deviation, build, compose_classical,
-                     egorov_mode_errors, quantize, verify_egorov, weyl_op)
+from qcatmap import (Mat2, build, compose_classical, egorov_mode_errors,
+                     quantize, verify_egorov, weyl_op)
 
 N = 12
 A = Mat2(2, 1, 3, 2)
@@ -49,18 +49,3 @@ print("conjugation error %.2e (tol %.1e), passed = %s"
 # the quantization of a real observable is Hermitian
 Op = quantize(f, N)
 print("hermiticity defect:", np.abs(Op - np.conj(Op.T)).max())
-
-# --------------------------------------------------------------------------
-# The commutator of two translations is again a translation times an
-# exact sine factor.  Against the Poisson bracket normalization the
-# relative deviation decreases with N but tends to a nonzero limit: the
-# quantum bracket and the classical bracket scale differently.
-# --------------------------------------------------------------------------
-
-m1, m2 = (1, 0), (0, 1)
-print("bracket deviation, modes", m1, m2)
-for n_dim in (4, 8, 16, 32, 64, 128):
-    dev = bracket_deviation(m1, m2, n_dim)
-    print("  N = %3d   relative %.6f" % (n_dim, dev.relative))
-limit = np.sqrt(1.0 + 16.0 * np.pi ** 4)
-print("limiting value sqrt(1 + 16 pi^4) =", limit)

@@ -16,8 +16,7 @@ from .gauss import (GaussParams, UnsupportedParityError, VanishingError,
 from .hecke import (CapExceededError, NotCongruentError, commutant_mod,
                     congruent_companion, mod2N_factor, verify_hecke,
                     verify_mod4N)
-from .numtheory import (NotCoprimeError, Residue, crt_pair, euler_phi, jacobi,
-                        mod_inverse)
+from .numtheory import NotCoprimeError, jacobi
 from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
                          Report, UnitarityError, build, classify, h_phase,
                          propagator_json, unitarity_defect, verify_mult)
@@ -25,8 +24,7 @@ from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
                   LiftError, Mat2, ModMatrix, NotThetaError, decompose,
                   evaluate, format_word, is_theta, lift_theta, parse_word,
                   random_theta, reduce_mod, reduce_word)
-from .weyl import (EGOROV_TOL, bracket_deviation, compose_classical,
-                   delta_basis, egorov_mode_errors, quantize, symplectic_form,
+from .weyl import (EGOROV_TOL, compose_classical, egorov_mode_errors, quantize,
                    verify_egorov, weyl_op)
 
 __version__ = "0.1.0"
@@ -37,16 +35,14 @@ __all__ = [
     "CapExceededError", "LiftError", "ModMatrix", "NotCongruentError",
     "commutant_mod", "congruent_companion", "lift_theta", "mod2N_factor",
     "reduce_mod", "verify_hecke", "verify_mod4N",
-    "NotCoprimeError", "Residue", "crt_pair", "euler_phi", "jacobi",
-    "mod_inverse",
+    "NotCoprimeError", "jacobi",
     "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError", "Report",
     "UnitarityError", "build", "classify", "h_phase", "propagator_json",
     "unitarity_defect", "verify_mult",
     "IDENTITY", "P_MAT", "S_MINUS", "S_PLUS", "T2_MINUS", "T2_PLUS",
     "TOKENS", "Mat2", "NotThetaError", "decompose", "evaluate",
     "format_word", "is_theta", "parse_word", "random_theta", "reduce_word",
-    "EGOROV_TOL", "bracket_deviation", "compose_classical", "delta_basis",
-    "egorov_mode_errors", "quantize", "symplectic_form", "verify_egorov",
-    "weyl_op",
+    "EGOROV_TOL", "compose_classical", "egorov_mode_errors", "quantize",
+    "verify_egorov", "weyl_op",
     "__version__",
 ]

@@ -52,9 +52,6 @@ class Mat2:
             raise ValueError("inverse is only defined for determinant 1")
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -87,6 +84,7 @@ TOKEN_MATRIX = {
     "T2-": T2_MINUS,
 }
 TOKEN_INVERSE = {"S": "S-", "S-": "S", "P": "P", "T2": "T2-", "T2-": "T2"}
+_UNKNOWN_TOKEN = "unknown generator token {!r}"
 
 
 def is_theta(m: Mat2) -> bool:
@@ -171,8 +169,11 @@ def lift_theta(bm: ModMatrix) -> Mat2:
 def evaluate(word: list[str]) -> Mat2:
     """Product of generator matrices, left to right; [] gives the identity."""
     m = IDENTITY
-    for tok in word:
-        m = m @ TOKEN_MATRIX[tok]
+    try:
+        for tok in word:
+            m = m @ TOKEN_MATRIX[tok]
+    except KeyError as exc:
+        raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
     return m
 
 
@@ -182,7 +183,7 @@ def parse_word(text: str) -> list[str]:
     for raw in text.split():
         tok = raw.upper()
         if tok not in TOKEN_MATRIX:
-            raise ValueError(f"unknown generator token {raw!r}")
+            raise ValueError(_UNKNOWN_TOKEN.format(raw))
         word.append(tok)
     return word
 
@@ -240,18 +241,19 @@ def reduce_word(word: list[str]) -> list[str]:
     """
     p_parity = 0
     stack: list[str] = []
-    for tok in word:
-        if tok == "P":
-            p_parity ^= 1
-            continue
-        if stack and stack[-1] == TOKEN_INVERSE[tok]:
-            stack.pop()
-            continue
-        if tok in ("S", "S-") and stack and stack[-1] == tok:
-            stack.pop()
-            p_parity ^= 1
-            continue
-        stack.append(tok)
+    try:
+        for tok in word:
+            if tok == "P":
+                p_parity ^= 1
+            elif stack[-1:] == [TOKEN_INVERSE[tok]]:
+                stack.pop()
+            elif tok in ("S", "S-") and stack[-1:] == [tok]:
+                stack.pop()
+                p_parity ^= 1
+            else:
+                stack.append(tok)
+    except KeyError as exc:
+        raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
     if p_parity:
         stack.append("P")
     return stack

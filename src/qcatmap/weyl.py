@@ -1,8 +1,6 @@
 """Weyl-Heisenberg translations, quantized observables, and exact conjugation.
 
-States live on Z/NZ; the basis vector delta_nu takes the value sqrt(N) at nu
-so that the inner product (1/N) * sum conj(phi) psi makes them orthonormal.
-The elementary translations are
+States live on Z/NZ.  The elementary translations are
 
     [t1 f](Q) = f(Q) e(Q/N)          (momentum kick)
     [t2 f](Q) = f(Q + 1)             (position shift)
@@ -35,8 +33,6 @@ the same bits while memory stays O(N^3).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -49,19 +45,6 @@ Mode = tuple[int, int]
 Observable = Mapping[Mode, complex]
 
 EGOROV_TOL = 1e-8  # times N
-
-
-def delta_basis(nu: int, n: int) -> np.ndarray:
-    """Basis vector with value sqrt(N) at position nu, 0 elsewhere."""
-    if not 0 <= nu < n:
-        raise IndexError(f"position {nu} outside 0..{n - 1}")
-    v = np.zeros(n, dtype=np.complex128)
-    v[nu] = math.sqrt(n)
-    return v
-
-
-def symplectic_form(m: Mode, n: Mode) -> int:
-    return m[0] * n[1] - m[1] * n[0]
 
 
 def _weyl_stack(n1: np.ndarray, n2: np.ndarray, n: int) -> np.ndarray:
@@ -135,30 +118,3 @@ def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:
         errs[n1] = np.abs(conj).max(axis=(1, 2))
     return errs
 
-
-@dataclass(frozen=True)
-class BracketDeviation:
-    """Distance of the scaled commutator from the quantized Poisson bracket."""
-
-    absolute: float
-    relative: float
-
-
-def bracket_deviation(mode1: Mode, mode2: Mode, n: int) -> BracketDeviation:
-    """Compare (N/2pi) [T(m), T(n)] with Op of the Poisson bracket.
-
-    For single modes the bracket is {e_m, e_n} = 4 pi^2 omega(m, n) e_{m+n}.
-    The two sides differ by a fixed normalization, so the absolute deviation
-    does not shrink with N; the deviation relative to the commutator norm is
-    the quantity that decreases toward its limit and is what trend tests
-    should assert on.  Requires omega(mode1, mode2) != 0 mod N.
-    """
-    comm = weyl_op(mode1, n) @ weyl_op(mode2, n) - weyl_op(mode2, n) @ weyl_op(mode1, n)
-    scaled = (n / (2 * math.pi)) * comm
-    omega = symplectic_form(mode1, mode2)
-    summed = (mode1[0] + mode2[0], mode1[1] + mode2[1])
-    bracket_op = 4 * math.pi**2 * omega * weyl_op(summed, n)
-    dev = float(np.abs(scaled - bracket_op).max())
-    base = float(np.abs(scaled).max())
-    rel = dev / base if base > 0 else math.inf
-    return BracketDeviation(dev, rel)

@@ -296,6 +296,21 @@ def translation_t2(n: int) -> np.ndarray:
     return m
 
 
+def delta_basis(nu: int, n: int) -> np.ndarray:
+    """Basis vector with value sqrt(N) at position nu, 0 elsewhere, so the
+    N vectors are orthonormal under inner_product."""
+    if not 0 <= nu < n:
+        raise IndexError(f"position {nu} outside 0..{n - 1}")
+    v = np.zeros(n, dtype=np.complex128)
+    v[nu] = math.sqrt(n)
+    return v
+
+
+def symplectic_form(m: tuple, n: tuple) -> int:
+    """omega(m, n) = m1*n2 - m2*n1, the phase of the Weyl product rule."""
+    return m[0] * n[1] - m[1] * n[0]
+
+
 def inner_product(phi: np.ndarray, psi: np.ndarray) -> complex:
     """(1/N) * sum conj(phi) * psi, antilinear in the first argument."""
     return complex(np.vdot(phi, psi) / len(phi))

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -74,60 +73,6 @@ def test_jacobi_minus_one_and_two():
         assert nt.jacobi(2, r) == (-1) ** ((r * r - 1) // 8)
 
 
-def test_mod_inverse_basic():
-    res = nt.mod_inverse(3, 40)
-    assert isinstance(res, nt.Residue)
-    assert res.value == 27 and res.modulus == 40
-    with pytest.raises(nt.NotCoprimeError):
-        nt.mod_inverse(6, 40)
-
-
-def test_mod_inverse_random():
-    rng = random.Random(21)
-    for _ in range(400):
-        q = rng.randint(2, 10**6)
-        p = rng.randint(-10**6, 10**6)
-        if p == 0 or math.gcd(p, q) != 1:
-            continue
-        inv = nt.mod_inverse(p, q).value
-        assert 0 <= inv < q
-        assert (p * inv) % q == 1
-
-
-def test_euler_phi_known():
-    assert nt.euler_phi(1) == 1
-    assert nt.euler_phi(2) == 1
-    assert nt.euler_phi(12) == 4
-    assert nt.euler_phi(97) == 96
-    assert nt.euler_phi(360) == 96
-
-
-def test_euler_phi_counts():
-    for n in range(1, 200):
-        count = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        assert nt.euler_phi(n) == count
-
-
-def test_euler_fermat_inverse():
-    # p^(phi(q) - 1) inverts p mod q for coprime p, q
-    rng = random.Random(31)
-    for _ in range(200):
-        q = rng.randint(2, 2000)
-        p = rng.randint(1, 5000)
-        if math.gcd(p, q) != 1:
-            continue
-        assert nt.mod_inverse(p, q).value == pow(p, nt.euler_phi(q) - 1, q)
-
-
-def test_euler_fermat_inverse_full_range():
-    for q in range(2, 501):
-        exponent = nt.euler_phi(q) - 1
-        for p in range(1, q):
-            if math.gcd(p, q) != 1:
-                continue
-            assert nt.mod_inverse(p, q).value == pow(p, exponent, q)
-
-
 def test_even_top_sign_tracks_power_of_two_parity():
     # for even tops the sign comes from the parity of the 2-adic exponent,
     # not from the residue of the top mod 4: 8 = 2^3 has odd exponent
@@ -136,59 +81,3 @@ def test_even_top_sign_tracks_power_of_two_parity():
     # even exponents kill the sign regardless of the bottom mod 8
     assert nt.jacobi(4, 3) == 1
     assert nt.jacobi(16, 5) == 1
-
-
-def test_residue_normalizes():
-    r = nt.Residue(-3, 7)
-    assert r.value == 4 and r.modulus == 7
-    with pytest.raises(ValueError):
-        nt.Residue(1, 0)
-
-
-def test_crt_pair_basic():
-    r = nt.crt_pair(nt.Residue(2, 3), nt.Residue(3, 5))
-    assert r.modulus == 15
-    assert r.value % 3 == 2 and r.value % 5 == 3
-    with pytest.raises(ValueError):
-        nt.crt_pair(nt.Residue(1, 6), nt.Residue(1, 4))
-
-
-def test_crt_pair_random():
-    rng = random.Random(41)
-    for _ in range(300):
-        m1 = rng.randint(2, 500)
-        m2 = rng.randint(2, 500)
-        if math.gcd(m1, m2) != 1:
-            continue
-        v = rng.randint(0, m1 * m2 - 1)
-        r = nt.crt_pair(nt.Residue(v, m1), nt.Residue(v, m2))
-        assert r.value == v and r.modulus == m1 * m2
-
-
-def test_inverse_mod_8k_congruence():
-    # for odd coprime a, K the inverse mod 8K splits as
-    #   inv(a, 8K) = inv(a, K) * 4^(2 phi(K)) + a * K^2  (mod 8K)
-    # and reassembles from its residues mod 8 and mod K
-    rng = random.Random(51)
-    done = 0
-    while done < 200:
-        a = 2 * rng.randint(1, 500) + 1
-        k = 2 * rng.randint(1, 500) + 1
-        if math.gcd(a, k) != 1:
-            continue
-        lhs = nt.mod_inverse(a, 8 * k).value
-        rhs = (nt.mod_inverse(a, k).value * pow(4, 2 * nt.euler_phi(k), 8 * k)
-               + a * k * k) % (8 * k)
-        assert lhs == rhs, (a, k)
-        glued = nt.crt_pair(nt.Residue(lhs, 8), nt.Residue(lhs, k))
-        assert glued.value == lhs and glued.modulus == 8 * k
-        done += 1
-
-
-def test_inverse_mod_8k_congruence_needs_odd_k():
-    # the split fails for even K: a = 3, K = 4
-    a, k = 3, 4
-    lhs = nt.mod_inverse(a, 8 * k).value
-    rhs = (nt.mod_inverse(a, k).value * pow(4, 2 * nt.euler_phi(k), 8 * k)
-           + a * k * k) % (8 * k)
-    assert lhs != rhs

@@ -14,8 +14,8 @@ from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
                          Mat2, NotThetaError, evaluate, lift_theta,
                          random_theta_general, random_word, reduce_mod)
 from _oracles import (build_antishear_reference, build_general_reference,
-                      gauss_reference, projective_phase, propagator_reference,
-                      unitarity_defect_reference)
+                      delta_basis, gauss_reference, projective_phase,
+                      propagator_reference, unitarity_defect_reference)
 
 
 def e(t):
@@ -147,8 +147,6 @@ def test_entries_against_reference_formula():
 def test_delta_probe_value():
     # applying U to the basis vector concentrated at 0 probes the (0, 0)
     # entry: component 0 must equal sqrt((b,N)) * h(a,b) * G(N_b a, b', 0)
-    from qcatmap.weyl import delta_basis
-
     rng = random.Random(23)
     checked = 0
     while checked < 30:

