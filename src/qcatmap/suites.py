@@ -10,6 +10,7 @@ it reads; `run_check` runs one entry.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import replace
@@ -20,8 +21,8 @@ from . import gauss, hecke, weyl
 from .phases import TWO_PI
 from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, build,
                          h_phase, unitarity_defect, verify_mult)
-from .sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, decompose, evaluate,
-                  random_word, random_theta_general)
+from .sl2 import (_UNKNOWN_TOKEN, IDENTITY, TOKEN_MATRIX, TOKENS, Mat2,
+                  decompose, evaluate, random_word, random_theta_general)
 
 RELATION_TOL = 1e-10          # times N
 SCALAR_TOL = 1e-10
@@ -47,24 +48,50 @@ def _constant(n) -> int:
     return 1
 
 
-def word_product(word, n: int) -> np.ndarray:
-    """Product of generator propagators, left to right (empty: identity)."""
-    if not word:
+def _product(word, generators: dict, n: int) -> np.ndarray:
+    """Product of generators[tok] over the word, left to right (empty:
+    identity); a token missing from the table is a ValueError."""
+    try:
+        factors = [generators[tok] for tok in word]
+    except KeyError as exc:
+        raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
+    if not factors:
         return np.eye(n, dtype=complex)
-    u = build(TOKEN_MATRIX[word[0]], n, check=False)
-    for tok in word[1:]:
-        u = u @ build(TOKEN_MATRIX[tok], n, check=False)
-    return u
+    return functools.reduce(np.matmul, factors)
+
+
+def _generators(tokens, n: int) -> dict:
+    """Propagator of each generator token, built once."""
+    return {tok: build(TOKEN_MATRIX[tok], n, check=False) for tok in tokens}
+
+
+def word_product(word, n: int) -> np.ndarray:
+    """Product of generator propagators, left to right (empty: identity).
+
+    Each distinct token is built once; an unknown token is a ValueError.
+    """
+    tokens = [tok for tok in dict.fromkeys(word) if tok in TOKEN_MATRIX]
+    return _product(word, _generators(tokens, n), n)
 
 
 def relations_sweep(dims=None, tol_scale: float = 1.0) -> Report:
-    """Generator relations as operator identities at every dimension."""
+    """Generator relations as operator identities at every dimension.
+
+    The five generator propagators are built once per N, and both sides of
+    every relation are multiplied from that table.
+    """
     if dims is None:
         dims = range(1, 65)
     dims = list(dims)
-    trials = ((float(np.abs(word_product(lhs, n) - word_product(rhs, n)).max()), n)
-              for n in dims for lhs, rhs in GENERATOR_RELATIONS)
-    rep = _drive("relations", trials, RELATION_TOL, tol_scale=tol_scale)
+
+    def trials():
+        for n in dims:
+            gens = _generators(TOKENS, n)
+            for lhs, rhs in GENERATOR_RELATIONS:
+                diff = _product(lhs, gens, n) - _product(rhs, gens, n)
+                yield float(np.abs(diff).max()), n
+
+    rep = _drive("relations", trials(), RELATION_TOL, tol_scale=tol_scale)
     return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
 
 
@@ -86,6 +113,8 @@ def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
 
 def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
                     tol_scale: float = 1.0) -> Report:
+    """Unitarity defect of unchecked builds for random words and dims,
+    each held to a tolerance that grows like sqrt(N)."""
     rng = random.Random(seed)
 
     def trials():

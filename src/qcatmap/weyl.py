@@ -24,11 +24,12 @@ checking the shear A = T2 at N = 4 over all modes and is used throughout.)
 
 T_N(n) depends on the mode only mod 2N, so modes and matrix entries are
 reduced mod 2N as Python integers before any array arithmetic; this keeps
-every int64 small for modes of any size.  The per-mode sweep works one n1
-row at a time: the N Weyl operators of the row are scattered into one
-(N, N, N) stack and conjugated by a single batched product, with the same
-phases and product order as the one-mode-at-a-time loop, so the errors are
-the same bits while memory stays O(N^3).
+every int64 small for modes of any size.  The per-mode sweep works in
+blocks of whole n1 rows: the Weyl operators of a block's modes are
+scattered into one stack of at most _BLOCK entries (one row of N modes when
+a row alone is larger) and conjugated by a single stacked product, with the
+same phases and product order as the one-mode-at-a-time loop, so the errors
+are the same bits while memory stays O(N^3).
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ Mode = tuple[int, int]
 Observable = Mapping[Mode, complex]
 
 EGOROV_TOL = 1e-8  # times N
+
+# entries of one mode stack in egorov_mode_errors: 4 rows of modes at N = 16,
+# one row from N = 26 on
+_BLOCK = 1 << 14
 
 
 def _weyl_stack(n1: np.ndarray, n2: np.ndarray, n: int) -> np.ndarray:
@@ -103,18 +108,20 @@ def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Rep
 def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:
     """Conjugation error of every single mode (n1, n2) in [0, N)^2.
 
-    Entry (n1, n2) is max |U^-1 T_N(n) U - T_N(A^t n)|, computed one n1 row
-    at a time as a batched product over the row's N modes.
+    Entry (n1, n2) is max |U^-1 T_N(n) U - T_N(A^t n)|, computed in blocks
+    of whole n1 rows, as many as keep a block's (modes, N, N) stack within
+    _BLOCK entries (at least one), each by one stacked product.
     """
     u = build(m, n)
     uh = u.conj().T
     a, b, c, d = (x % (2 * n) for x in m.entries())
-    n2 = np.arange(n, dtype=np.int64)
-    errs = np.empty((n, n))
-    for n1 in range(n):
-        conj = uh @ _weyl_stack(np.full(n, n1, dtype=np.int64), n2, n) @ u
-        conj -= _weyl_stack((a * n1 + c * n2) % (2 * n),
-                            (b * n1 + d * n2) % (2 * n), n)
-        errs[n1] = np.abs(conj).max(axis=(1, 2))
-    return errs
-
+    n1, n2 = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    im1, im2 = (a * n1 + c * n2) % (2 * n), (b * n1 + d * n2) % (2 * n)
+    step = n * max(1, _BLOCK // n**3)
+    errs = np.empty(n * n)
+    for lo in range(0, n * n, step):
+        blk = slice(lo, lo + step)
+        conj = uh @ _weyl_stack(n1[blk], n2[blk], n) @ u
+        conj -= _weyl_stack(im1[blk], im2[blk], n)
+        errs[blk] = np.abs(conj).max(axis=(1, 2))
+    return errs.reshape(n, n)

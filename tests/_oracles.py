@@ -9,15 +9,18 @@ meaningful.
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
 from qcatmap import gauss
 from qcatmap.hecke import CapExceededError
 from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
-from qcatmap.propagator import MULT_TOL, Report, _fits_kernel, build, h_phase
-from qcatmap.sl2 import Mat2, ModMatrix, lift_theta
-from qcatmap.suites import GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL
+from qcatmap.propagator import (MULT_TOL, Report, _drive, _fits_kernel, build,
+                                h_phase)
+from qcatmap.sl2 import TOKEN_MATRIX, Mat2, ModMatrix, lift_theta
+from qcatmap.suites import (GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL,
+                            GENERATOR_RELATIONS, RELATION_TOL)
 from qcatmap.weyl import weyl_op
 
 
@@ -325,9 +328,32 @@ def is_real_observable(f: dict, tol: float = 1e-12) -> bool:
     return True
 
 
+def word_product_reference(word, n: int) -> np.ndarray:
+    """Product of generator propagators, left to right, with a fresh build
+    for every token of the word (empty: identity)."""
+    if not word:
+        return np.eye(n, dtype=complex)
+    u = build(TOKEN_MATRIX[word[0]], n, check=False)
+    for tok in word[1:]:
+        u = u @ build(TOKEN_MATRIX[tok], n, check=False)
+    return u
+
+
+def relations_reference(dims) -> Report:
+    """The generator relations at every dimension, each side multiplied by
+    word_product_reference; suites.relations_sweep, which builds the five
+    generators once per N, must return an equal Report."""
+    dims = list(dims)
+    trials = ((float(np.abs(word_product_reference(lhs, n)
+                            - word_product_reference(rhs, n)).max()), n)
+              for n in dims for lhs, rhs in GENERATOR_RELATIONS)
+    rep = _drive("relations", trials, RELATION_TOL)
+    return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
+
+
 def egorov_mode_errors_reference(m, n: int) -> np.ndarray:
     """Conjugation error of every single mode, one mode at a time with two
-    weyl_op builds and two dense products per mode; the row-batched
+    weyl_op builds and two dense products per mode; the block-batched
     weyl.egorov_mode_errors must match it bit for bit."""
     u = build(m, n)
     uh = u.conj().T

@@ -6,11 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from _oracles import direct_row_reference, gauss_oracle_sweep_loop_reference
+from _oracles import (direct_row_reference, gauss_oracle_sweep_loop_reference,
+                      relations_reference, word_product_reference)
 
 from qcatmap import gauss, hecke, suites, weyl
 from qcatmap.propagator import MULT_TOL, verify_mult
-from qcatmap.sl2 import IDENTITY, T2_PLUS, Mat2
+from qcatmap.sl2 import IDENTITY, T2_PLUS, Mat2, random_word
 
 
 @pytest.mark.parametrize("sweep, kwargs", [
@@ -30,6 +31,29 @@ def test_empty_sweeps_are_input_errors(sweep, kwargs):
     # these used to raise IndexError (relations) or pass with 0 samples
     with pytest.raises(ValueError, match="no samples requested"):
         getattr(suites, sweep)(**kwargs)
+
+
+@pytest.mark.parametrize("word", [["X"], ["S", "X"]])
+def test_word_product_unknown_token_raises_parse_word_error(word):
+    # this used to raise a bare KeyError: 'X'
+    with pytest.raises(ValueError, match="unknown generator token 'X'"):
+        suites.word_product(word, 3)
+
+
+def test_word_product_equals_fresh_build_reference():
+    # each distinct token built once gives the bits of a fresh build per token
+    rng = random.Random(19)
+    for _ in range(40):
+        word, n = random_word(rng, 12), rng.randint(1, 16)
+        assert np.array_equal(suites.word_product(word, n),
+                              word_product_reference(word, n)), (word, n)
+
+
+@pytest.mark.parametrize("dims", [range(1, 65), [1], [3, 64, 7, 7]],
+                         ids=["1..64", "1", "repeats"])
+def test_relations_sweep_equals_fresh_build_reference(dims):
+    # generators built once per N give the bits of a fresh build per token
+    assert suites.relations_sweep(dims) == relations_reference(dims)
 
 
 def test_hecke_sweep_stops_at_8():

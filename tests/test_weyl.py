@@ -196,11 +196,13 @@ def test_egorov_composition_consistency():
 
 
 def test_egorov_mode_errors_match_per_mode_loop():
-    # the row-batched sweep keeps the loop's phases and product order
+    # the block-batched sweep keeps the loop's phases and product order;
+    # blocks of 7 + 6 rows at N = 13, 10 blocks of 2 at N = 20, one row
+    # per block at N = 26 and 31
     rng = random.Random(17)
     cases = [(evaluate(random_word(rng, 8)), rng.randint(1, 16))
              for _ in range(100)]
-    cases += [(evaluate(random_word(rng, 8)), n) for n in (1, 2, 31)]
+    cases += [(evaluate(random_word(rng, 8)), n) for n in (1, 2, 13, 20, 26, 31)]
     for m, n in cases:
         got = weyl.egorov_mode_errors(m, n)
         assert np.array_equal(got, egorov_mode_errors_reference(m, n)), (m, n)
@@ -219,8 +221,8 @@ def test_egorov_mode_errors_huge_entries():
         assert weyl.verify_egorov(m, n, f).passed
 
 
-def test_egorov_mode_errors_memory_is_one_row():
-    # one row's stacks take O(N^3); all N^2 modes at once would need ~85 MB
+def test_egorov_mode_errors_memory_is_one_block():
+    # one block's stacks take O(N^3); all N^2 modes at once would need ~85 MB
     m, n = Mat2(2, 1, 3, 2), 48
     tracemalloc.start()
     try:
