@@ -146,7 +146,7 @@ def _branch_columns(alphas: list, beta: int) -> tuple[np.ndarray, np.ndarray, in
     return lead, inv, parities.pop()
 
 
-def gauss_closed_many(alpha, beta: int, gammas) -> np.ndarray:
+def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
     """Closed-form values for an array of gamma values at fixed alpha, beta.
 
     Requires gcd(alpha, beta) = 1.  Entries whose gamma has the wrong parity
@@ -156,34 +156,61 @@ def gauss_closed_many(alpha, beta: int, gammas) -> np.ndarray:
     alpha may also be a 1-D integer array whose entries share one branch
     (at fixed beta, one parity of alpha).  The result then has one row per
     alpha, shape (len(alpha), *np.shape(gammas)), and each row equals the
-    call with that alpha alone bit for bit.  Works in int64 and raises
-    ValueError for |beta| > 10^6; gauss_closed takes any beta.
+    call with that alpha alone bit for bit.
+
+    With counts, alpha and beta are sequences of K ints, one (alpha, beta)
+    pair per matrix of a stack, which need not share a branch, and gammas
+    is 1-D: its first counts[0] entries belong to the first pair, the next
+    counts[1] to the second, and so on.  The result is laid out like gammas,
+    and each pair's run equals the call with that pair alone bit for bit.
+
+    Works in int64 and raises ValueError for |beta| > 10^6; gauss_closed
+    takes any beta.
     """
-    beta_abs = abs(beta)
-    if beta_abs > _MAX_ARRAY_BETA:
-        raise ValueError(f"|beta| = {beta_abs} exceeds 10^6; use gauss_closed")
-    s = 1 if beta > 0 else -1
-    if isinstance(alpha, np.ndarray):
-        lead, inv, gamma_parity = _branch_columns(alpha.tolist(), beta)
-        # one row per alpha, broadcast against every gamma axis
-        column = (-1,) + (1,) * np.ndim(gammas)
-        alpha = alpha.astype(np.int64).reshape(column)
-        lead, inv = lead.reshape(column), inv.reshape(column)
+    gam = np.asarray(gammas, dtype=np.int64)
+    if counts is not None and len(counts) == 1:
+        # one pair: the call with that pair alone
+        (alpha,), (beta,), counts = alpha, beta, None
+    if counts is None:
+        if abs(beta) > _MAX_ARRAY_BETA:
+            raise ValueError(f"|beta| = {abs(beta)} exceeds 10^6; use gauss_closed")
+        s = 1 if beta > 0 else -1
+        if isinstance(alpha, np.ndarray):
+            lead, inv, parity = _branch_columns(alpha.tolist(), beta)
+            # one row per alpha, broadcast against every gamma axis
+            column = (-1,) + (1,) * gam.ndim
+            alpha = alpha.astype(np.int64).reshape(column)
+            lead, inv = lead.reshape(column), inv.reshape(column)
+        else:
+            if math.gcd(alpha, beta) != 1:
+                raise NotCoprimeError(f"alpha={alpha} and beta={beta} share a factor")
+            lead, inv, parity = _branch(alpha, beta)
+        beta = abs(beta)
     else:
-        if math.gcd(alpha, beta) != 1:
-            raise NotCoprimeError(f"alpha={alpha} and beta={beta} share a factor")
-        lead, inv, gamma_parity = _branch(alpha, beta)
-    # the value has period 2|beta| in gamma
-    gam = np.asarray(gammas, dtype=np.int64) % (2 * beta_abs)
-    valid = (gam % 2) == gamma_parity
-    if gamma_parity == 0:
-        x = (inv * (gam // 2)) % beta_abs
-        num = -((alpha % (2 * beta_abs)) * x * x) * s
-        vals = e_frac_array(num, 2 * beta_abs)
-    else:
-        x = (inv * gam) % beta_abs
-        num = -(2 * (alpha % beta_abs) * x * x) * s
-        vals = e_frac_array(num, beta_abs)
+        pairs = list(zip(alpha, beta))
+        for a, b in pairs:
+            if abs(b) > _MAX_ARRAY_BETA:
+                raise ValueError(f"|beta| = {abs(b)} exceeds 10^6; use gauss_closed")
+            if math.gcd(a, b) != 1:
+                raise NotCoprimeError(f"alpha={a} and beta={b} share a factor")
+        # the branch sees each alpha whole; the values below read alpha
+        # only mod 2|beta|, so it enters the int64 arrays reduced
+        rows = [(*_branch(a, b), a % (2 * abs(b)), abs(b), 1 if b > 0 else -1)
+                for a, b in pairs]
+        lead = np.repeat(np.array([row[0] for row in rows], dtype=np.complex128),
+                         counts)
+        inv, parity, alpha, beta, s = np.repeat(
+            np.array([row[1:] for row in rows], dtype=np.int64).T, counts, axis=1)
+    # beta is |beta| from here on; the value has period 2|beta| in gamma
+    gam = gam % (2 * beta)
+    valid = (gam % 2) == parity
+    # even gamma branch: e(-s (alpha mod 2|beta|) x^2 / (2|beta|)) with
+    # x = inv * gamma/2; odd: e(-s 2 (alpha mod |beta|) x^2 / |beta|) with
+    # x = inv * gamma, each over the den written here
+    den = beta << (1 - parity)
+    x = (inv * (gam >> (1 - parity))) % beta
+    num = -(((alpha % den) << parity) * x * x) * s
+    vals = e_frac_array(num, den)
     # lead * vals, rounded the same at every batch size: from 256 KiB on,
     # numpy would reuse the temporary in `lead * e_frac_array(...)` in place
     # as vals * lead, which rounds differently

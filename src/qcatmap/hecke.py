@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .numtheory import jacobi
-from .propagator import MULT_TOL, Report, _drive, build
+from .propagator import MULT_TOL, Report, _drive, build_many
 from .sl2 import Mat2, ModMatrix, lift_theta
 
 
@@ -44,7 +44,8 @@ def verify_mod4N(a: Mat2, b: Mat2, n: int) -> Report:
         raise ValueError("dimension must be a positive integer")
     if not _congruent(a, b, 4 * n):
         raise NotCongruentError(f"{a} and {b} differ mod {4 * n}")
-    err = float(np.abs(build(a, n) - build(b, n)).max())
+    u_a, u_b = build_many([a, b], n)
+    err = float(np.abs(u_a - u_b).max())
     return _drive("mod4N", [(err, n)], MULT_TOL)
 
 
@@ -62,7 +63,8 @@ def mod2N_factor(a: Mat2, b: Mat2, n: int) -> tuple[int, Report]:
         raise NotCongruentError(f"{a} and {b} differ mod {2 * n}")
     c = b.inverse() @ a
     factor = jacobi(n, abs(c.a))
-    err = float(np.abs(build(a, n) - factor * build(b, n)).max())
+    u_a, u_b = build_many([a, b], n)
+    err = float(np.abs(u_a - factor * u_b).max())
     return factor, _drive("mod2N", [(err, n)], MULT_TOL)
 
 
@@ -129,10 +131,8 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
         picked = members
     else:
         picked = random.Random(seed).sample(members, samples)
-    u_a = build(a, n)
-    lifts = np.empty((len(picked), n, n), dtype=np.complex128)
-    for k, bm in enumerate(picked):
-        lifts[k] = build(lift_theta(bm), n)
+    stack = build_many([a] + [lift_theta(bm) for bm in picked], n)
+    u_a, lifts = stack[0], stack[1:]
     errs = [_max_commutator(u_a, lifts[k:k + _CHUNK])
             for k in range(0, len(lifts), _CHUNK)]
     # X Y = Y X mod 4N iff b_x c_y = c_x b_y, t_x b_y = b_x t_y and

@@ -24,15 +24,24 @@ G(N*a, b, 2r) = 1 exactly: every entry is e(num/2N)/sqrt(N), gathered from
 the 2N roots of unity with no Gauss table.  These are the anti-shears
 (a = 0, A = (0, s; -s, w)) and a third of the general matrices.
 
-The b != 0 kernel fills the N x N output in row blocks of at most _BLOCK
-entries, so every temporary is block-sized.  What does not depend on the
-block is made once per build: the 2|b| Gauss table with h(a,b)/sqrt(N_b)
-folded in (or, at |b| = 1, the 2N phases over sqrt(N)), the column parts
-of the phase numerator and of r, and the table of the den = 2N|b| roots
-of unity, which is kept, as in phases.e_frac_array, only when den <= N^2:
-the rule is applied to the whole grid, never to one block.  Every block
-reads its phases through e_frac_array.  The result equals the whole-grid
-kernels bit for bit.
+build_many builds a stack of matrices at one N, and build is the stack of
+one.  Per matrix only scalars are made in Python: the theta check, the
+lift, h(a, b), gcd(b, N) and the Gauss branch constants.  The b != 0
+kernel sorts a stack by kind (|b| = 1; a table of the den = 2N|b| roots
+of unity, which is kept, as in phases.e_frac_array, only when
+den <= N^2; phases from exp with the Gauss factors over the 2|b|
+residues r; or over the grid when 2|b| > N^2) and fills each kind in
+blocks of at most _BLOCK entries: _BLOCK // N^2 whole matrices while
+N^2 <= _BLOCK, and rows of one matrix past that, so every temporary is
+block-sized.  For a block of whole matrices, the Gauss tables (with
+h(a,b)/sqrt(N_b) folded in, or at |b| = 1 the 2N phases over sqrt(N)),
+the phase numerators, the root tables and their gathers, and the
+products are each one numpy pass over all its matrices; the row blocks
+of one matrix share the tables made once for it, and the root-table
+rule is applied to the whole grid, never to one block.  The result
+equals the whole-grid kernels bit for bit.  The guard takes one stacked
+Gram product per block of whole matrices up to N = _GRAM_BLOCK, and
+unitarity_defect per matrix past that.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -40,6 +49,7 @@ anti-shear and m = 0 negative shear respectively.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -204,7 +214,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     for lo in range(0, n, _GRAM_BLOCK):
         p = u[:, lo:lo + _GRAM_BLOCK].conj().T @ u[:, lo:]
         # the block's diagonal runs down the leading square of p
-        p.flat[::n - lo + 1] -= 1
+        p.reshape(-1)[::n - lo + 1] -= 1
         block = np.abs(p).max()
         # not the builtin max, which drops a later NaN, nor np.max over a
         # list, which adds ~5 us to every single-block guard
@@ -213,21 +223,25 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(worst)
 
 
-def _build_shear(a: int, c: int, n: int) -> np.ndarray:
+def _build_shear(ms: list, n: int) -> np.ndarray:
+    """Stack of U_N(A) for shears A = (s, 0; m, s): one phase per row."""
     q = np.arange(n, dtype=np.int64)
     two_n = 2 * n
-    num = ((a * c) % two_n) * q * q
-    u = np.zeros((n, n), dtype=np.complex128)
-    u[q, (a * q) % n] = e_frac_array(num, two_n)
+    # row k reads the numerators ((s*m) mod 2N) Q^2 and the columns s*Q mod N
+    coef = np.array([(m.a * m.c) % two_n for m in ms])[:, None]
+    sign = np.array([m.a for m in ms])[:, None]
+    u = np.zeros((len(ms), n, n), dtype=np.complex128)
+    u[np.arange(len(ms))[:, None], q, sign * q % n] = e_frac_array(coef * q * q, two_n)
     return u
 
 
-# Entries per row block of the general kernel: each of its N x N
-# temporaries is one block (128 KiB of int64, 256 KiB of complex) that
-# stays in cache.  On 2 cores with 4 MiB of L2, median
-# build(A, 1024, check=False) times were flat from 2^13 to 2^17 entries
-# (general 12.6-16.5 ms, anti-shear 10.1-11.5 ms, two sweeps) and a
-# little slower at 2^12.  Every N <= 128 is one block.
+# Entries per block of the general kernel: each of its temporaries is one
+# block (128 KiB of int64, 256 KiB of complex) that stays in cache.  On 2
+# cores with 4 MiB of L2, median build(A, 1024, check=False) times were
+# flat from 2^13 to 2^17 entries (general 12.6-16.5 ms, anti-shear
+# 10.1-11.5 ms, two sweeps) and a little slower at 2^12.  A block holds
+# _BLOCK // N^2 whole matrices of a stack while N <= 128, and rows of one
+# matrix past that.
 _BLOCK = 1 << 14
 
 
@@ -243,54 +257,192 @@ def _fits_kernel(b: int, n: int) -> bool:
             and abs(b) // math.gcd(b, n) <= gauss._MAX_ARRAY_BETA)
 
 
-def _build_general(m: Mat2, n: int) -> np.ndarray:
-    # build has checked _fits_kernel(m.b, n)
-    a, b, d = m.a, m.b, m.d
-    b_abs = abs(b)
-    s = 1 if b > 0 else -1
-    den = 2 * n * b_abs
+def _gauss_tables(ms: list, n: int, q: np.ndarray, on_grid: bool):
+    """Gauss factors of the |b| >= 2 matrices ms, with h(a,b)/sqrt(N_b)
+    folded in, laid end to end, and the row and column parts of each
+    matrix's index into them: (K, N), or (N,) for one matrix.
+
+    G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r), shifted
+    by |b| here to need no N x N `%`: it is tabulated over [0, 2|b|) and
+    read at r_col[Q'] + r_row[Q], or, on_grid (every 2|b| > N^2), over
+    each matrix's own r and read back by grid position.
+    """
+    # per matrix: g = gcd(b, N), |b|, a mod |b|, the alpha = N_b a and
+    # beta = b' of its Gauss sums, and c = h(a,b)/sqrt(N_b)
+    scalars = []
+    for m in ms:
+        g = math.gcd(m.b, n)
+        scalars.append((g, abs(m.b), m.a % abs(m.b), n // g * m.a, m.b // g,
+                        h_phase(m.a, m.b) / math.sqrt(n // g)))
+    g, b_abs, a_mod, alphas, betas, c = zip(*scalars)
+    one = len(ms) == 1
+    b_col, a_col = ((b_abs[0], a_mod[0]) if one else
+                    (np.array(b_abs)[:, None], np.array(a_mod)[:, None]))
+    r_row, r_col = b_col - q % b_col, a_col * q % b_col
+    if on_grid:
+        keys = (r_col[..., None, :] + r_row[..., :, None]).ravel()
+        r_row, r_col = n * q, q
+        counts = [n * n] * len(ms)
+    else:
+        counts = [2 * x for x in b_abs]
+        keys = np.arange(sum(counts))
+    if one:
+        c = c[0]
+    else:
+        # each matrix reads its own run of the table
+        start = np.array(list(itertools.accumulate(counts, initial=0))[:-1])[:, None]
+        if not on_grid:
+            keys -= np.repeat(start, counts)
+        r_row = r_row + start
+        c = np.repeat(c, counts)
+    keys *= 2
+    if max(g) > 1:
+        g_keys = g[0] if len(set(g)) == 1 else np.repeat(g, counts)
+        vanish = keys % g_keys != 0
+        keys //= g_keys
+    gvals = gauss.gauss_closed_many(alphas, betas, keys, counts=counts)
+    if max(g) > 1:
+        gvals[vanish] = 0
+    # c is folded into the table in the operand order of the whole-grid
+    # product c * gvals[pos] * phases, which numpy computes in place as
+    # gvals[pos] * c from 256 KiB (N >= 128) on: a complex product can
+    # round differently with its operands swapped.
+    return (gvals * c if n >= 128 else c * gvals), r_row, r_col
+
+
+def _build_general(ms: list, n: int) -> np.ndarray:
+    """Stack of U_N(A) for matrices A = ms[k] with b != 0."""
+    # build_many has checked _fits_kernel(m.b, n) for every m
     q = np.arange(n, dtype=np.int64)
     qq = q * q
-    row, cross, col = (((s * d) % den) * qq, ((-2 * s) % den) * q,
-                       ((s * a) % den) * qq)
-    if b_abs == 1:
-        # h = G = 1: gather e(num/2N)/sqrt(N) from all 2N phases, of which
-        # the grid reads N^2 >= 2N from N = 2 on
-        gauss_table, roots = None, root_table(den, den) / math.sqrt(n)
+    powers = np.array([qq, q, qq])
+    # by kind: |b| = 1; a table of the den = 2N|b| roots (den <= N^2);
+    # phases from exp, with the Gauss factors tabulated over 2|b| <= N^2
+    # residues, or over the grid
+    groups = ([], [], [], [])
+    for k, m in enumerate(ms):
+        b_abs = abs(m.b)
+        groups[0 if b_abs == 1 else 1 if 2 * b_abs <= n
+               else 2 if 2 * b_abs <= n * n else 3].append(k)
+    u = np.empty((len(ms), n, n), dtype=np.complex128)
+    step = max(1, _BLOCK // (n * n))
+    rows = max(1, _BLOCK // (step * n))
+    for kind, group in enumerate(groups):
+        for lo in range(0, len(group), step):
+            idx = group[lo:lo + step]
+            chunk = [ms[k] for k in idx]
+            dens = [2 * n * abs(m.b) for m in chunk]
+            # the parts d Q^2, -2 Q Q' and a Q'^2 of the phase numerator,
+            # with their coefficients times sgn(b) reduced mod den
+            coef = [((m.d if m.b > 0 else -m.d) % den, (-2 if m.b > 0 else 2) % den,
+                     (m.a if m.b > 0 else -m.a) % den)
+                    for m, den in zip(chunk, dens)]
+            # (K, N) vectors, or for one matrix (N,) ones, so that its
+            # blocks are 2-D and written to u[k] in place
+            if len(chunk) == 1:
+                row, cross, col = (x * p for x, p in zip(coef[0], powers))
+                dest = u[idx[0]]
+            else:
+                parts = np.array(coef, dtype=np.int64)[:, :, None] * powers
+                row, cross, col = parts[:, 0], parts[:, 1], parts[:, 2]
+                # a chunk that is a run of the stack is written in place,
+                # any other chunk scattered to its places
+                run = idx[-1] - idx[0] == len(idx) - 1
+                dest = u[idx[0]:idx[-1] + 1] if run else None
+            with_col = any(m.a for m in chunk)
+            den = dens[0] if len(set(dens)) == 1 else np.array(dens)[:, None, None]
+            if kind == 0:
+                # h = G = 1: gather e(num/2N)/sqrt(N) from all 2N phases, of
+                # which the grid reads N^2 >= 2N from N = 2 on
+                roots = root_table(den, den) / math.sqrt(n)
+            else:
+                gauss_table, r_row, r_col = _gauss_tables(chunk, n, q, kind == 3)
+                roots = root_table(den, n * n) if kind == 1 else None
+            for r0 in range(0, n, rows):
+                num = cross[..., r0:r0 + rows, None] * q
+                num += row[..., r0:r0 + rows, None]
+                if with_col:
+                    num += col[..., None, :]
+                phases = e_frac_array(num, den, roots)
+                out = None if dest is None else dest[..., r0:r0 + rows, :]
+                if kind:
+                    phases = np.multiply(
+                        gauss_table[r_col[..., None, :] + r_row[..., r0:r0 + rows, None]],
+                        phases, out=out)
+                if out is None:
+                    u[idx, r0:r0 + rows] = phases
+                elif not kind:
+                    out[...] = phases
+    return u
+
+
+def _stack_defects(u: np.ndarray) -> list[float]:
+    """unitarity_defect of every matrix of a stack, bit for bit.
+
+    Up to one Gram block each (N <= _GRAM_BLOCK), the Gram matrices of
+    _BLOCK // N^2 matrices are one stacked product, which runs each slice
+    through the product unitarity_defect makes; past that, or for a stack
+    of one, every matrix goes through unitarity_defect.
+    """
+    n = u.shape[-1]
+    if n > _GRAM_BLOCK or len(u) == 1:
+        return [unitarity_defect(x) for x in u]
+    defects = []
+    step = max(1, _BLOCK // (n * n))
+    for lo in range(0, len(u), step):
+        part = u[lo:lo + step]
+        p = part.conj().transpose(0, 2, 1) @ part
+        p.reshape(len(p), -1)[:, ::n + 1] -= 1
+        defects += np.abs(p).max(axis=(1, 2)).tolist()
+    return defects
+
+
+def build_many(ms, n: int, check: bool = True) -> np.ndarray:
+    """Propagators U_N(A) of a stack of theta matrices at one dimension N.
+
+    Returns the complex (K, N, N) array whose k-th matrix is
+    build(ms[k], n, check) bit for bit; see build for the parameters.  An
+    empty stack is a ValueError.  With check, the first matrix that is not
+    unitary raises UnitarityError naming it and its place in the stack.
+    """
+    ms = list(ms)
+    for m in ms:
+        require_theta(m)
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
+    if not ms:
+        raise ValueError("build_many needs at least one matrix")
+    shears, general, kernel = [], [], []
+    for k, m in enumerate(ms):
+        if m.b == 0:
+            shears.append(k)
+        else:
+            general.append(k)
+            if not _fits_kernel(m.b, n):
+                # U_N(A) depends on A only mod 4N, and the lift is general too
+                m = lift_theta(reduce_mod(m, 4 * n))
+                if not _fits_kernel(m.b, n):
+                    raise ValueError(f"N = {n} is too large for the int64 "
+                                     "propagator kernel")
+        kernel.append(m)
+    if not general:
+        u = _build_shear(kernel, n)
+    elif not shears:
+        u = _build_general(kernel, n)
     else:
-        g = math.gcd(b, n)
-        n_b = n // g
-        # G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r),
-        # shifted by |b| here to need no N x N `%`: tabulate it over
-        # [0, 2|b|) and read it at r_col[Q'] + r_row[Q], or, if 2|b| > N^2,
-        # over the grid's own r and read it back by grid position
-        r_row, r_col = b_abs - q % b_abs, (a % b_abs) * q % b_abs
-        if 2 * b_abs <= n * n:
-            keys = np.arange(2 * b_abs)
-        else:
-            keys = (r_col + r_row[:, None]).ravel()
-            r_row, r_col = n * q, q
-        gvals = gauss.gauss_closed_many(n_b * a, b // g, 2 * keys // g)
-        gvals = np.where((2 * keys) % g == 0, gvals, 0.0)
-        # h/sqrt(N_b) is folded into the table in the operand order of the
-        # whole-grid product c * gvals[pos] * phases, which numpy computes
-        # in place as gvals[pos] * c from 256 KiB (N >= 128) on: a complex
-        # product can round differently with its operands swapped.
-        c = h_phase(a, b) / math.sqrt(n_b)
-        gauss_table = gvals * c if n >= 128 else c * gvals
-        roots = root_table(den, n * n)
-    u = np.empty((n, n), dtype=np.complex128)
-    rows = max(1, _BLOCK // n)
-    for lo in range(0, n, rows):
-        num = cross[lo:lo + rows, None] * q
-        num += row[lo:lo + rows, None]
-        if a:
-            num += col
-        if gauss_table is None:
-            u[lo:lo + rows] = e_frac_array(num, den, roots)
-        else:
-            np.multiply(gauss_table[r_col + r_row[lo:lo + rows, None]],
-                        e_frac_array(num, den, roots), out=u[lo:lo + rows])
+        u = np.empty((len(kernel), n, n), dtype=np.complex128)
+        u[shears] = _build_shear([kernel[k] for k in shears], n)
+        u[general] = _build_general([kernel[k] for k in general], n)
+    if check:
+        tol = UNITARITY_TOL * math.sqrt(n)
+        defects = _stack_defects(u)
+        # not d < tol also catches a NaN defect
+        failed = [k for k, d in enumerate(defects) if not d < tol]
+        if failed:
+            k = failed[0]
+            where = f" (stack member {k})" if len(ms) > 1 else ""
+            raise UnitarityError(f"propagator of {ms[k]}{where} at N={n} is not "
+                                 f"unitary (defect {defects[k]:.3e})")
     return u
 
 
@@ -312,26 +464,7 @@ def build(m: Mat2, n: int, check: bool = True) -> np.ndarray:
     numpy.ndarray
         Complex (N, N) matrix indexed by position, rows = output index.
     """
-    require_theta(m)
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
-    if m.b == 0:
-        u = _build_shear(m.a, m.c, n)
-    else:
-        k = m
-        if not _fits_kernel(m.b, n):
-            # U_N(A) depends on A only mod 4N, and the lift is general too
-            k = lift_theta(reduce_mod(m, 4 * n))
-            if not _fits_kernel(k.b, n):
-                raise ValueError(f"N = {n} is too large for the int64 "
-                                 "propagator kernel")
-        u = _build_general(k, n)
-    if check:
-        defect = unitarity_defect(u)
-        if not defect < UNITARITY_TOL * math.sqrt(n):
-            raise UnitarityError(f"propagator of {m} at N={n} is not unitary "
-                                 f"(defect {defect:.3e})")
-    return u
+    return build_many([m], n, check)[0]
 
 
 def verify_mult(a: Mat2, b: Mat2, n: int) -> Report:

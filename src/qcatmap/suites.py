@@ -20,7 +20,7 @@ import numpy as np
 from . import gauss, hecke, weyl
 from .phases import TWO_PI
 from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, build,
-                         h_phase, unitarity_defect, verify_mult)
+                         build_many, h_phase, unitarity_defect)
 from .sl2 import (_UNKNOWN_TOKEN, IDENTITY, TOKEN_MATRIX, TOKENS, Mat2,
                   decompose, evaluate, random_word, random_theta_general)
 
@@ -61,8 +61,11 @@ def _product(word, generators: dict, n: int) -> np.ndarray:
 
 
 def _generators(tokens, n: int) -> dict:
-    """Propagator of each generator token, built once."""
-    return {tok: build(TOKEN_MATRIX[tok], n, check=False) for tok in tokens}
+    """Propagator of each generator token, built once in one stack."""
+    if not tokens:
+        return {}
+    return dict(zip(tokens, build_many([TOKEN_MATRIX[tok] for tok in tokens], n,
+                                       check=False)))
 
 
 def word_product(word, n: int) -> np.ndarray:
@@ -92,23 +95,48 @@ def relations_sweep(dims=None, tol_scale: float = 1.0) -> Report:
                 yield float(np.abs(diff).max()), n
 
     rep = _drive("relations", trials(), RELATION_TOL, tol_scale=tol_scale)
-    return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
+    # a..b only for a contiguous ascending run; any other list as written
+    if dims == list(range(dims[0], dims[-1] + 1)):
+        return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
+    return replace(rep, note="dims " + ",".join(map(str, dims)))
+
+
+# entries of one build_many stack in multiplicativity_sweep: 2^18 complex
+# entries are 4 MiB, which the default sweep (N <= 32) never reaches
+_STACK = 1 << 18
 
 
 def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
                            max_word_len: int = 10, seed: int = 0,
                            tol_scale: float = 1.0) -> Report:
-    """build(AB) against build(A) @ build(B) for random words and dims."""
+    """build(AB) against build(A) @ build(B) for random words and dims.
+
+    All pairs are drawn first; then the pairs of each N are built as one
+    stack [AB, A, B, AB, A, B, ...] of at most _STACK entries, and their
+    errors are reported in the order the pairs were drawn.
+    """
     rng = random.Random(seed)
-
-    def trials():
-        for _ in range(pairs):
-            n = rng.randint(1, max_dim)
-            a = evaluate(random_word(rng, max_word_len))
-            b = evaluate(random_word(rng, max_word_len))
-            yield verify_mult(a, b, n).max_error, n
-
-    return _drive("multiplicativity", trials(), MULT_TOL, tol_scale=tol_scale)
+    draws = []
+    for _ in range(pairs):
+        n = rng.randint(1, max_dim)
+        a = evaluate(random_word(rng, max_word_len))
+        b = evaluate(random_word(rng, max_word_len))
+        draws.append((n, a, b))
+    by_n = {}
+    for i, (n, _, _) in enumerate(draws):
+        by_n.setdefault(n, []).append(i)
+    errors = [0.0] * pairs
+    for n, idx in by_n.items():
+        per_stack = max(1, _STACK // (3 * n * n))
+        for lo in range(0, len(idx), per_stack):
+            part = idx[lo:lo + per_stack]
+            u = build_many([m for i in part for m in (draws[i][1] @ draws[i][2],
+                                                      draws[i][1], draws[i][2])], n)
+            diff = np.abs(u[0::3] - u[1::3] @ u[2::3]).max(axis=(1, 2))
+            for i, err in zip(part, diff.tolist()):
+                errors[i] = err
+    return _drive("multiplicativity", zip(errors, (n for n, _, _ in draws)),
+                  MULT_TOL, tol_scale=tol_scale)
 
 
 def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
@@ -165,9 +193,12 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     whenever alpha*beta + gamma is odd.
 
     The summand index sgn(beta) (alpha k^2 + gamma k) mod 2|beta| depends on
-    alpha and gamma only mod P = 2|beta|, so each beta sums one P x P table
-    of residue pairs and gathers the box from it.  The closed forms of each
-    parity of coprime alpha come from one stacked gauss_closed_many call.
+    alpha and gamma only mod P = 2|beta|, so each |beta| sums one P x P
+    table of residue pairs and gathers the box from it.  The table of -beta
+    is that of |beta| read at (-rho mod P, -g mod P), which sums the same
+    roots in the same order, so the gather of -beta reads the |beta| table
+    at the negated residues, bit for bit.  The closed forms of each parity
+    of coprime alpha come from one stacked gauss_closed_many call.
     A NaN in either maximum is the reported error and fails the check.
     """
     if max_abs < 1:
@@ -175,21 +206,22 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     values = np.arange(-max_abs, max_abs + 1)
     oracle, vanish = [], []
     compared = 0
-    for beta in range(-max_abs, max_abs + 1):
-        if beta == 0:
-            continue
-        period = 2 * abs(beta)
-        # rows alpha, columns gamma
-        direct = _direct_table(beta)[np.ix_(values % period, values % period)]
-        odd = ((values[:, None] * beta + values) % 2).astype(bool)
-        vanish.append(np.abs(direct[odd]).max())
-        coprime = np.gcd(values, beta) == 1
-        for parity in (0, 1):
-            group = coprime & (values % 2 == parity)
-            if group.any():
-                closed = gauss.gauss_closed_many(values[group], beta, values)
-                oracle.append(np.abs(closed - direct[group]).max())
-        compared += int(coprime.sum()) * values.size
+    for beta_abs in range(1, max_abs + 1):
+        period = 2 * beta_abs
+        table = _direct_table(beta_abs)
+        for beta in (-beta_abs, beta_abs):
+            # rows alpha, columns gamma
+            at = (values if beta > 0 else -values) % period
+            direct = table[np.ix_(at, at)]
+            odd = ((values[:, None] * beta + values) % 2).astype(bool)
+            vanish.append(np.abs(direct[odd]).max())
+            coprime = np.gcd(values, beta) == 1
+            for parity in (0, 1):
+                group = coprime & (values % 2 == parity)
+                if group.any():
+                    closed = gauss.gauss_closed_many(values[group], beta, values)
+                    oracle.append(np.abs(closed - direct[group]).max())
+            compared += int(coprime.sum()) * values.size
     max_oracle, max_vanish = float(np.max(oracle)), float(np.max(vanish))
     passed = (max_oracle < GAUSS_ORACLE_TOL * tol_scale
               and max_vanish < GAUSS_VANISH_TOL * tol_scale)

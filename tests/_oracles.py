@@ -17,8 +17,9 @@ from qcatmap import gauss
 from qcatmap.hecke import CapExceededError
 from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
 from qcatmap.propagator import (MULT_TOL, Report, _drive, _fits_kernel, build,
-                                h_phase)
-from qcatmap.sl2 import TOKEN_MATRIX, Mat2, ModMatrix, lift_theta
+                                h_phase, verify_mult)
+from qcatmap.sl2 import (TOKEN_MATRIX, Mat2, ModMatrix, evaluate, lift_theta,
+                         random_word)
 from qcatmap.suites import (GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL,
                             GENERATOR_RELATIONS, RELATION_TOL)
 from qcatmap.weyl import weyl_op
@@ -328,6 +329,25 @@ def is_real_observable(f: dict, tol: float = 1e-12) -> bool:
     return True
 
 
+def multiplicativity_sweep_reference(pairs: int = 500, max_dim: int = 32,
+                                     max_word_len: int = 10, seed: int = 0,
+                                     tol_scale: float = 1.0) -> Report:
+    """build(AB) against build(A) @ build(B), each pair drawn and built on
+    its own through verify_mult; suites.multiplicativity_sweep, which draws
+    every pair first and builds each N's pairs as one stack, must return an
+    equal Report."""
+    rng = random.Random(seed)
+
+    def trials():
+        for _ in range(pairs):
+            n = rng.randint(1, max_dim)
+            a = evaluate(random_word(rng, max_word_len))
+            b = evaluate(random_word(rng, max_word_len))
+            yield verify_mult(a, b, n).max_error, n
+
+    return _drive("multiplicativity", trials(), MULT_TOL, tol_scale=tol_scale)
+
+
 def word_product_reference(word, n: int) -> np.ndarray:
     """Product of generator propagators, left to right, with a fresh build
     for every token of the word (empty: identity)."""
@@ -348,7 +368,10 @@ def relations_reference(dims) -> Report:
                             - word_product_reference(rhs, n)).max()), n)
               for n in dims for lhs, rhs in GENERATOR_RELATIONS)
     rep = _drive("relations", trials, RELATION_TOL)
-    return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
+    steps = {b - a for a, b in zip(dims, dims[1:])}
+    if steps <= {1}:
+        return replace(rep, note=f"dims {dims[0]}..{dims[-1]}")
+    return replace(rep, note="dims " + ",".join(str(n) for n in dims))
 
 
 def egorov_mode_errors_reference(m, n: int) -> np.ndarray:

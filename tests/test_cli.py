@@ -151,6 +151,17 @@ def test_verify_text_reports(capsys):
     assert out.startswith("[PASS] relations:")
 
 
+@pytest.mark.parametrize("dims, note", [
+    ("3,64,7", "dims 3,64,7"), ("3..7", "dims 3..7"), ("5", "dims 5..5"),
+    ("4,5,6", "dims 4..6"), ("6,5,4", "dims 6,5,4"), ("3,3", "dims 3,3"),
+], ids=["gap", "range", "one", "ascending-list", "descending", "repeat"])
+def test_relations_note_names_the_dims_that_ran(capsys, dims, note):
+    # `--dims 3,64,7` used to print `dims 3..7`, hiding that N = 64 ran
+    rc, out = run(capsys, ["verify", "relations", "--dims", dims])
+    assert rc == 0
+    assert out.rstrip("\n").endswith(f"-- {note}")
+
+
 def test_verify_json_deterministic(capsys):
     argv = ["verify", "mult", "--samples", "20", "--dims", "1..8",
             "--seed", "7", "--format", "json"]
@@ -511,7 +522,7 @@ import sys
 import numpy as np
 from qcatmap import cli, propagator
 from qcatmap.sl2 import Mat2
-propagator._build_general = lambda m, n: np.ones((n, n), dtype=complex)
+propagator._build_general = lambda ms, n: np.ones((len(ms), n, n), dtype=complex)
 try:
     propagator.build(Mat2(2, 1, 3, 2), 3)
 except propagator.UnitarityError:

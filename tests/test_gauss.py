@@ -165,6 +165,34 @@ def test_closed_many_alpha_rows_bit_equal_to_single_calls(beta):
         assert np.array_equal(rows.view(np.float64), want.view(np.float64))
 
 
+def test_closed_many_pairs_bit_equal_to_single_calls():
+    # one (alpha, beta) per run of gammas, across branches, signs of beta,
+    # alphas far past int64 and |beta| up to the int64 bound
+    rng = random.Random(8)
+    pairs, runs = [], []
+    for beta in [1, -1, 2, 3, -4, 8, 15, -97, 100, 10**6, -10**6]:
+        for alpha in (rng.randint(-50, 50), rng.randint(-10**30, 10**30)):
+            while math.gcd(alpha, beta) != 1:
+                alpha += 1
+            pairs.append((alpha, beta))
+            runs.append(np.array([rng.randint(-500, 500)
+                                  for _ in range(rng.randint(1, 30))]))
+    got = gauss.gauss_closed_many([a for a, _ in pairs], [b for _, b in pairs],
+                                  np.concatenate(runs),
+                                  counts=[len(r) for r in runs])
+    want = np.concatenate([gauss.gauss_closed_many(a, b, r)
+                           for (a, b), r in zip(pairs, runs)])
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_closed_many_pairs_check_every_pair():
+    gammas = np.arange(4)
+    with pytest.raises(NotCoprimeError):
+        gauss.gauss_closed_many([1, 2], [3, 4], gammas, counts=[2, 2])
+    with pytest.raises(ValueError, match="gauss_closed"):
+        gauss.gauss_closed_many([1, 1], [3, 10**6 + 1], gammas, counts=[2, 2])
+
+
 def test_closed_many_alpha_rows_past_the_vectorized_cutoff():
     # |beta| = 10^6 is the last beta of the int64 path; past it both forms
     # of alpha raise and point to the scalar gauss_closed

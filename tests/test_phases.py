@@ -81,3 +81,27 @@ def test_e_frac_array_matches_scalar_phase():
 def test_gauss_oracle_sweep_equals_exp_reference(max_abs):
     assert (suites.gauss_oracle_sweep(max_abs=max_abs)
             == gauss_oracle_sweep_reference(max_abs=max_abs))
+
+
+@pytest.mark.parametrize("size", [10, 600])  # either side of _FLOOR_DIVIDE_FROM
+def test_stacked_denominators_equal_one_call_per_matrix(size):
+    # one den per matrix of a stack, from exp or from their tables laid end
+    # to end, gives each matrix the bits of its own call
+    rng = np.random.default_rng(size)
+    dens = np.array([1, 7, 12, 5, 300])
+    num = rng.integers(-BIG, BIG, (len(dens), size))
+    want = np.stack([e_frac_array(row, int(d)) for row, d in zip(num, dens)])
+    roots = root_table(dens[:, None], 300)
+    table, start = roots
+    assert start.shape == (5, 1) and table.size == dens.sum()
+    for got in (e_frac_array(num, dens[:, None]),
+                e_frac_array(num, dens[:, None], roots)):
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_stacked_root_tables_need_every_den_within_size():
+    dens = np.array([[4], [9]])
+    assert root_table(dens, 8) is None
+    table, start = root_table(dens, 9)
+    assert np.array_equal(start, [[0], [4]])
+    assert np.array_equal(table[4:], root_table(9, 9))

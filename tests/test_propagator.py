@@ -247,9 +247,9 @@ def test_unitarity_guard_rejects_a_nan(monkeypatch, at):
     n = 2 * B + 3
     real = propagator._build_general
 
-    def nan_at_one_entry(m, n):
-        u = real(m, n)
-        u[at] = np.nan
+    def nan_at_one_entry(ms, n):
+        u = real(ms, n)
+        u[(0, *at)] = np.nan
         return u
 
     monkeypatch.setattr(propagator, "_build_general", nan_at_one_entry)
@@ -330,9 +330,9 @@ def test_unitarity_guard_rejects_a_defective_shear(monkeypatch, edit):
     n = 2 * B + 3
     real = propagator._build_shear
 
-    def defective(a, c, n):
-        u = real(a, c, n)
-        edit(u)
+    def defective(ms, n):
+        u = real(ms, n)
+        edit(u[0])
         return u
 
     monkeypatch.setattr(propagator, "_build_shear", defective)
@@ -393,7 +393,7 @@ def test_general_kernel_bit_equal_to_unique_kernel():
     assert any(abs(m.b) > n for m, n in cases)
     assert any(2 * abs(m.b) > n * n for m, n in cases if n >= 128)
     for m, n in cases:
-        got = propagator._build_general(m, n)
+        got = propagator._build_general([m], n)[0]
         want = build_general_reference(m, n)
         assert np.array_equal(got.view(np.float64), want.view(np.float64)), (m, n)
 
@@ -590,3 +590,117 @@ def test_propagator_json_schema():
     assert isinstance(z, list) and len(z) == 2
     u = build(S_PLUS, 3)
     assert abs(complex(z[0], z[1]) - u[1, 2]) < 1e-12
+
+
+def _stack_cases(n):
+    """One mixed stack at N: shears and parity, anti-shears and the Fourier
+    matrices, general matrices with |b| = 1 and |b| >= 2 (random words and
+    lifts mod 4N, which reach |b| > N and 2|b| > N^2), and hyperbolic
+    powers with entries past 2^64, which build from their lifts."""
+    rng = random.Random(1000 + n)
+    ms = [Mat2(1, 0, 6, 1), Mat2(-1, 0, -4, -1), P_MAT, T2_PLUS, T2_MINUS,
+          S_PLUS, S_MINUS, Mat2(0, 1, -1, 4), Mat2(0, -1, 1, -6),
+          Mat2(2, 1, 3, 2), Mat2(2, -1, -3, 2), Mat2(2, 3, 1, 2),
+          _power(Mat2(2, 1, 3, 2), 39), _power(Mat2(1, 2, 2, 5), 27)]
+    for _ in range(6):
+        ms.append(random_theta_general(rng, 10))
+        ms.append(evaluate(random_word(rng, 8)))
+        ms.append(lift_theta(reduce_mod(random_theta_general(rng, 14), 4 * n)))
+    rng.shuffle(ms)
+    return ms
+
+
+def _kernel_matrix(m, n):
+    return m if propagator._fits_kernel(m.b, n) else lift_theta(reduce_mod(m, 4 * n))
+
+
+STACK_DIMS = [1, 2, 3, 7, 16, 21, 61, 64, 128, 129]
+
+
+@pytest.mark.parametrize("n", STACK_DIMS)
+def test_build_many_bit_equal_to_build_and_whole_grid_reference(n):
+    # N = 64 holds 4 whole matrices per block and N = 21 37, so the stack
+    # spans several blocks of each kind; N = 129 takes rows of one matrix
+    ms = _stack_cases(n)
+    assert any(m.b == 0 for m in ms) and any(abs(m.b) == 1 for m in ms)
+    assert any(not propagator._fits_kernel(m.b, n) for m in ms)
+    stack = propagator.build_many(ms, n)
+    assert stack.shape == (len(ms), n, n) and stack.dtype == np.complex128
+    for m, u in zip(ms, stack):
+        want = build(m, n)
+        assert np.array_equal(u.view(np.float64), want.view(np.float64)), m
+        k = _kernel_matrix(m, n)
+        if k.b != 0:
+            ref = build_general_reference(k, n)
+            assert np.array_equal(u.view(np.float64), ref.view(np.float64)), m
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_build_many_of_one_kind_spans_blocks(n):
+    # a stack of one kind only is filled in place, block by block
+    rng = random.Random(n)
+    for pick in (lambda m: abs(m.b) == 1, lambda m: abs(m.b) >= 2):
+        ms = []
+        while len(ms) < 12:
+            m = random_theta_general(rng, 10)
+            if pick(m):
+                ms.append(m)
+        stack = propagator.build_many(ms, n)
+        for m, u in zip(ms, stack):
+            assert np.array_equal(u.view(np.float64),
+                                  build_general_reference(m, n).view(np.float64)), m
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 64, 128, 129])
+def test_stack_guard_equals_unitarity_defect(n):
+    # built propagators and random matrices far from unitary, stacked past
+    # one block of whole matrices
+    rng = np.random.default_rng(n)
+    ms = _stack_cases(n)
+    stack = propagator.build_many(ms, n, check=False)
+    z = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    stack = np.concatenate([stack, z / math.sqrt(2 * n)])
+    before = stack.copy()
+    got = propagator._stack_defects(stack)
+    assert got == [unitarity_defect(u) for u in stack]
+    assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("n", [6, 129])
+def test_build_many_names_a_corrupted_member(monkeypatch, n):
+    real = propagator._build_general
+
+    def corrupt_third(ms, n):
+        u = real(ms, n)
+        u[2, 1, 1] += 1e-3
+        return u
+
+    monkeypatch.setattr(propagator, "_build_general", corrupt_third)
+    ms = [Mat2(2, 1, 3, 2), Mat2(2, 3, 1, 2), Mat2(0, 1, -1, 4), Mat2(2, -1, -3, 2)]
+    with pytest.raises(propagator.UnitarityError,
+                       match=r"propagator of 0,1,-1,4 \(stack member 2\) at N="):
+        propagator.build_many(ms, n)
+    assert propagator.build_many(ms, n, check=False).shape == (4, n, n)
+
+
+def test_build_many_names_a_corrupted_shear_in_a_mixed_stack(monkeypatch):
+    real = propagator._build_shear
+
+    def corrupt_first(ms, n):
+        u = real(ms, n)
+        u[0] *= 2
+        return u
+
+    monkeypatch.setattr(propagator, "_build_shear", corrupt_first)
+    ms = [Mat2(2, 1, 3, 2), T2_PLUS, Mat2(1, 0, 6, 1)]
+    with pytest.raises(propagator.UnitarityError, match=r"\(stack member 1\)"):
+        propagator.build_many(ms, 5)
+
+
+def test_build_many_empty_stack_is_value_error():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        propagator.build_many([], 4)
+    with pytest.raises(ValueError, match="dimension"):
+        propagator.build_many([IDENTITY], 0)
+    with pytest.raises(NotThetaError):
+        propagator.build_many([IDENTITY, Mat2(1, 1, 0, 1)], 4)

@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from _oracles import (direct_row_reference, gauss_oracle_sweep_loop_reference,
-                      relations_reference, word_product_reference)
+                      multiplicativity_sweep_reference, relations_reference,
+                      word_product_reference)
 
 from qcatmap import gauss, hecke, suites, weyl
 from qcatmap.propagator import MULT_TOL, verify_mult
@@ -54,6 +55,46 @@ def test_word_product_equals_fresh_build_reference():
 def test_relations_sweep_equals_fresh_build_reference(dims):
     # generators built once per N give the bits of a fresh build per token
     assert suites.relations_sweep(dims) == relations_reference(dims)
+
+
+@pytest.mark.parametrize("pairs, max_dim, max_word_len, seed", [
+    (500, 32, 10, 0), (1, 32, 10, 3), (40, 1, 10, 5), (60, 64, 14, 11),
+    (200, 8, 4, 2),
+], ids=["default", "one-pair", "max-dim-1", "n-to-64", "short-words"])
+def test_multiplicativity_sweep_equals_per_pair_reference(pairs, max_dim,
+                                                          max_word_len, seed):
+    # pairs drawn first and built per N as one stack give the report of
+    # one verify_mult per pair, in the same rng order
+    kwargs = dict(pairs=pairs, max_dim=max_dim, max_word_len=max_word_len,
+                  seed=seed)
+    assert (suites.multiplicativity_sweep(**kwargs)
+            == multiplicativity_sweep_reference(**kwargs))
+
+
+def test_multiplicativity_sweep_splits_a_large_stack(monkeypatch):
+    # with room for one pair per stack, every pair is its own build_many call
+    monkeypatch.setattr(suites, "_STACK", 1)
+    kwargs = dict(pairs=30, max_dim=6, seed=4)
+    assert (suites.multiplicativity_sweep(**kwargs)
+            == multiplicativity_sweep_reference(**kwargs))
+
+
+def test_multiplicativity_sweep_reports_a_nan_pair(monkeypatch):
+    # a NaN error in one pair stays the worst, whatever the later pairs read
+    real = suites.build_many
+    hit = []
+
+    def nan_in_one_product(ms, n, check=True):
+        u = real(ms, n, check)
+        if not hit:
+            hit.append(n)
+            u[0, 0, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(suites, "build_many", nan_in_one_product)
+    rep = suites.multiplicativity_sweep(pairs=50, seed=1)
+    assert hit and math.isnan(rep.max_error) and not rep.passed
+    assert rep.samples == 50
 
 
 def test_hecke_sweep_stops_at_8():
@@ -143,6 +184,16 @@ def test_direct_table_rows_equal_loop_rows(monkeypatch, chunk):
             row = table[alpha % period, values % period].view(np.float64)
             want = direct_row_reference(int(alpha), beta, values)
             assert np.array_equal(row, want.view(np.float64)), (alpha, beta)
+
+
+def test_direct_table_of_negative_beta_is_the_negated_residue_table():
+    # both sides sum the same roots in the same order
+    for beta in range(1, 41):
+        period = 2 * beta
+        neg = (-np.arange(period)) % period
+        want = suites._direct_table(beta)[np.ix_(neg, neg)]
+        got = suites._direct_table(-beta)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64)), beta
 
 
 @pytest.mark.parametrize("max_abs", [1, 2, 5, 12, 40])
