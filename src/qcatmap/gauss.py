@@ -15,6 +15,9 @@ form per parity branch, evaluated by gauss_closed through Jacobi symbols,
 eighth roots of unity and one modular inverse, on Python ints for any
 beta.  gauss_direct and gauss_closed_many work in int64 and raise
 ValueError for |beta| > 10^6, where gauss_closed takes over.
+gauss_closed_many takes one (alpha, beta) pair, rows of alphas at one
+beta, or one run of gammas per pair of a stack, and checks every pair in
+one pass before it lays their branch constants out for that layout.
 """
 
 from __future__ import annotations
@@ -131,21 +134,6 @@ def gauss_closed(p: GaussParams) -> complex:
     return lead * e_frac(-2 * p.alpha * x * x, p.beta)
 
 
-def _branch_columns(alphas: list, beta: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """_branch for several alphas sharing one branch: the leading constants
-    and inverses as arrays, with the common gamma parity."""
-    if any(math.gcd(a, beta) != 1 for a in alphas):
-        raise NotCoprimeError(f"some alpha in {alphas} shares a factor with beta={beta}")
-    branches = [_branch(a, beta) for a in alphas]
-    parities = {parity for _, _, parity in branches}
-    if len(parities) != 1:
-        raise UnsupportedParityError(
-            f"alphas {alphas} do not share one branch at beta={beta}")
-    lead = np.array([lead for lead, _, _ in branches], dtype=np.complex128)
-    inv = np.array([inv for _, inv, _ in branches], dtype=np.int64)
-    return lead, inv, parities.pop()
-
-
 def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
     """Closed-form values for an array of gamma values at fixed alpha, beta.
 
@@ -164,43 +152,49 @@ def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
     counts[1] to the second, and so on.  The result is laid out like gammas,
     and each pair's run equals the call with that pair alone bit for bit.
 
-    Works in int64 and raises ValueError for |beta| > 10^6; gauss_closed
-    takes any beta.
+    One pass checks each pair in turn: |beta| <= 10^6, or ValueError (the
+    values are int64; gauss_closed takes any beta), then gcd = 1, or
+    NotCoprimeError, then takes its branch.  Rows of alpha spanning two
+    branches, or none, then raise UnsupportedParityError.
     """
     gam = np.asarray(gammas, dtype=np.int64)
-    if counts is not None and len(counts) == 1:
-        # one pair: the call with that pair alone
-        (alpha,), (beta,), counts = alpha, beta, None
+    rows = counts is None and isinstance(alpha, np.ndarray)
     if counts is None:
-        if abs(beta) > _MAX_ARRAY_BETA:
-            raise ValueError(f"|beta| = {abs(beta)} exceeds 10^6; use gauss_closed")
-        s = 1 if beta > 0 else -1
-        if isinstance(alpha, np.ndarray):
-            lead, inv, parity = _branch_columns(alpha.tolist(), beta)
-            # one row per alpha, broadcast against every gamma axis
-            column = (-1,) + (1,) * gam.ndim
-            alpha = alpha.astype(np.int64).reshape(column)
-            lead, inv = lead.reshape(column), inv.reshape(column)
-        else:
-            if math.gcd(alpha, beta) != 1:
-                raise NotCoprimeError(f"alpha={alpha} and beta={beta} share a factor")
-            lead, inv, parity = _branch(alpha, beta)
-        beta = abs(beta)
+        pairs = [(a, beta) for a in alpha.tolist()] if rows else [(alpha, beta)]
     else:
-        pairs = list(zip(alpha, beta))
-        for a, b in pairs:
-            if abs(b) > _MAX_ARRAY_BETA:
-                raise ValueError(f"|beta| = {abs(b)} exceeds 10^6; use gauss_closed")
-            if math.gcd(a, b) != 1:
-                raise NotCoprimeError(f"alpha={a} and beta={b} share a factor")
+        # Python ints, which the modular inverses of _branch need
+        pairs = zip(map(int, alpha), map(int, beta))
+    branches = []
+    for a, b in pairs:
+        if abs(b) > _MAX_ARRAY_BETA:
+            raise ValueError(f"|beta| = {abs(b)} exceeds 10^6; use gauss_closed")
+        if math.gcd(a, b) != 1:
+            raise NotCoprimeError(f"alpha={a} and beta={b} share a factor")
+        branches.append(_branch(a, b))
+    if rows and len({parity for _, _, parity in branches}) != 1:
+        raise UnsupportedParityError(
+            f"alphas {alpha.tolist()} do not share one branch at beta={beta}")
+    if rows:
+        # one row per alpha, broadcast against every gamma axis
+        column = (-1,) + (1,) * gam.ndim
+        lead, inv, parity = zip(*branches)
+        lead = np.array(lead, dtype=np.complex128).reshape(column)
+        inv = np.array(inv, dtype=np.int64).reshape(column)
+        alpha, parity = alpha.astype(np.int64).reshape(column), parity[0]
+        s, beta = (1 if beta > 0 else -1), abs(beta)
+    elif len(branches) == 1:
+        # the loop's one pair as Python scalars, so a lone build pays no
+        # array set-up
+        (lead, inv, parity), alpha, beta, s = branches[0], a, abs(b), (1 if b > 0 else -1)
+    else:
         # the branch sees each alpha whole; the values below read alpha
         # only mod 2|beta|, so it enters the int64 arrays reduced
-        rows = [(*_branch(a, b), a % (2 * abs(b)), abs(b), 1 if b > 0 else -1)
-                for a, b in pairs]
-        lead = np.repeat(np.array([row[0] for row in rows], dtype=np.complex128),
+        lead = np.repeat(np.array([c[0] for c in branches], dtype=np.complex128),
                          counts)
-        inv, parity, alpha, beta, s = np.repeat(
-            np.array([row[1:] for row in rows], dtype=np.int64).T, counts, axis=1)
+        inv, parity, alpha, beta, s = np.repeat(np.array(
+            [(i, p, a % (2 * abs(b)), abs(b), 1 if b > 0 else -1)
+             for a, b, (_, i, p) in zip(alpha, beta, branches)],
+            dtype=np.int64).T, counts, axis=1)
     # beta is |beta| from here on; the value has period 2|beta| in gamma
     gam = gam % (2 * beta)
     valid = (gam % 2) == parity

@@ -183,6 +183,21 @@ def test_closed_many_pairs_bit_equal_to_single_calls():
     want = np.concatenate([gauss.gauss_closed_many(a, b, r)
                            for (a, b), r in zip(pairs, runs)])
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    # the same call with int64 arrays for the pairs that fit, one pair too:
+    # arrays with counts are runs, not rows
+    small = [k for k, (a, _) in enumerate(pairs) if abs(a) <= 50]
+    for ks in (small, small[:1]):
+        got = gauss.gauss_closed_many(np.array([pairs[k][0] for k in ks]),
+                                      np.array([pairs[k][1] for k in ks]),
+                                      np.concatenate([runs[k] for k in ks]),
+                                      counts=np.array([len(runs[k]) for k in ks]))
+        want = np.concatenate([gauss.gauss_closed_many(*pairs[k], runs[k]) for k in ks])
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+# |beta| past the int64 bound and a factor shared with alpha: the bound is
+# checked first, so the error names gauss_closed
+BOTH_RULES_BROKEN = (2, 2 * (10**6 + 1))
 
 
 def test_closed_many_pairs_check_every_pair():
@@ -191,6 +206,12 @@ def test_closed_many_pairs_check_every_pair():
         gauss.gauss_closed_many([1, 2], [3, 4], gammas, counts=[2, 2])
     with pytest.raises(ValueError, match="gauss_closed"):
         gauss.gauss_closed_many([1, 1], [3, 10**6 + 1], gammas, counts=[2, 2])
+    for pairs, counts in (([(1, 3), BOTH_RULES_BROKEN], [2, 2]),
+                          ([BOTH_RULES_BROKEN], [4])):
+        with pytest.raises(ValueError, match="gauss_closed") as caught:
+            gauss.gauss_closed_many([a for a, _ in pairs], [b for _, b in pairs],
+                                    gammas, counts=counts)
+        assert caught.type is ValueError
 
 
 def test_closed_many_alpha_rows_past_the_vectorized_cutoff():
@@ -209,6 +230,11 @@ def test_closed_many_alpha_rows_past_the_vectorized_cutoff():
             gauss.gauss_closed_many(2, beta, gammas)
         with pytest.raises(ValueError, match="gauss_closed"):
             gauss.gauss_closed_many(np.array([2, -4]), beta, gammas)
+    alpha, beta = BOTH_RULES_BROKEN
+    for alphas in (alpha, np.array([alpha, -alpha])):
+        with pytest.raises(ValueError, match="gauss_closed") as caught:
+            gauss.gauss_closed_many(alphas, beta, gammas)
+        assert caught.type is ValueError
 
 
 def test_direct_matches_reference_at_beta_500001():

@@ -500,7 +500,7 @@ def test_drive_reports_a_nan_error(trials):
     assert not rep.passed
 
 
-def test_huge_entries_use_exact_fallback():
+def test_huge_b_builds_from_its_lift_mod_4n():
     # b = 2000002 shares only its residue mod 8 with b = 2; at N = 2 the
     # propagator depends on the matrix mod 8 only, so the two must agree
     big = Mat2(1, 2000002, 0, 1)

@@ -8,7 +8,9 @@ somewhere in it, so a deletion cannot leave a typed error behind that no
 caller can meet.  The array code keeps one int64 path: no `dtype=object`
 arrays of Python ints, which gauss_closed covers for large parameters.
 Every name in `qcatmap.__all__` is read by the package itself, a demo or
-the benchmark harness, so the public API holds only what something calls.
+the benchmark harness, so the public API holds only what something calls,
+and every private module-level name is read by the package outside its own
+definition, so a replaced helper cannot stay behind.
 """
 
 import ast
@@ -154,3 +156,59 @@ def test_caller_rule_catches_an_uncalled_name():
     public = ["dead", "Dead", "DEAD_TOL", "called", "imported", "LIVE_TOL"]
     assert _uncalled(public, [defined, calling]) == ["DEAD_TOL", "Dead", "dead"]
     assert _uncalled(public, [defined]) == sorted(public)
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function's or a class's,
+    or every name an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _unread_private(modules: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names (one leading underscore) that no statement
+    reads outside the one defining them, as module.name: a name counts as
+    read when its own module loads it bare, or a module takes it as an
+    attribute of the defining module's name or imports it from there."""
+    reads = []
+    for mod, tree in modules.items():
+        for stmt in tree.body:
+            keys = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    keys.add((mod, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    keys.add((node.value.id, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    keys.update((node.module.rpartition(".")[2], alias.name)
+                                for alias in node.names)
+            reads.append((stmt, keys))
+    return sorted(f"{mod}.{name}" for mod, tree in modules.items()
+                  for stmt in tree.body for name in _defined(stmt)
+                  if name.startswith("_") and not name.startswith("__")
+                  and not any((mod, name) in keys
+                              for other, keys in reads if other is not stmt))
+
+
+def test_every_private_name_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert _unread_private(modules) == []
+
+
+def test_private_rule_catches_an_unread_name():
+    defining = ast.parse("__version__ = '1'\n_LIVE, _DEAD = 1, 2\n"
+                         "def _recursive(k):\n    return _recursive(k - 1)\n"
+                         "def _called():\n    return _LIVE\n"
+                         "def _imported():\n    pass\n"
+                         "class _Taken:\n    pass\n"
+                         "def _other_module():\n    pass\n"
+                         "def public():\n    return _called()\n")
+    reading = ast.parse("from .m import _imported\nm._Taken()\nx._other_module()\n"
+                        "def _other_module():\n    pass\n_other_module()\n")
+    modules = {"m": defining, "r": reading}
+    assert _unread_private(modules) == ["m._DEAD", "m._other_module", "m._recursive"]
+    assert _unread_private({"m": defining}) == [
+        "m._DEAD", "m._Taken", "m._imported", "m._other_module", "m._recursive"]
