@@ -17,9 +17,10 @@ from .hecke import (CapExceededError, NotCongruentError, commutant_mod,
                     congruent_companion, mod2N_factor, verify_hecke,
                     verify_mod4N)
 from .numtheory import NotCoprimeError, jacobi
-from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, InvalidParityError,
-                         Report, UnitarityError, build, classify, h_phase,
-                         propagator_json, unitarity_defect, verify_mult)
+from .propagator import (MULT_TOL, UNITARITY_TOL, CaseTag, ExponentError,
+                         InvalidParityError, Report, UnitarityError, build,
+                         classify, h_phase, propagator_json, unitarity_defect,
+                         verify_mult)
 from .sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS, TOKENS,
                   LiftError, Mat2, ModMatrix, NotThetaError, decompose,
                   evaluate, format_word, is_theta, lift_theta, parse_word,
@@ -36,7 +37,8 @@ __all__ = [
     "commutant_mod", "congruent_companion", "lift_theta", "mod2N_factor",
     "reduce_mod", "verify_hecke", "verify_mod4N",
     "NotCoprimeError", "jacobi",
-    "MULT_TOL", "UNITARITY_TOL", "CaseTag", "InvalidParityError", "Report",
+    "MULT_TOL", "UNITARITY_TOL", "CaseTag", "ExponentError",
+    "InvalidParityError", "Report",
     "UnitarityError", "build", "classify", "h_phase", "propagator_json",
     "unitarity_defect", "verify_mult",
     "IDENTITY", "P_MAT", "S_MINUS", "S_PLUS", "T2_MINUS", "T2_PLUS",

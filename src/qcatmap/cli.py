@@ -28,7 +28,7 @@ import sys
 
 from . import gauss, hecke, suites, weyl
 from .numtheory import NotCoprimeError
-from .propagator import Report, UnitarityError, _drive, propagator_json
+from .propagator import ExponentError, Report, UnitarityError, _drive, propagator_json
 from .sl2 import Mat2, decompose, format_word
 
 
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except UnitarityError as exc:
+    except (UnitarityError, ExponentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

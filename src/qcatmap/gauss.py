@@ -15,9 +15,11 @@ form per parity branch, evaluated by gauss_closed through Jacobi symbols,
 eighth roots of unity and one modular inverse, on Python ints for any
 beta.  gauss_direct and gauss_closed_many work in int64 and raise
 ValueError for |beta| > 10^6, where gauss_closed takes over.
-gauss_closed_many takes one (alpha, beta) pair, rows of alphas at one
-beta, or one run of gammas per pair of a stack, and checks every pair in
-one pass before it lays their branch constants out for that layout.
+gauss_closed_many takes rows of alphas at one beta (one alpha is a row of
+one), and checks every pair in one pass before it lays their branch
+constants out as columns.  _branch gives each branch's leading
+constant as a Jacobi sign and an eighth-root index, which the propagator
+kernel adds to its integer exponents and the values here multiply out.
 """
 
 from __future__ import annotations
@@ -87,24 +89,23 @@ def gauss_direct(p: GaussParams) -> complex:
     return complex(total) / (2.0 * math.sqrt(beta_abs))
 
 
-def _branch(alpha: int, beta: int) -> tuple[complex, int, int]:
-    """Leading constant, modular inverse and required gamma parity for the
-    closed-form branch selected by the parities of alpha and beta."""
+def _branch(alpha: int, beta: int) -> tuple[int, int, int, int]:
+    """Closed-form branch selected by the parities of alpha and beta: the
+    leading constant jac * e(t/8) as the Jacobi sign jac and the
+    eighth-root index t in [0, 8), the modular inverse, and the required
+    gamma parity."""
     beta_abs = abs(beta)
     if alpha % 2 == 0:
         # alpha even, beta odd, gamma even
-        lead = jacobi(abs(alpha), beta_abs) * e8(-sign(alpha * beta) * (beta_abs - 1))
-        inv = pow(alpha, -1, beta_abs)
-        return lead, inv, 0
+        return (jacobi(abs(alpha), beta_abs), -sign(alpha * beta) * (beta_abs - 1) % 8,
+                pow(alpha, -1, beta_abs), 0)
     if beta % 2 == 0:
         # alpha odd, beta even, gamma even
-        lead = jacobi(beta_abs, abs(alpha)) * e8(sign(alpha * beta) * abs(alpha))
-        inv = pow(alpha, -1, beta_abs)
-        return lead, inv, 0
+        return (jacobi(beta_abs, abs(alpha)), sign(alpha * beta) * abs(alpha) % 8,
+                pow(alpha, -1, beta_abs), 0)
     # alpha odd, beta odd, gamma odd
-    lead = jacobi(abs(alpha), beta_abs) * e8(-sign(alpha * beta) * (beta_abs - 1))
-    inv4 = pow(4 * alpha, -1, beta_abs)
-    return lead, inv4, 1
+    return (jacobi(abs(alpha), beta_abs), -sign(alpha * beta) * (beta_abs - 1) % 8,
+            pow(4 * alpha, -1, beta_abs), 1)
 
 
 def gauss_closed(p: GaussParams) -> complex:
@@ -125,7 +126,8 @@ def gauss_closed(p: GaussParams) -> complex:
     """
     if not is_nonvanishing(p):
         raise VanishingError(f"sum vanishes for {p}")
-    lead, inv, gamma_parity = _branch(p.alpha, p.beta)
+    jac, t, inv, gamma_parity = _branch(p.alpha, p.beta)
+    lead = jac * e8(t)
     beta_abs = abs(p.beta)
     if gamma_parity == 0:
         x = (inv * (p.gamma // 2)) % beta_abs
@@ -134,7 +136,7 @@ def gauss_closed(p: GaussParams) -> complex:
     return lead * e_frac(-2 * p.alpha * x * x, p.beta)
 
 
-def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
+def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
     """Closed-form values for an array of gamma values at fixed alpha, beta.
 
     Requires gcd(alpha, beta) = 1.  Entries whose gamma has the wrong parity
@@ -144,13 +146,7 @@ def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
     alpha may also be a 1-D integer array whose entries share one branch
     (at fixed beta, one parity of alpha).  The result then has one row per
     alpha, shape (len(alpha), *np.shape(gammas)), and each row equals the
-    call with that alpha alone bit for bit.
-
-    With counts, alpha and beta are sequences of K ints, one (alpha, beta)
-    pair per matrix of a stack, which need not share a branch, and gammas
-    is 1-D: its first counts[0] entries belong to the first pair, the next
-    counts[1] to the second, and so on.  The result is laid out like gammas,
-    and each pair's run equals the call with that pair alone bit for bit.
+    call with that alpha alone bit for bit: a single alpha is a row of one.
 
     One pass checks each pair in turn: |beta| <= 10^6, or ValueError (the
     values are int64; gauss_closed takes any beta), then gcd = 1, or
@@ -158,44 +154,28 @@ def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
     branches, or none, then raise UnsupportedParityError.
     """
     gam = np.asarray(gammas, dtype=np.int64)
-    rows = counts is None and isinstance(alpha, np.ndarray)
-    if counts is None:
-        pairs = [(a, beta) for a in alpha.tolist()] if rows else [(alpha, beta)]
-    else:
-        # Python ints, which the modular inverses of _branch need
-        pairs = zip(map(int, alpha), map(int, beta))
+    rows = isinstance(alpha, np.ndarray)
+    alphas = alpha.tolist() if rows else [alpha]
     branches = []
-    for a, b in pairs:
-        if abs(b) > _MAX_ARRAY_BETA:
-            raise ValueError(f"|beta| = {abs(b)} exceeds 10^6; use gauss_closed")
-        if math.gcd(a, b) != 1:
-            raise NotCoprimeError(f"alpha={a} and beta={b} share a factor")
-        branches.append(_branch(a, b))
-    if rows and len({parity for _, _, parity in branches}) != 1:
+    for a in alphas:
+        if abs(beta) > _MAX_ARRAY_BETA:
+            raise ValueError(f"|beta| = {abs(beta)} exceeds 10^6; use gauss_closed")
+        if math.gcd(a, beta) != 1:
+            raise NotCoprimeError(f"alpha={a} and beta={beta} share a factor")
+        branches.append(_branch(a, beta))
+    if len({parity for *_, parity in branches}) != 1:
         raise UnsupportedParityError(
-            f"alphas {alpha.tolist()} do not share one branch at beta={beta}")
-    if rows:
-        # one row per alpha, broadcast against every gamma axis
-        column = (-1,) + (1,) * gam.ndim
-        lead, inv, parity = zip(*branches)
-        lead = np.array(lead, dtype=np.complex128).reshape(column)
-        inv = np.array(inv, dtype=np.int64).reshape(column)
-        alpha, parity = alpha.astype(np.int64).reshape(column), parity[0]
-        s, beta = (1 if beta > 0 else -1), abs(beta)
-    elif len(branches) == 1:
-        # the loop's one pair as Python scalars, so a lone build pays no
-        # array set-up
-        (lead, inv, parity), alpha, beta, s = branches[0], a, abs(b), (1 if b > 0 else -1)
-    else:
-        # the branch sees each alpha whole; the values below read alpha
-        # only mod 2|beta|, so it enters the int64 arrays reduced
-        lead = np.repeat(np.array([c[0] for c in branches], dtype=np.complex128),
-                         counts)
-        inv, parity, alpha, beta, s = np.repeat(np.array(
-            [(i, p, a % (2 * abs(b)), abs(b), 1 if b > 0 else -1)
-             for a, b, (_, i, p) in zip(alpha, beta, branches)],
-            dtype=np.int64).T, counts, axis=1)
-    # beta is |beta| from here on; the value has period 2|beta| in gamma
+            f"alphas {alphas} do not share one branch at beta={beta}")
+    # one row per alpha, broadcast against every gamma axis; beta is |beta|
+    # from here on, and the values read alpha only mod 2|beta|, so it
+    # enters the int64 rows reduced
+    column = (-1,) + (1,) * gam.ndim
+    jac, t, inv, (parity, *_) = zip(*branches)
+    lead = np.array([j * e8(x) for j, x in zip(jac, t)]).reshape(column)
+    inv = np.array(inv, dtype=np.int64).reshape(column)
+    s, beta = (1 if beta > 0 else -1), abs(beta)
+    alpha = np.array([a % (2 * beta) for a in alphas], dtype=np.int64).reshape(column)
+    # the value has period 2|beta| in gamma
     gam = gam % (2 * beta)
     valid = (gam % 2) == parity
     # even gamma branch: e(-s (alpha mod 2|beta|) x^2 / (2|beta|)) with
@@ -209,4 +189,5 @@ def gauss_closed_many(alpha, beta, gammas, counts=None) -> np.ndarray:
     # numpy would reuse the temporary in `lead * e_frac_array(...)` in place
     # as vals * lead, which rounds differently
     np.multiply(lead, vals, out=vals)
-    return np.where(valid, vals, 0.0)
+    vals = np.where(valid, vals, 0.0)
+    return vals if rows else vals[0]

@@ -10,38 +10,37 @@ Its propagator U_N(A) is given by one of two formulas:
 
 with N_b = N/gcd(b,N), b' = b/gcd(b,N), g(Q,Q') = 2*(a*Q' - Q)/gcd(b,N), and
 G the normalized Gauss sum of the gauss module.  Entries vanish when g is not
-an integer or the Gauss sum parity condition fails.  G depends on (Q, Q')
-only through r = (a*Q' - Q) mod |b|, so the kernel reads it from a table
-over r unless |b| is large next to N^2.  The map A -> U_N(A) is
+an integer or the Gauss sum parity condition fails.  The map A -> U_N(A) is
 exactly multiplicative and depends on A only through its residue mod 4N.
 
-A matrix whose entries are too large for the int64 entry grids is
-therefore reduced mod 4N and replaced by its theta lift (sl2.lift_theta),
-a matrix with 1 <= b <= 4N that the same vectorized kernel builds.
+h(a, b) and the lead of G's closed form are eighth roots of unity, and the
+other phases have denominators 2|b'| and 2N|b|, so in units of 1/L,
+L = lcm(8, 4N, 2N|b|), every phase is an integer, and each nonvanishing
+entry is e(k/4N)/sqrt(N_b) (N_b = 1 for a shear).  The kernel computes k
+in int64, checks on every entry that the division by L/4N is exact
+(ExponentError otherwise), and reads the entry, or a zero, from the
+(N, N_b) table of _roots.  Each entry is rounded once, and matrices
+congruent mod 4N, having the same exponents, build the same bits.  So a
+matrix too large for the int64 exponents is reduced mod 4N and built from
+its theta lift (sl2.lift_theta), which has 1 <= b <= 4N.
 
-At |b| = 1, a is even (A is a theta matrix), so h(a, b) = 1 and
-G(N*a, b, 2r) = 1 exactly: every entry is e(num/2N)/sqrt(N), gathered from
-the 2N roots of unity with no Gauss table.  These are the anti-shears
-(a = 0, A = (0, s; -s, w)) and a third of the general matrices.
+h and G depend on (Q, Q') only through r = (a*Q' - Q) mod |b|, so their
+exponents are tabulated over r, or over the grid when 2|b| > N^2.  At
+|b| = 1, a is even, so h(a, b) = G(N*a, b, 2r) = 1 and every entry is
+e(num/2N)/sqrt(N), an even exponent of the (N, N) table with no Gauss
+term: the anti-shears (a = 0) and a third of the general matrices.
 
 build_many builds a stack of matrices at one N, and build is the stack of
-one.  Per matrix only scalars are made in Python: the theta check, the
-lift, h(a, b), gcd(b, N) and the Gauss branch constants.  The b != 0
-kernel sorts a stack by kind (|b| = 1; a table of the den = 2N|b| roots
-of unity, which is kept, as in phases.e_frac_array, only when
-den <= N^2; phases from exp with the Gauss factors over the 2|b|
-residues r; or over the grid when 2|b| > N^2) and fills each kind in
-blocks of at most _BLOCK entries: _BLOCK // N^2 whole matrices while
-N^2 <= _BLOCK, and rows of one matrix past that, so every temporary is
-block-sized.  For a block of whole matrices, the Gauss tables (with
-h(a,b)/sqrt(N_b) folded in, or at |b| = 1 the 2N phases over sqrt(N)),
-the phase numerators, the root tables and their gathers, and the
-products are each one numpy pass over all its matrices; the row blocks
-of one matrix share the tables made once for it, and the root-table
-rule is applied to the whole grid, never to one block.  The result
-equals the whole-grid kernels bit for bit.  The guard takes one stacked
-Gram product per block of whole matrices up to N = _GRAM_BLOCK, and
-unitarity_defect per matrix past that.
+one.  Per matrix only scalars are made in Python (the theta check, the
+lift, L, gcd(b, N), the signs, eighth roots and inverses of h and of the
+Gauss branch).  The b != 0 kernel sorts a stack by kind (|b| = 1; Gauss
+exponents over r; over the grid) and fills each kind in blocks of at most
+_BLOCK entries: _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each
+step one numpy pass over all of them, and rows of one matrix past that,
+which share its tables; while |b| is at most a block's rows, blocks of a
+multiple of |b| rows share their Gauss exponents too.  The guard takes
+one stacked Gram product per block of whole matrices up to
+N = _GRAM_BLOCK, and unitarity_defect per matrix past that.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -49,6 +48,7 @@ anti-shear and m = 0 negative shear respectively.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import gauss
 from .numtheory import NotCoprimeError, jacobi, sign
-from .phases import e8, e_frac_array, root_table
+from .phases import e8, e_frac_array
 from .sl2 import Mat2, lift_theta, reduce_mod, require_theta
 
 # Contractual tolerance coefficients
@@ -72,6 +72,11 @@ class InvalidParityError(ValueError):
 
 class UnitarityError(RuntimeError):
     """Raised when a built propagator fails its unitarity check."""
+
+
+class ExponentError(RuntimeError):
+    """Raised when an entry of a propagator is not a 4N-th root of unity
+    over sqrt(N_b), which the explicit formula makes every entry."""
 
 
 @dataclass(frozen=True)
@@ -175,9 +180,16 @@ def h_phase(a: int, b: int) -> complex:
         raise InvalidParityError(f"h({a}, {b}) needs exactly one even argument")
     if math.gcd(a, b) != 1:
         raise NotCoprimeError(f"h({a}, {b}) requires coprime arguments")
+    jac, t = _h_eighths(a, b)
+    return jac * e8(t)
+
+
+def _h_eighths(a: int, b: int) -> tuple[int, int]:
+    """h(a, b) = jac * e(t/8) as the Jacobi sign and eighth-root index
+    (jac, t), on a valid top row."""
     if a % 2 == 0:
-        return jacobi(abs(a), abs(b)) * e8(sign(a * b) * (abs(b) - 1))
-    return jacobi(abs(b), abs(a)) * e8(-sign(a * b) * abs(a))
+        return jacobi(abs(a), abs(b)), sign(a * b) * (abs(b) - 1)
+    return jacobi(abs(b), abs(a)), -sign(a * b) * abs(a)
 
 
 # Columns per block row of the Gram matrix in unitarity_defect.  At N = 1024
@@ -223,15 +235,27 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(worst)
 
 
+@functools.lru_cache(maxsize=32)
+def _roots(n: int, n_b: int) -> np.ndarray:
+    """The (N, N_b) table, shared read-only by every build: e(k/4N)/sqrt(N_b)
+    for k in [0, 4N), twice over, then 4N zeros."""
+    t = e_frac_array(np.arange(4 * n), 4 * n) / math.sqrt(n_b)
+    t = np.concatenate([t, t, np.zeros(4 * n)])
+    t.flags.writeable = False
+    return t
+
+
 def _build_shear(ms: list, n: int) -> np.ndarray:
     """Stack of U_N(A) for shears A = (s, 0; m, s): one phase per row."""
     q = np.arange(n, dtype=np.int64)
     two_n = 2 * n
-    # row k reads the numerators ((s*m) mod 2N) Q^2 and the columns s*Q mod N
+    # row Q reads exponent 2 ((s*m) Q^2 mod 2N) of the (N, 1) table at
+    # column s*Q mod N
     coef = np.array([(m.a * m.c) % two_n for m in ms])[:, None]
     sign = np.array([m.a for m in ms])[:, None]
     u = np.zeros((len(ms), n, n), dtype=np.complex128)
-    u[np.arange(len(ms))[:, None], q, sign * q % n] = e_frac_array(coef * q * q, two_n)
+    evens = _roots(n, 1)[:4 * n:2]
+    u[np.arange(len(ms))[:, None], q, sign * q % n] = evens[coef * q * q % two_n]
     return u
 
 
@@ -248,66 +272,83 @@ _BLOCK = 1 << 14
 def _fits_kernel(b: int, n: int) -> bool:
     """Whether the general kernel can build a matrix with top-right entry b.
 
-    Its int64 blocks hold quadratic phase numerators below
-    3 * (2N|b|) * N^2 = 6 N^3 |b|, and gauss_closed_many takes |b'| up
-    to its int64 bound of 10^6.  A lift mod 4N has |b| <= 4N, so 6 N^3 |b| <=
-    24 N^4 < 2^63 and |b'| <= 10^6 for every N <= 24,898.
+    Its int64 blocks hold quadratic exponents below 3 L N^2 in units of
+    1/L, L = lcm(8, 4N, 2N|b|) <= 8N|b|, so below 24 N^3 |b|, and its
+    Gauss exponents square residues mod |b'| <= 10^6, the int64 bound of
+    gauss_closed_many.  A lift mod 4N has |b| <= 4N, so 24 N^3 |b| <=
+    96 N^4 < 2^63 and |b'| <= 10^6 for every N <= 17,605.
     """
-    return (6 * n**3 * abs(b) < 2**63
+    return (24 * n**3 * abs(b) < 2**63
             and abs(b) // math.gcd(b, n) <= gauss._MAX_ARRAY_BETA)
 
 
-def _gauss_tables(ms: list, n: int, q: np.ndarray, on_grid: bool):
-    """Gauss factors of the |b| >= 2 matrices ms, with h(a,b)/sqrt(N_b)
-    folded in, laid end to end, and the row and column parts of each
-    matrix's index into them: (K, N), or (N,) for one matrix.
+def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray, on_grid: bool):
+    """Integer exponent tables of the |b| >= 2 matrices ms, laid end to end.
 
-    G depends on r = (aQ' - Q) mod |b| alone (zero unless g | 2r), shifted
-    by |b| here to need no N x N `%`: it is tabulated over [0, 2|b|) and
-    read at r_col[Q'] + r_row[Q], or, on_grid (every 2|b| > N^2), over
-    each matrix's own r and read back by grid position.
+    Matrix k's table holds, per r = (aQ' - Q) mod |b|, the exponent of
+    h(a,b) G(N_b a, b', 2r/g) mod L, L = units[k], plus 3L times the
+    number of its (N, N_b) table among the chunk's, so that (quadratic
+    exponent mod L + table) / (L/4N) indexes those tables end to end.
+    Where the entry vanishes it holds 2L - rho plus that offset, with
+    rho = (L/2N|b|) (sgn(b) a^-1 r^2 mod |b|) the quadratic exponent mod
+    L/4N (as a (dQ^2 - 2QQ' + aQ'^2) = (aQ' - Q)^2 + bcQ^2): its sum reads
+    a zero, and every sum is a multiple of L/4N.
+
+    Returns the tables, the row and column parts of each entry's index
+    into them ((K, N), or (N,) for one matrix), and the roots.  A table
+    runs over [0, 2|b|), read at r_col[Q'] + r_row[Q] (r shifted by |b|
+    to need no N x N `%`), or on_grid (every 2|b| > N^2) over each
+    matrix's own grid, read back by grid position.
     """
-    # per matrix: g = gcd(b, N), |b|, a mod |b|, the alpha = N_b a and
-    # beta = b' of its Gauss sums, and c = h(a,b)/sqrt(N_b)
-    scalars = []
-    for m in ms:
-        g = math.gcd(m.b, n)
-        scalars.append((g, abs(m.b), m.a % abs(m.b), n // g * m.a, m.b // g,
-                        h_phase(m.a, m.b) / math.sqrt(n // g)))
-    g, b_abs, a_mod, alphas, betas, c = zip(*scalars)
+    params, tables = [], {}
+    for m, L in zip(ms, units):
+        b_abs, s = abs(m.b), (1 if m.b > 0 else -1)
+        g = math.gcd(b_abs, n)
+        beta, n_b = b_abs // g, n // g
+        jh, th = _h_eighths(m.a, m.b)
+        jg, tg, inv, parity = gauss._branch(n_b * m.a, m.b // g)
+        # G's exponent over 2|b'| is alpha x^2, x = inv gamma/2 (gamma even)
+        # or inv gamma (odd) mod |b'|, with alpha = -sgn(b) N_b a mod 2|b'|
+        # or -4 sgn(b) N_b a mod |b'|
+        alpha = -s * (n_b * m.a % (2 * beta >> parity) << 2 * parity) % (2 * beta)
+        # |b|, a mod |b|, g, |b'|, inv, parity, alpha, the exponent of
+        # h(a,b) and of G's lead, L/2|b'|, L/2N|b|, sgn(b) a^-1 mod |b|, L,
+        # L/4N and the offset of the matrix's (N, N_b) table
+        params.append((b_abs, m.a % b_abs, g, beta, inv, parity, alpha,
+                       (th + tg + 4 * (jh < 0) + 4 * (jg < 0)) % 8 * L // 8,
+                       L // (2 * beta), L // (2 * n * b_abs),
+                       s * pow(m.a, -1, b_abs) % b_abs, L, L // (4 * n),
+                       3 * L * tables.setdefault(n_b, len(tables))))
+    counts = [n * n if on_grid else 2 * p[0] for p in params]
     one = len(ms) == 1
-    b_col, a_col = ((b_abs[0], a_mod[0]) if one else
-                    (np.array(b_abs)[:, None], np.array(a_mod)[:, None]))
-    r_row, r_col = b_col - q % b_col, a_col * q % b_col
+    p = params[0] if one else np.array(params, dtype=np.int64).T
+    b_abs, a_mod = p[:2] if one else (p[0][:, None], p[1][:, None])
+    r_row, r_col = b_abs - q % b_abs, a_mod * q % b_abs
     if on_grid:
         keys = (r_col[..., None, :] + r_row[..., :, None]).ravel()
         r_row, r_col = n * q, q
-        counts = [n * n] * len(ms)
     else:
-        counts = [2 * x for x in b_abs]
         keys = np.arange(sum(counts))
-    if one:
-        c = c[0]
-    else:
+    if not one:
         # each matrix reads its own run of the table
-        start = np.array(list(itertools.accumulate(counts, initial=0))[:-1])[:, None]
+        start = np.array(list(itertools.accumulate(counts, initial=0))[:-1])
         if not on_grid:
             keys -= np.repeat(start, counts)
-        r_row = r_row + start
-        c = np.repeat(c, counts)
-    keys *= 2
-    if max(g) > 1:
-        g_keys = g[0] if len(set(g)) == 1 else np.repeat(g, counts)
-        vanish = keys % g_keys != 0
-        keys //= g_keys
-    gvals = gauss.gauss_closed_many(alphas, betas, keys, counts=counts)
-    if max(g) > 1:
-        gvals[vanish] = 0
-    # c is folded into the table in the operand order of the whole-grid
-    # product c * gvals[pos] * phases, which numpy computes in place as
-    # gvals[pos] * c from 256 KiB (N >= 128) on: a complex product can
-    # round differently with its operands swapped.
-    return (gvals * c if n >= 128 else c * gvals), r_row, r_col
+        r_row = r_row + start[:, None]
+        p = np.repeat(p, counts, axis=1)
+    b_abs, _, g, beta, inv, parity, alpha, lead, per_beta, per_den, sa, L, step, offset = p
+    gam2 = 2 * keys
+    gam = gam2 // g
+    x = inv * (gam >> (1 - parity)) % beta
+    exps = (lead + alpha * (x * x % (2 * beta)) % (2 * beta) * per_beta) % L
+    # at g = 1, gamma = 2r is even and b' = b, so alpha or b' is even: no
+    # entry vanishes
+    if any(f[2] > 1 for f in params):
+        r = keys % b_abs
+        rho = per_den * (sa * (r * r % b_abs) % b_abs) % step
+        exps = np.where((gam * g != gam2) | ((gam & 1) != parity), 2 * L - rho, exps)
+    roots = [_roots(n, n_b) for n_b in tables]
+    return exps + offset, r_row, r_col, roots[0] if one else np.concatenate(roots)
 
 
 def _build_general(ms: list, n: int) -> np.ndarray:
@@ -316,27 +357,32 @@ def _build_general(ms: list, n: int) -> np.ndarray:
     q = np.arange(n, dtype=np.int64)
     qq = q * q
     powers = np.array([qq, q, qq])
-    # by kind: |b| = 1; a table of the den = 2N|b| roots (den <= N^2);
-    # phases from exp, with the Gauss factors tabulated over 2|b| <= N^2
+    # by kind: |b| = 1; Gauss exponents tabulated over 2|b| <= N^2
     # residues, or over the grid
-    groups = ([], [], [], [])
+    groups = ([], [], [])
     for k, m in enumerate(ms):
         b_abs = abs(m.b)
-        groups[0 if b_abs == 1 else 1 if 2 * b_abs <= n
-               else 2 if 2 * b_abs <= n * n else 3].append(k)
+        groups[0 if b_abs == 1 else 1 if 2 * b_abs <= n * n else 2].append(k)
     u = np.empty((len(ms), n, n), dtype=np.complex128)
-    step = max(1, _BLOCK // (n * n))
-    rows = max(1, _BLOCK // (step * n))
+    per_block = max(1, _BLOCK // (n * n))
+    rows = max(1, _BLOCK // (per_block * n))
     for kind, group in enumerate(groups):
-        for lo in range(0, len(group), step):
-            idx = group[lo:lo + step]
+        for lo in range(0, len(group), per_block):
+            idx = group[lo:lo + per_block]
             chunk = [ms[k] for k in idx]
-            dens = [2 * n * abs(m.b) for m in chunk]
-            # the parts d Q^2, -2 Q Q' and a Q'^2 of the phase numerator,
-            # with their coefficients times sgn(b) reduced mod den
-            coef = [((m.d if m.b > 0 else -m.d) % den, (-2 if m.b > 0 else 2) % den,
-                     (m.a if m.b > 0 else -m.a) % den)
-                    for m, den in zip(chunk, dens)]
+            # per matrix the unit 1/L of its exponents, and the coefficients
+            # of dQ^2, -2QQ' and aQ'^2 times sgn(b) in that unit; at |b| = 1,
+            # h = G = 1 and N_b = N, so L = 2N and the entries are the even
+            # exponents of the (N, N) table, with no Gauss exponent
+            units = [2 * n if kind == 0 else math.lcm(8, 4 * n, 2 * n * abs(m.b))
+                     for m in chunk]
+            coef = [tuple((c if m.b > 0 else -c) % (2 * n * abs(m.b))
+                          * (L // (2 * n * abs(m.b))) for c in (m.d, -2, m.a))
+                    for m, L in zip(chunk, units)]
+            if kind:
+                exps, r_row, r_col, roots = _exponent_tables(chunk, units, n, q, kind == 2)
+            else:
+                roots = _roots(n, n)[:4 * n:2]
             # (K, N) vectors, or for one matrix (N,) ones, so that its
             # blocks are 2-D and written to u[k] in place
             if len(chunk) == 1:
@@ -350,29 +396,37 @@ def _build_general(ms: list, n: int) -> np.ndarray:
                 run = idx[-1] - idx[0] == len(idx) - 1
                 dest = u[idx[0]:idx[-1] + 1] if run else None
             with_col = any(m.a for m in chunk)
-            den = dens[0] if len(set(dens)) == 1 else np.array(dens)[:, None, None]
-            if kind == 0:
-                # h = G = 1: gather e(num/2N)/sqrt(N) from all 2N phases, of
-                # which the grid reads N^2 >= 2N from N = 2 on
-                roots = root_table(den, den) / math.sqrt(n)
-            else:
-                gauss_table, r_row, r_col = _gauss_tables(chunk, n, q, kind == 3)
-                roots = root_table(den, n * n) if kind == 1 else None
-            for r0 in range(0, n, rows):
-                num = cross[..., r0:r0 + rows, None] * q
-                num += row[..., r0:r0 + rows, None]
+            unit, step = (x[0] if len(set(x)) == 1 else np.array(x)[:, None, None]
+                          for x in (units, [x // (4 * n) for x in units]))
+            span, same = rows, None
+            if kind == 1 and len(chunk) == 1 and abs(chunk[0].b) <= rows < n:
+                # the Gauss exponents of row Q depend on Q mod |b| only, so
+                # every block of a multiple of |b| rows reads the same ones
+                span -= rows % abs(chunk[0].b)
+                same = exps[r_col + r_row[:span, None]]
+            for r0 in range(0, n, span):
+                num = cross[..., r0:r0 + span, None] * q
+                num += row[..., r0:r0 + span, None]
                 if with_col:
                     num += col[..., None, :]
-                phases = e_frac_array(num, den, roots)
-                out = None if dest is None else dest[..., r0:r0 + rows, :]
+                # num mod L by floor division, which numpy runs by libdivide
+                e = num // unit
+                e *= -unit
+                e += num
                 if kind:
-                    phases = np.multiply(
-                        gauss_table[r_col[..., None, :] + r_row[..., r0:r0 + rows, None]],
-                        phases, out=out)
-                if out is None:
-                    u[idx, r0:r0 + rows] = phases
-                elif not kind:
-                    out[...] = phases
+                    e += (same[:n - r0] if same is not None else
+                          exps[r_col[..., None, :] + r_row[..., r0:r0 + span, None]])
+                    k = np.floor_divide(e, step, out=num)
+                    e -= k * step
+                    if e.any():
+                        bad = chunk[int(np.flatnonzero(e.reshape(len(chunk), -1).any(axis=1))[0])]
+                        raise ExponentError(f"propagator of {bad} at N={n} has an "
+                                            "entry off the 4N-th roots of unity")
+                    e = k
+                if dest is None:
+                    u[idx, r0:r0 + span] = roots[e]
+                else:
+                    dest[..., r0:r0 + span, :] = roots[e]
     return u
 
 

@@ -168,13 +168,16 @@ def lift_theta(bm: ModMatrix) -> Mat2:
 
 def evaluate(word: list[str]) -> Mat2:
     """Product of generator matrices, left to right; [] gives the identity."""
-    m = IDENTITY
+    # on plain ints, with one Mat2 at the end
+    a, b, c, d = 1, 0, 0, 1
     try:
         for tok in word:
-            m = m @ TOKEN_MATRIX[tok]
+            x = TOKEN_MATRIX[tok]
+            a, b, c, d = (a * x.a + b * x.c, a * x.b + b * x.d,
+                          c * x.a + d * x.c, c * x.b + d * x.d)
     except KeyError as exc:
         raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
-    return m
+    return Mat2(a, b, c, d)
 
 
 def parse_word(text: str) -> list[str]:

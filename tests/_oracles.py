@@ -10,11 +10,13 @@ import cmath
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
 from qcatmap import gauss
 from qcatmap.hecke import CapExceededError
+from qcatmap.numtheory import jacobi
 from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
 from qcatmap.propagator import (MULT_TOL, Report, _drive, _fits_kernel, build,
                                 h_phase, verify_mult)
@@ -206,6 +208,96 @@ def propagator_reference(m, n: int) -> np.ndarray:
             quad = d * qr * qr - 2 * qr * qc + a * qc * qc
             u[qr, qc] = scale * cache[gam] * e_frac(quad, 2 * n * b)
     return u
+
+
+def _h_turns(a: int, b: int) -> Fraction:
+    """Phase of h(a, b) in turns (mod 1), from its definition: for a even
+    jacobi(|a|, |b|) e(sgn(ab)(|b| - 1)/8), for a odd jacobi(|b|, |a|)
+    e(-sgn(ab)|a|/8); a Jacobi sign of -1 is half a turn."""
+    sgn = 1 if a * b > 0 else -1 if a * b < 0 else 0
+    if a % 2 == 0:
+        jac, eighths = jacobi(abs(a), abs(b)), sgn * (abs(b) - 1)
+    else:
+        jac, eighths = jacobi(abs(b), abs(a)), -sgn * abs(a)
+    return Fraction(eighths, 8) + Fraction(1 - jac, 4)
+
+
+def _gauss_turns(alpha: int, beta: int, gamma: int):
+    """Phase of G(alpha, beta, gamma) in turns from its closed form, or None
+    where the sum vanishes (alpha beta + gamma odd; alpha, beta coprime).
+    With s = sgn(alpha beta), inverses mod |beta|, x = alpha^-1 gamma/2
+    and w = (4 alpha)^-1:
+      alpha even:          J(|alpha|, |beta|) e(-s(|beta| - 1)/8) e(-alpha x^2/2beta)
+      alpha odd, beta even: J(|beta|, |alpha|) e(s|alpha|/8) e(-alpha x^2/2beta)
+      both odd:            J(|alpha|, |beta|) e(-s(|beta| - 1)/8) e(-2alpha w^2 gamma^2/beta)
+    """
+    if (alpha * beta + gamma) % 2:
+        return None
+    bb = abs(beta)
+    sgn = 1 if alpha * beta > 0 else -1
+    if alpha % 2 == 0 or beta % 2 == 0:
+        if alpha % 2 == 0:
+            jac, eighths = jacobi(abs(alpha), bb), -sgn * (bb - 1)
+        else:
+            jac, eighths = jacobi(bb, abs(alpha)), sgn * abs(alpha)
+        x = pow(alpha, -1, bb) * (gamma // 2)
+        quad = Fraction(-alpha * x * x, 2 * beta)
+    else:
+        jac, eighths = jacobi(abs(alpha), bb), -sgn * (bb - 1)
+        w = pow(4 * alpha, -1, bb)
+        quad = Fraction(-2 * alpha * w * w * gamma * gamma, beta)
+    return Fraction(eighths, 8) + Fraction(1 - jac, 4) + quad
+
+
+def exponent_reference(m, n: int):
+    """Exponents of U_N(A) straight from its explicit formula, in exact
+    integer arithmetic: (k, N_b) with U[Q, Q'] = e(k[Q, Q']/4N)/sqrt(N_b),
+    and k = -1 where the entry vanishes.
+
+    b = 0: U[Q, sQ] = e(s c Q^2/2N).  b != 0: the entry is
+    h(a,b)/sqrt(N_b) G(N_b a, b', gamma) e((dQ^2 - 2QQ' + aQ'^2)/(2Nb)),
+    gamma = 2(aQ' - Q)/g, zero where g does not divide 2(aQ' - Q) or G
+    vanishes.  h and G enter as Fractions of a turn, G once per distinct
+    gamma mod 2|b'| (np.unique over the grid), and their sum with the
+    quadratic phase must be a whole number of 1/4N turns.  The grids are
+    int64 while the phase numerators fit, and Python ints (object arrays)
+    past that, for the unreduced matrices beyond the kernel's budget."""
+    a, b, c, d = m.entries()
+    q = np.arange(n, dtype=object if 24 * n**3 * abs(b) >= 2**63 else np.int64)
+    k = np.full((n, n), -1, dtype=np.int64)
+    if b == 0:
+        k[q.astype(np.int64), (a * q % n).astype(np.int64)] = 2 * a * c * q * q % (4 * n)
+        return k, 1
+    g = math.gcd(b, n)
+    beta = b // g
+    den = 2 * n * abs(b)
+    units = math.lcm(8, 4 * n, den)
+    s = 1 if b > 0 else -1
+    qr, qc = q[:, None], q[None, :]
+    # s (dQ^2 - 2QQ' + aQ'^2) mod 2N|b|, over 2N|b|
+    quad = ((s * d % den) * qr * qr + (-2 * s % den) * qr * qc
+            + (s * a % den) * qc * qc) % den
+    t = 2 * ((a % abs(b)) * qc - qr)
+    live = t % g == 0
+    uniq, where = np.unique((t // g) % (2 * abs(beta)), return_inverse=True)
+    h = _h_turns(a, b)
+    turns = [_gauss_turns(n // g * a, beta, int(x)) for x in uniq]
+    const = np.array([-1 if x is None else int((h + x) * units) % units for x in turns],
+                     dtype=q.dtype)[where.reshape(n, n)]
+    live &= const >= 0
+    total = (const + quad * (units // den)) % units
+    step = units // (4 * n)
+    if not (total % step == 0)[live].all():
+        raise ValueError(f"an entry of U_N({m}) at N={n} is not a 4N-th root of unity")
+    k[live] = (total // step)[live].astype(np.int64)
+    return k, n // g
+
+
+def propagator_from_exponents(k: np.ndarray, n_b: int, n: int) -> np.ndarray:
+    """e(k/4N)/sqrt(N_b) entrywise, 0 where k = -1, from the table
+    e(j/4N)/sqrt(N_b) for j in [0, 4N) that build reads."""
+    table = np.exp(2j * np.pi * (np.arange(4 * n) / (4 * n))) / math.sqrt(n_b)
+    return np.where(k >= 0, table[k], 0)
 
 
 def projective_phase(a, b, n: int, variant: str = "paper") -> complex:

@@ -536,10 +536,59 @@ sys.exit(cli.main(["propagator", "--matrix", "2,1,3,2", "--dim", "3"]))
     assert "Traceback" not in proc.stderr
 
 
-# every command that prints a verdict, on inputs whose errors are nonzero
+def test_inexact_exponent_survives_optimize_flag():
+    # an eighth root off by one at odd N leaves an entry off the 4N-th
+    # roots of unity; build raises under -O too, and the CLI reports it as
+    # a failed verification
+    code = """
+import sys
+from qcatmap import cli, propagator
+from qcatmap.sl2 import Mat2
+real = propagator._h_eighths
+propagator._h_eighths = lambda a, b: (real(a, b)[0], real(a, b)[1] + 1)
+try:
+    propagator.build(Mat2(2, 3, 1, 2), 3, check=False)
+except propagator.ExponentError:
+    print("optimize", sys.flags.optimize, "raised")
+sys.exit(cli.main(["propagator", "--matrix", "2,3,1,2", "--dim", "3"]))
+"""
+    proc = run_python(["-O"], code)
+    assert proc.stdout.strip() == "optimize 1 raised"
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: propagator of 2,3,1,2 at N=3 ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_mod4n_is_exact(capsys, seed):
+    # both sides of a pair read the same table at the same exponents
+    rc, out = run(capsys, ["verify", "mod4n", "--seed", str(seed), "--format", "json"])
+    assert rc == 0
+    [report] = json.loads(out)
+    assert report["max_error"] == 0.0 and report["samples"] == 100
+
+
+def test_verify_mod4n_fails_a_perturbed_side(capsys, monkeypatch):
+    # one exponent of the second side moved by 1: that entry is off by
+    # |1 - e(1/4N)|/sqrt(N_b), far past 1e-8 N
+    real = hecke.build_many
+
+    def perturbed(ms, n):
+        u = real(ms, n)
+        at = np.flatnonzero(u[1])[0]
+        u[1].flat[at] *= np.exp(2j * np.pi / (4 * n))
+        return u
+
+    monkeypatch.setattr(hecke, "build_many", perturbed)
+    assert cli.main(["verify", "mod4n", "--samples", "3", "--dims", "1..4"]) == 1
+    assert capsys.readouterr().out.startswith("[FAIL] mod4N: 3 samples")
+
+
+# every command that prints a verdict, on inputs whose errors are nonzero;
+# mod4n's are zero (test_verify_mod4n_is_exact)
 VERDICT_ARGV = {
     **{f"verify-{name}": ["verify", name, "--samples", "3", "--dims", "1..4"]
-       for name in suites.CHECKS},
+       for name in suites.CHECKS if name != "mod4n"},
     # these checks take no --samples
     "verify-relations": ["verify", "relations", "--dims", "1..4"],
     "verify-hecke": ["verify", "hecke", "--dims", "1..4"],

@@ -8,6 +8,7 @@ import pytest
 from qcatmap import gauss
 from qcatmap.gauss import GaussParams, UnsupportedParityError, VanishingError
 from qcatmap.numtheory import NotCoprimeError
+from qcatmap.phases import e8
 from _oracles import gauss_reference
 
 
@@ -165,53 +166,9 @@ def test_closed_many_alpha_rows_bit_equal_to_single_calls(beta):
         assert np.array_equal(rows.view(np.float64), want.view(np.float64))
 
 
-def test_closed_many_pairs_bit_equal_to_single_calls():
-    # one (alpha, beta) per run of gammas, across branches, signs of beta,
-    # alphas far past int64 and |beta| up to the int64 bound
-    rng = random.Random(8)
-    pairs, runs = [], []
-    for beta in [1, -1, 2, 3, -4, 8, 15, -97, 100, 10**6, -10**6]:
-        for alpha in (rng.randint(-50, 50), rng.randint(-10**30, 10**30)):
-            while math.gcd(alpha, beta) != 1:
-                alpha += 1
-            pairs.append((alpha, beta))
-            runs.append(np.array([rng.randint(-500, 500)
-                                  for _ in range(rng.randint(1, 30))]))
-    got = gauss.gauss_closed_many([a for a, _ in pairs], [b for _, b in pairs],
-                                  np.concatenate(runs),
-                                  counts=[len(r) for r in runs])
-    want = np.concatenate([gauss.gauss_closed_many(a, b, r)
-                           for (a, b), r in zip(pairs, runs)])
-    assert np.array_equal(got.view(np.float64), want.view(np.float64))
-    # the same call with int64 arrays for the pairs that fit, one pair too:
-    # arrays with counts are runs, not rows
-    small = [k for k, (a, _) in enumerate(pairs) if abs(a) <= 50]
-    for ks in (small, small[:1]):
-        got = gauss.gauss_closed_many(np.array([pairs[k][0] for k in ks]),
-                                      np.array([pairs[k][1] for k in ks]),
-                                      np.concatenate([runs[k] for k in ks]),
-                                      counts=np.array([len(runs[k]) for k in ks]))
-        want = np.concatenate([gauss.gauss_closed_many(*pairs[k], runs[k]) for k in ks])
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
-
-
 # |beta| past the int64 bound and a factor shared with alpha: the bound is
 # checked first, so the error names gauss_closed
 BOTH_RULES_BROKEN = (2, 2 * (10**6 + 1))
-
-
-def test_closed_many_pairs_check_every_pair():
-    gammas = np.arange(4)
-    with pytest.raises(NotCoprimeError):
-        gauss.gauss_closed_many([1, 2], [3, 4], gammas, counts=[2, 2])
-    with pytest.raises(ValueError, match="gauss_closed"):
-        gauss.gauss_closed_many([1, 1], [3, 10**6 + 1], gammas, counts=[2, 2])
-    for pairs, counts in (([(1, 3), BOTH_RULES_BROKEN], [2, 2]),
-                          ([BOTH_RULES_BROKEN], [4])):
-        with pytest.raises(ValueError, match="gauss_closed") as caught:
-            gauss.gauss_closed_many([a for a, _ in pairs], [b for _, b in pairs],
-                                    gammas, counts=counts)
-        assert caught.type is ValueError
 
 
 def test_closed_many_alpha_rows_past_the_vectorized_cutoff():
@@ -274,13 +231,26 @@ def test_closed_rejects_vanishing_parity():
         gauss.gauss_closed(GaussParams(1, 1, 0))
 
 
+def test_branch_gives_the_lead_as_a_sign_and_an_eighth_root():
+    # the propagator kernel adds t (and 4 for a sign of -1) to its integer
+    # exponents; gauss_closed multiplies the lead out as jac * e8(t)
+    for alpha, beta in [(2, 3), (-4, 7), (3, 8), (-5, -2), (3, 5), (-7, 9),
+                        (1, 1), (10**30 + 1, 10**6), (-(10**30) + 2, 10**6 + 1)]:
+        jac, t, inv, parity = gauss._branch(alpha, beta)
+        assert all(type(x) is int for x in (jac, t, inv, parity))
+        assert jac in (1, -1) and 0 <= t < 8
+        # at x = 0 the closed form is the lead itself
+        gamma = 0 if parity == 0 else abs(beta)
+        assert gauss.gauss_closed(GaussParams(alpha, beta, gamma)) == jac * e8(t)
+
+
 def test_nonvanishing_gamma_has_the_parity_of_its_branch():
     # so gauss_closed needs no parity check after is_nonvanishing
     for alpha in range(-40, 41):
         for beta in range(-40, 41):
             if beta == 0 or math.gcd(alpha, beta) != 1:
                 continue
-            parity = gauss._branch(alpha, beta)[2]
+            parity = gauss._branch(alpha, beta)[3]
             for gamma in range(-41, 42):
                 if (alpha * beta + gamma) % 2 == 0:
                     assert parity == gamma % 2, (alpha, beta, gamma)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcatmap import suites
-from qcatmap.phases import e_frac, e_frac_array, root_table
+from qcatmap.phases import e_frac, e_frac_array
 from _oracles import e_frac_array_reference, gauss_oracle_sweep_reference
 
 BIG = 2**62
@@ -36,20 +36,21 @@ def test_e_frac_array_bit_equal_to_exp_path(num, den):
 
 @pytest.mark.parametrize("den", [7, 200, 2 * 61 * 1220])
 def test_blocks_given_the_whole_table_equal_the_whole_array(den):
-    # 18 x 18 numerators in blocks of 5 rows (90 numerators): den = 200
-    # takes the table of the whole array, though a block alone would not
+    # 18 x 18 numerators in blocks of 5 rows, each read from the den roots
+    # e_frac_array(arange(den), den) at its residues, as the propagator
+    # kernel reads the 4N roots: the bits of the whole array, which takes
+    # the same table at den = 7 and 200, and exp at den = 148840
     num = np.outer(np.arange(-9, 9), np.arange(-9, 9))
-    roots = root_table(den, num.size)
-    assert (roots is None) == (den > num.size)
-    blocks = [e_frac_array(num[lo:lo + 5], den, roots) for lo in range(0, 18, 5)]
+    table = e_frac_array(np.arange(den), den)
+    blocks = [table[num[lo:lo + 5] % den] for lo in range(0, 18, 5)]
     assert np.array_equal(np.concatenate(blocks), e_frac_array(num, den))
 
 
 @pytest.mark.parametrize("n, b", [(1, 1), (2, 1), (127, 3), (1024, 1),
                                   (1024, 4096), (24898, 4 * 24898)])
 def test_remainder_by_floor_division_equals_percent(n, b):
-    # the general kernel's numerators lie below 6 N^3 |b|, under 2^63 for
-    # every lift mod 4N (|b| <= 4N, N <= 24,898); den = 2N|b|
+    # numerators up to 6 N^3 |b| over den = 2N|b|, the phase numerators of
+    # a propagator's quadratic form at dimension N
     bound, den = 6 * n**3 * b, 2 * n * b
     rng = np.random.default_rng(n)
     num = np.concatenate([rng.integers(1 - bound, bound, 3000),
@@ -58,15 +59,6 @@ def test_remainder_by_floor_division_equals_percent(n, b):
     for part in (num[-9:], num):  # either side of _FLOOR_DIVIDE_FROM
         assert np.array_equal(e_frac_array(part, den),
                               e_frac_array_reference(part, den))
-    if den <= 1 << 20:
-        residues = e_frac_array(num, den, np.arange(den) + 0j)
-        assert np.array_equal(residues, num % den)
-
-
-def test_a_given_table_is_read_by_residue():
-    num = np.arange(-40, 40, dtype=np.int64)
-    table = np.arange(1000) + 0j
-    assert np.array_equal(e_frac_array(num, 1000, table), num % 1000)
 
 
 def test_e_frac_array_matches_scalar_phase():
@@ -81,27 +73,3 @@ def test_e_frac_array_matches_scalar_phase():
 def test_gauss_oracle_sweep_equals_exp_reference(max_abs):
     assert (suites.gauss_oracle_sweep(max_abs=max_abs)
             == gauss_oracle_sweep_reference(max_abs=max_abs))
-
-
-@pytest.mark.parametrize("size", [10, 600])  # either side of _FLOOR_DIVIDE_FROM
-def test_stacked_denominators_equal_one_call_per_matrix(size):
-    # one den per matrix of a stack, from exp or from their tables laid end
-    # to end, gives each matrix the bits of its own call
-    rng = np.random.default_rng(size)
-    dens = np.array([1, 7, 12, 5, 300])
-    num = rng.integers(-BIG, BIG, (len(dens), size))
-    want = np.stack([e_frac_array(row, int(d)) for row, d in zip(num, dens)])
-    roots = root_table(dens[:, None], 300)
-    table, start = roots
-    assert start.shape == (5, 1) and table.size == dens.sum()
-    for got in (e_frac_array(num, dens[:, None]),
-                e_frac_array(num, dens[:, None], roots)):
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
-
-
-def test_stacked_root_tables_need_every_den_within_size():
-    dens = np.array([[4], [9]])
-    assert root_table(dens, 8) is None
-    table, start = root_table(dens, 9)
-    assert np.array_equal(start, [[0], [4]])
-    assert np.array_equal(table[4:], root_table(9, 9))

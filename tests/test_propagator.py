@@ -14,7 +14,8 @@ from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
                          Mat2, NotThetaError, evaluate, lift_theta,
                          random_theta_general, random_word, reduce_mod)
 from _oracles import (build_antishear_reference, build_general_reference,
-                      delta_basis, gauss_reference, projective_phase,
+                      delta_basis, exponent_reference, gauss_reference,
+                      projective_phase, propagator_from_exponents,
                       propagator_reference, unitarity_defect_reference)
 
 
@@ -361,17 +362,11 @@ def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
 def _general_kernel_cases():
     """General matrices at N = 1..32, 61, 64, 127, 128, 129, 200, 256, 1024:
     random words, which reach b < 0 and gcd(b, N) > 1, lifts mod 4N, which
-    reach |b| > N, and matrices with 2|b| > N^2, whose Gauss factor is
-    evaluated on the grid itself.  N = 129 and 200 end in a partial row
-    block, N = 256 and 1024 take several full ones, and N = 127, 128
-    straddle the size from which numpy reuses the whole-grid kernel's
-    gathered Gauss grid in place."""
+    reach |b| > N, and matrices with 2|b| > N^2, whose Gauss exponents are
+    tabulated on the grid itself.  N = 129 and 200 end in a partial row
+    block, and N = 256 and 1024 take several full ones."""
     rng = random.Random(41)
-    # A lift mod 1024 whose entries round one ulp differently when
-    # h/sqrt(N_b) multiplies the Gauss table before the gather, or the
-    # gathered grid is held in a variable: numpy computes scalar * array
-    # and array * scalar with different rounding, and from 256 KiB on it
-    # reuses a temporary operand in place with the operands swapped.
+    # a lift mod 1024, and |b| = 40000 and 59049, past N^2 / 2
     cases = [(Mat2(875, 558, -96722, -61681), 256),
              (Mat2(3, 40000, 2, 26667), 256), (Mat2(-3, -40000, -2, -26667), 256),
              (Mat2(2, 59049, -1, -29524), 243)]
@@ -385,7 +380,27 @@ def _general_kernel_cases():
     return cases
 
 
+def _exact(m, n):
+    """U_N(A) read from the table e(k/4N)/sqrt(N_b) at the exponents of the
+    exact formula."""
+    return propagator_from_exponents(*exponent_reference(m, n), n)
+
+
+def _same_bits(u, v):
+    return np.array_equal(u.view(np.float64), v.view(np.float64))
+
+
+# The float unique kernel multiplies h/sqrt(N_b), the Gauss value and the
+# quadratic phase, each rounded; build reads each entry rounded once.  Their
+# largest difference over _general_kernel_cases was 1.3e-15.
+FLOAT_REFERENCE_ROUNDING = 4e-15
+
+
 def test_general_kernel_bit_equal_to_unique_kernel():
+    # the exact unique kernel: exponent_reference takes each Gauss phase
+    # once per distinct gamma of the grid (np.unique), in exact arithmetic;
+    # the float unique kernel, build_general_reference, is an oracle within
+    # rounding
     cases = _general_kernel_cases()
     assert any(abs(m.b) == 1 and m.a != 0 for m, _ in cases)
     assert any(m.b < 0 for m, _ in cases)
@@ -394,23 +409,22 @@ def test_general_kernel_bit_equal_to_unique_kernel():
     assert any(2 * abs(m.b) > n * n for m, n in cases if n >= 128)
     for m, n in cases:
         got = propagator._build_general([m], n)[0]
-        want = build_general_reference(m, n)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64)), (m, n)
+        assert _same_bits(got, _exact(m, n)), (m, n)
+        err = np.abs(got - build_general_reference(m, n)).max()
+        assert err <= FLOAT_REFERENCE_ROUNDING, (m, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1024])
 def test_build_bit_equal_to_whole_grid_general_formula(n):
-    # the whole-grid oracle reduces its phase numerators with `%`, and the
-    # kernel with floor division
+    # the exact formula over the whole grid, with `%`, against the kernel's
+    # row blocks and floor division
     rng = random.Random(n)
     unit_b, wide_b = [Mat2(2, 1, 3, 2), Mat2(2, -1, -3, 2)], [Mat2(2, 3, 1, 2)]
     while len(unit_b) < 4 or len(wide_b) < 4:
         m = random_theta_general(rng, 10)
         (unit_b if abs(m.b) == 1 else wide_b).append(m)
     for m in unit_b[:4] + wide_b[:4]:
-        got = build(m, n, check=False)
-        want = build_general_reference(m, n)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64)), m
+        assert _same_bits(build(m, n, check=False), _exact(m, n)), m
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 128, 129, 200, 1024])
@@ -448,6 +462,62 @@ def test_unit_b_has_unit_h_and_gauss_factors(n):
             assert h_phase(a, b) == 1 + 0j
             got = gauss.gauss_closed_many(n * a, b, [0, 2])
             assert got.tolist() == [1 + 0j, 1 + 0j], (a, b)
+
+
+def _small_b(n):
+    """Generators, shears and anti-shears of both signs, and general
+    matrices with |b| = 2..18, either side of the 16 rows of a block at
+    N = 1024."""
+    rng = random.Random(7 * n)
+    ms = [P_MAT, T2_PLUS, T2_MINUS, S_PLUS, S_MINUS, Mat2(1, 0, 6, 1),
+          Mat2(-1, 0, -4, -1), Mat2(0, 1, -1, 4), Mat2(0, -1, 1, -6)]
+    wanted = set(range(2, 19))
+    while wanted:
+        m = random_theta_general(rng, 12)
+        if abs(m.b) in wanted:
+            wanted.discard(abs(m.b))
+            ms.append(m)
+    return ms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 61, 129, 200, 1024])
+def test_build_bit_equal_to_exponent_reference(n):
+    # every entry is one gather from the (N, N_b) table: shears, the |b| = 1
+    # gather and the Gauss exponents, in blocks whose rows share them
+    for m in _small_b(n):
+        assert _same_bits(build(m, n, check=False), _exact(m, n)), m
+
+
+def _mutant_eighths(monkeypatch, where):
+    """Move one eighth-root index by 1: of h(a, b), or of the Gauss lead."""
+    if where == "h":
+        real = propagator._h_eighths
+        monkeypatch.setattr(propagator, "_h_eighths",
+                            lambda a, b: (real(a, b)[0], real(a, b)[1] + 1))
+    else:
+        real = gauss._branch
+
+        def branch(alpha, beta):
+            jac, t, inv, parity = real(alpha, beta)
+            return jac, t + 1, inv, parity
+
+        monkeypatch.setattr(gauss, "_branch", branch)
+
+
+@pytest.mark.parametrize("where", ["h", "gauss"])
+@pytest.mark.parametrize("n", [3, 5, 129])
+def test_an_eighth_root_off_by_one_raises(monkeypatch, where, n):
+    # at odd N, e(1/8) is no 4N-th root of unity, so an entry's exponent is
+    # not a whole number of steps; the check runs without the guard too
+    _mutant_eighths(monkeypatch, where)
+    for m in (Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5)):
+        with pytest.raises(propagator.ExponentError, match=f"propagator of {m} at N={n}"):
+            build(m, n, check=False)
+    ms = [Mat2(2, 1, 3, 2), T2_PLUS, Mat2(1, -2, 2, -3), Mat2(2, 3, 1, 2)]
+    with pytest.raises(propagator.ExponentError, match="propagator of 1,-2,2,-3 "):
+        propagator.build_many(ms, n)
+    # |b| = 1 and the shears read no eighth root
+    assert _same_bits(build(Mat2(2, 1, 3, 2), n), _exact(Mat2(2, 1, 3, 2), n))
 
 
 @pytest.mark.parametrize("m", [Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5),
@@ -526,7 +596,10 @@ def test_huge_powers_match_exact_reference(n):
         assert max(abs(x) for x in m.entries()) > 2**64
         assert not propagator._fits_kernel(m.b, n)
         assert n != 12 or math.gcd(m.b, n) > 1
-        assert np.abs(build(m, n) - propagator_reference(m, n)).max() < 1e-10
+        u = build(m, n)
+        assert np.abs(u - propagator_reference(m, n)).max() < 1e-10
+        # the exact exponents of m itself, not of its lift
+        assert _same_bits(u, _exact(m, n))
 
 
 @pytest.mark.parametrize("n", [1, 61])
@@ -536,6 +609,12 @@ def test_fits_kernel_stops_at_the_gauss_int64_bound(n):
         assert propagator._fits_kernel(g * 10**6, n)
         assert not propagator._fits_kernel(g * (10**6 + 1), n)
         assert not propagator._fits_kernel(-g * (10**6 + 1), n)
+
+
+def test_every_lift_fits_the_kernel_up_to_its_dimension_bound():
+    # a lift mod 4N has 1 <= b <= 4N, and 24 N^3 (4N) < 2^63 up to N = 17,605
+    assert propagator._fits_kernel(4 * 17605, 17605)
+    assert not propagator._fits_kernel(4 * 17606, 17606)
 
 
 def test_huge_b_divisible_by_4n_lifts_to_b_equal_4n():
@@ -548,7 +627,7 @@ def test_huge_b_divisible_by_4n_lifts_to_b_equal_4n():
 
 
 def test_dimension_beyond_kernel_budget_is_value_error():
-    # 6 N^3 |b| >= 2^63 even for the lift, so build refuses before allocating
+    # 24 N^3 |b| >= 2^63 even for the lift, so build refuses before allocating
     with pytest.raises(ValueError, match="too large"):
         build(Mat2(2, 1, 3, 2), 2**21)
 
@@ -610,10 +689,6 @@ def _stack_cases(n):
     return ms
 
 
-def _kernel_matrix(m, n):
-    return m if propagator._fits_kernel(m.b, n) else lift_theta(reduce_mod(m, 4 * n))
-
-
 STACK_DIMS = [1, 2, 3, 7, 16, 21, 61, 64, 128, 129]
 
 
@@ -627,12 +702,9 @@ def test_build_many_bit_equal_to_build_and_whole_grid_reference(n):
     stack = propagator.build_many(ms, n)
     assert stack.shape == (len(ms), n, n) and stack.dtype == np.complex128
     for m, u in zip(ms, stack):
-        want = build(m, n)
-        assert np.array_equal(u.view(np.float64), want.view(np.float64)), m
-        k = _kernel_matrix(m, n)
-        if k.b != 0:
-            ref = build_general_reference(k, n)
-            assert np.array_equal(u.view(np.float64), ref.view(np.float64)), m
+        assert _same_bits(u, build(m, n)), m
+        # the exact formula on m itself, past 2^64 too
+        assert _same_bits(u, _exact(m, n)), m
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -647,8 +719,7 @@ def test_build_many_of_one_kind_spans_blocks(n):
                 ms.append(m)
         stack = propagator.build_many(ms, n)
         for m, u in zip(ms, stack):
-            assert np.array_equal(u.view(np.float64),
-                                  build_general_reference(m, n).view(np.float64)), m
+            assert _same_bits(u, _exact(m, n)), m
 
 
 @pytest.mark.parametrize("n", [1, 5, 16, 64, 128, 129])

@@ -79,6 +79,17 @@ def test_evaluate_order():
     assert sl2.evaluate([]) == IDENTITY
 
 
+def test_evaluate_equals_the_product_of_token_matrices():
+    # evaluate multiplies plain ints; Mat2 products give the same matrices
+    rng = random.Random(31)
+    for _ in range(500):
+        word = sl2.random_word(rng, 16)
+        want = IDENTITY
+        for tok in word:
+            want = want @ sl2.TOKEN_MATRIX[tok]
+        assert sl2.evaluate(word) == want
+
+
 def test_decompose_known_words():
     assert sl2.decompose(IDENTITY) == []
     assert sl2.decompose(S_PLUS) == ["S"]
