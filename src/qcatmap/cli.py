@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help=seed_help + "; read only with --samples")
     p.add_argument("--max-4n", dest="max_4n", type=int, default=64,
-                   help="refuse the O((4N)^4) commutant scan when 4N exceeds "
-                        "this (default 64)")
+                   help="refuse the commutant enumeration, (4N)^3 steps plus "
+                        "one per member, when 4N exceeds this (default 64)")
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("verify", parents=[checked],

@@ -6,16 +6,17 @@ to the sign jacobi(N, |a|), where a is the top-left entry of the connecting
 matrix C = B^-1 A (congruent to the identity mod 2N); both signs occur.
 
 For a fixed A, the matrices B with AB = BA mod 4N form a family whose lifted
-propagators commute with U_N(A).  The family is enumerated by brute force
-over SL(2, Z/4NZ) with the theta parity filter, vectorized over one
-(b, c, d) grid per top-left entry, and members are lifted back to genuine
-theta-group matrices by sl2.lift_theta.  The lifted propagators are stacked,
-so their commutators with U_N(A) and with each other are batched products;
-which pairs commute mod 4N is decided by integer array arithmetic.
+propagators commute with U_N(A).  The family is enumerated over
+SL(2, Z/4NZ) with the theta parity filter in (4N)^3 steps plus one per
+member, and members are lifted back to genuine theta-group matrices by
+sl2.lift_theta.  The lifted propagators are stacked, so their commutators
+with U_N(A) and with each other are batched products; which pairs commute
+mod 4N is decided by integer array arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -34,19 +35,33 @@ class CapExceededError(ValueError):
     """Raised when a commutant enumeration would exceed the modulus cap."""
 
 
-def _congruent(a: Mat2, b: Mat2, modulus: int) -> bool:
-    return all((x - y) % modulus == 0 for x, y in zip(a.entries(), b.entries()))
+# members per batched commutator with U_N(A); bounds the temporaries for
+# large families (a scalar A at 4N = 64 has 65,536 members)
+_CHUNK = 1024
+
+
+def _pair_errors(pairs, n: int, modulus: int) -> tuple[np.ndarray, list[int]]:
+    """Errors max |U_N(A) - f U_N(B)| of pairs (A, B) congruent mod modulus,
+    built as one stack [A, B, A, B, ...], and their signs f: 1 at modulus 4N
+    (not applied), jacobi(N, |c_a|) for the top-left entry c_a of C = B^-1 A
+    at 2N.  A pair that is not congruent is a NotCongruentError."""
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
+    for a, b in pairs:
+        if any((x - y) % modulus for x, y in zip(a.entries(), b.entries())):
+            raise NotCongruentError(f"{a} and {b} differ mod {modulus}")
+    u = build_many([m for pair in pairs for m in pair], n)
+    if modulus == 4 * n:
+        return np.abs(u[0::2] - u[1::2]).max(axis=(1, 2)), [1] * len(pairs)
+    signs = [jacobi(n, abs((b.inverse() @ a).a)) for a, b in pairs]
+    other = np.array(signs)[:, None, None] * u[1::2]
+    return np.abs(u[0::2] - other).max(axis=(1, 2)), signs
 
 
 def verify_mod4N(a: Mat2, b: Mat2, n: int) -> Report:
     """Check build(A) = build(B) for A = B mod 4N."""
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
-    if not _congruent(a, b, 4 * n):
-        raise NotCongruentError(f"{a} and {b} differ mod {4 * n}")
-    u_a, u_b = build_many([a, b], n)
-    err = float(np.abs(u_a - u_b).max())
-    return _drive("mod4N", [(err, n)], MULT_TOL)
+    errs, _ = _pair_errors([(a, b)], n, 4 * n)
+    return _drive("mod4N", [(float(errs[0]), n)], MULT_TOL)
 
 
 def mod2N_factor(a: Mat2, b: Mat2, n: int) -> tuple[int, Report]:
@@ -57,23 +72,17 @@ def mod2N_factor(a: Mat2, b: Mat2, n: int) -> tuple[int, Report]:
     is +1 whenever the congruence actually holds mod 4N, but genuinely -1
     for some pairs that agree only mod 2N.
     """
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
-    if not _congruent(a, b, 2 * n):
-        raise NotCongruentError(f"{a} and {b} differ mod {2 * n}")
-    c = b.inverse() @ a
-    factor = jacobi(n, abs(c.a))
-    u_a, u_b = build_many([a, b], n)
-    err = float(np.abs(u_a - factor * u_b).max())
-    return factor, _drive("mod2N", [(err, n)], MULT_TOL)
+    errs, [factor] = _pair_errors([(a, b)], n, 2 * n)
+    return factor, _drive("mod2N", [(float(errs[0]), n)], MULT_TOL)
 
 
 def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     """All theta matrices mod 4N commuting with A mod 4N.
 
-    Brute-force enumeration over SL(2, Z/4NZ) with the parity filter
-    ab = cd = 0 mod 2; refuses to run when 4N exceeds the cap.  The result
-    is sorted by entries and closed under multiplication mod 4N.
+    Enumerates SL(2, Z/4NZ) with the parity filter ab = cd = 0 mod 2 in
+    (4N)^3 steps plus one per member; refuses to run when 4N exceeds the
+    cap.  The result is sorted by entries and closed under multiplication
+    mod 4N.
     """
     if n < 1:
         raise ValueError("dimension must be a positive integer")
@@ -81,27 +90,29 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     if m > cap:
         raise CapExceededError(f"4N = {m} exceeds enumeration cap {cap}")
     aa, ab, ac, ad = (x % m for x in a.entries())
-    grid = np.arange(m, dtype=np.int64)
-    bb, cg, dg = grid[:, None, None], grid[None, :, None], grid[None, None, :]
-    # the conditions free of ba, and det = 1 as ba*d = 1 + b*c mod m, so
-    # only comparisons run on the full m^3 grid
-    fixed = ((cg * dg) % 2 == 0) & ((ab * cg - bb * ac) % m == 0)
-    one_plus_bc = (1 + bb * cg) % m
+    g = np.arange(m, dtype=np.int64)
+    tg, bg, cg = g[:, None, None], g[None, :, None], g[None, None, :]
+    # X = (t + d, b; c, d) commutes with A mod m iff (t, b, c) passes these
+    ok = ((ab * cg - bg * ac) % m == 0) & ((bg * (aa - ad) - ab * tg) % m == 0)
+    ok &= (ac * tg - cg * (aa - ad)) % m == 0
+    b0, c0 = np.nonzero(ok.any(axis=0))
+    r0 = (1 + b0 * c0) % m
     members = []
-    for ba in range(m):
-        ok = fixed & ((ba * bb) % 2 == 0)
-        ok &= (ba * dg) % m == one_plus_bc
-        ok &= (bb * (aa - ad) - ab * (ba - dg)) % m == 0
-        ok &= (ac * (ba - dg) - cg * (aa - ad)) % m == 0
-        # nonzero walks the (b, c, d) grid in C order, so members stay sorted
-        for b, c, d in zip(*(idx.tolist() for idx in np.nonzero(ok))):
-            members.append(ModMatrix(ba, b, c, d, m))
+    for xa in range(m):
+        # det X = 1 reads xa d = 1 + bc mod m, solvable iff h = gcd(xa, m)
+        # divides 1 + bc; its h solutions d0 + k m/h come out ascending
+        h = math.gcd(xa, m)
+        solvable = r0 % h == 0
+        b, c, r = b0[solvable], c0[solvable], r0[solvable]
+        d0 = (r // h) * pow(xa // h, -1, m // h) % (m // h)
+        d = (d0[:, None] + m // h * g[:h]).ravel()
+        b, c = np.repeat(b, h), np.repeat(c, h)
+        keep = ok[(xa - d) % m, b, c] & ((xa * b) % 2 == 0) & ((c * d) % 2 == 0)
+        members += [ModMatrix(xa, *e, m) for e in zip(b[keep].tolist(),
+                                                      c[keep].tolist(),
+                                                      d[keep].tolist())]
     return members
 
-
-# members per batched commutator with U_N(A); bounds the temporaries for
-# large families (a scalar A at 4N = 64 has 65,536 members)
-_CHUNK = 1024
 
 # lifted members whose commuting pairs are checked against each other
 _PAIRWISE_CAP = 40

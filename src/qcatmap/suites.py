@@ -101,9 +101,26 @@ def relations_sweep(dims=None, tol_scale: float = 1.0) -> Report:
     return replace(rep, note="dims " + ",".join(map(str, dims)))
 
 
-# entries of one build_many stack in multiplicativity_sweep: 2^18 complex
-# entries are 4 MiB, which the default sweep (N <= 32) never reaches
+# entries of one build_many stack in the sweeps that draw first: 2^18 complex
+# entries are 4 MiB, which the default sweeps (N <= 32) never reach
 _STACK = 1 << 18
+
+
+def _trials_by_n(draws, per_draw: int, errors) -> list[tuple[float, int]]:
+    """(error, N) of each draw (N, ...) in draw order, for _drive; errors(batch,
+    N) returns the errors of a batch of draws at N, each batch a stack of at
+    most _STACK entries when a draw builds per_draw matrices."""
+    by_n = {}
+    for i, draw in enumerate(draws):
+        by_n.setdefault(draw[0], []).append(i)
+    out = [0.0] * len(draws)
+    for n, idx in by_n.items():
+        per_stack = max(1, _STACK // (per_draw * n * n))
+        for lo in range(0, len(idx), per_stack):
+            part = idx[lo:lo + per_stack]
+            for i, err in zip(part, errors([draws[i] for i in part], n)):
+                out[i] = float(err)
+    return [(err, draw[0]) for err, draw in zip(out, draws)]
 
 
 def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
@@ -112,31 +129,19 @@ def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
     """build(AB) against build(A) @ build(B) for random words and dims.
 
     All pairs are drawn first; then the pairs of each N are built as one
-    stack [AB, A, B, AB, A, B, ...] of at most _STACK entries, and their
-    errors are reported in the order the pairs were drawn.
+    stack [AB, A, B, AB, A, B, ...], and their errors are reported in the
+    order the pairs were drawn.
     """
     rng = random.Random(seed)
-    draws = []
-    for _ in range(pairs):
-        n = rng.randint(1, max_dim)
-        a = evaluate(random_word(rng, max_word_len))
-        b = evaluate(random_word(rng, max_word_len))
-        draws.append((n, a, b))
-    by_n = {}
-    for i, (n, _, _) in enumerate(draws):
-        by_n.setdefault(n, []).append(i)
-    errors = [0.0] * pairs
-    for n, idx in by_n.items():
-        per_stack = max(1, _STACK // (3 * n * n))
-        for lo in range(0, len(idx), per_stack):
-            part = idx[lo:lo + per_stack]
-            u = build_many([m for i in part for m in (draws[i][1] @ draws[i][2],
-                                                      draws[i][1], draws[i][2])], n)
-            diff = np.abs(u[0::3] - u[1::3] @ u[2::3]).max(axis=(1, 2))
-            for i, err in zip(part, diff.tolist()):
-                errors[i] = err
-    return _drive("multiplicativity", zip(errors, (n for n, _, _ in draws)),
-                  MULT_TOL, tol_scale=tol_scale)
+    draws = [(rng.randint(1, max_dim), evaluate(random_word(rng, max_word_len)),
+              evaluate(random_word(rng, max_word_len))) for _ in range(pairs)]
+
+    def errors(batch, n):
+        u = build_many([m for _, a, b in batch for m in (a @ b, a, b)], n)
+        return np.abs(u[0::3] - u[1::3] @ u[2::3]).max(axis=(1, 2))
+
+    return _drive("multiplicativity", _trials_by_n(draws, 3, errors), MULT_TOL,
+                  tol_scale=tol_scale)
 
 
 def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
@@ -278,31 +283,41 @@ def h_identity_sweep(samples: int = 500, seed: int = 0,
 
 def egorov_sweep(samples: int = 100, max_dim: int = 16, seed: int = 0,
                  tol_scale: float = 1.0) -> Report:
-    """Exact conjugation of every Weyl mode for random matrices and dims."""
+    """Exact conjugation of every Weyl mode for random matrices and dims,
+    all drawn first; the matrices of each N share each block of modes."""
     rng = random.Random(seed)
+    draws = [(rng.randint(1, max_dim), evaluate(random_word(rng, 8)))
+             for _ in range(samples)]
+    trials = _trials_by_n(draws, 1, lambda batch, n: weyl._mode_errors(
+        [m for _, m in batch], n).max(axis=1))
+    return _drive("egorov", trials, weyl.EGOROV_TOL, tol_scale=tol_scale)
 
-    def trials():
-        for _ in range(samples):
-            n = rng.randint(1, max_dim)
-            m = evaluate(random_word(rng, 8))
-            yield float(weyl.egorov_mode_errors(m, n).max()), n
 
-    return _drive("egorov", trials(), weyl.EGOROV_TOL, tol_scale=tol_scale)
+def _congruence_sweep(name: str, factor: int, cases: list, pairs: int,
+                      max_dim: int, seed: int, tol_scale: float) -> tuple[Report, set]:
+    """Pairs (N, A, B) with B = A mod factor * N: the cases, then random
+    draws up to `pairs`, all drawn first and built per N.  Returns the
+    report and the set of signs that hecke._pair_errors applied."""
+    rng = random.Random(seed)
+    while len(cases) < pairs:
+        n = rng.randint(1, max_dim)
+        a = evaluate(random_word(rng, 6))
+        cases.append((n, a, hecke.congruent_companion(a, factor * n, rng)))
+    signs = set()
+
+    def errors(batch, n):
+        errs, found = hecke._pair_errors([p[1:] for p in batch], n, factor * n)
+        signs.update(found)
+        return errs
+
+    trials = _trials_by_n(cases, 2, errors)
+    return _drive(name, trials, MULT_TOL, tol_scale=tol_scale), signs
 
 
 def mod4n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
                 tol_scale: float = 1.0) -> Report:
-    """Equal propagators for random pairs congruent mod 4N."""
-    rng = random.Random(seed)
-
-    def trials():
-        for _ in range(pairs):
-            n = rng.randint(1, max_dim)
-            a = evaluate(random_word(rng, 6))
-            b = hecke.congruent_companion(a, 4 * n, rng)
-            yield hecke.verify_mod4N(a, b, n).max_error, n
-
-    return _drive("mod4N", trials(), MULT_TOL, tol_scale=tol_scale)
+    """Equal propagators for random pairs congruent mod 4N, built per N."""
+    return _congruence_sweep("mod4N", 4, [], pairs, max_dim, seed, tol_scale)[0]
 
 
 def mod2n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
@@ -310,28 +325,15 @@ def mod2n_sweep(pairs: int = 100, max_dim: int = 16, seed: int = 0,
     """Jacobi-sign relation for pairs congruent mod 2N; both signs occur.
 
     The first two pairs are fixed, one for each sign, so pairs must be at
-    least 2; the rest are drawn from the seed.
+    least 2; the rest are drawn from the seed, and all are built per N.
     """
     if pairs < 2:
         raise ValueError("mod2n needs at least 2 pairs, one for each sign")
-    rng = random.Random(seed)
     # deterministic pairs at N = 3 with factors -1 (congruent only mod 6)
     # and +1 (congruent mod 12)
-    cases = [(Mat2(7, 6, 36, 31), IDENTITY, 3),
-             (Mat2(13, 12, 144, 133), IDENTITY, 3)]
-    while len(cases) < pairs:
-        n = rng.randint(1, max_dim)
-        a = evaluate(random_word(rng, 6))
-        cases.append((a, hecke.congruent_companion(a, 2 * n, rng), n))
-    factors = set()
-
-    def trials():
-        for a, b, n in cases:
-            factor, rep = hecke.mod2N_factor(a, b, n)
-            factors.add(factor)
-            yield rep.max_error, n
-
-    rep = _drive("mod2N", trials(), MULT_TOL, tol_scale=tol_scale)
+    cases = [(3, Mat2(7, 6, 36, 31), IDENTITY),
+             (3, Mat2(13, 12, 144, 133), IDENTITY)]
+    rep, factors = _congruence_sweep("mod2N", 2, cases, pairs, max_dim, seed, tol_scale)
     return replace(rep, passed=rep.passed and factors >= {1, -1},
                    note=f"factors seen {sorted(factors)}")
 
@@ -343,28 +345,31 @@ def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
 
     Every random product of generators must decompose back to a word with
     the same matrix value; for the first build_checks samples the product
-    of generator propagators is compared with the directly built one.
+    of generator propagators is compared with the directly built one.  All
+    samples are drawn first; each N builds its checked matrices in one stack
+    and one table of generators.
     """
     rng = random.Random(seed)
-    failures = 0
-    longest = 0
+    failures = longest = 0
+    checks = []
+    for i in range(words):
+        m = evaluate(random_word(rng, max_word_len))
+        d = decompose(m)
+        longest = max(longest, len(d))
+        if evaluate(d) != m:
+            failures += 1
+        if i < build_checks:
+            checks.append((rng.randint(1, max_dim), m, d))
 
-    def trials():
-        nonlocal failures, longest
-        for i in range(words):
-            w = random_word(rng, max_word_len)
-            m = evaluate(w)
-            d = decompose(m)
-            longest = max(longest, len(d))
-            if evaluate(d) != m:
-                failures += 1
-            if i < build_checks:
-                n = rng.randint(1, max_dim)
-                yield float(np.abs(build(m, n) - word_product(d, n)).max()), n
-            else:
-                yield None
+    def errors(batch, n):
+        gens = _generators(TOKENS, n)
+        u = build_many([m for _, m, _ in batch], n)
+        return [np.abs(u_m - _product(d, gens, n)).max()
+                for (_, _, d), u_m in zip(batch, u)]
 
-    rep = _drive("decomposition", trials(), MULT_TOL, tol_scale=tol_scale)
+    trials = _trials_by_n(checks, 1, errors)
+    trials += [None] * (words - len(checks))
+    rep = _drive("decomposition", trials, MULT_TOL, tol_scale=tol_scale)
     return replace(rep, samples=words, passed=rep.passed and failures == 0,
                    note=f"{failures} round-trip failures, longest word {longest}")
 
@@ -373,8 +378,9 @@ def hecke_sweep(max_dim: int = 8, seed: int = 0,
                 tol_scale: float = 1.0) -> Report:
     """Commuting lifted families for a random matrix at each dimension.
 
-    N runs up to min(max_dim, 8): past N = 8 the O((4N)^4) commutant scan
-    takes seconds per N.
+    N runs up to min(max_dim, 8), which fixes the output; the commutant
+    costs (4N)^3 steps plus its members, about 2.5 ms for a general A at
+    N = 16.
     """
     rng = random.Random(seed)
     sizes = []

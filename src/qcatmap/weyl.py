@@ -27,9 +27,10 @@ reduced mod 2N as Python integers before any array arithmetic; this keeps
 every int64 small for modes of any size.  The per-mode sweep works in
 blocks of whole n1 rows: the Weyl operators of a block's modes are
 scattered into one stack of at most _BLOCK entries (one row of N modes when
-a row alone is larger) and conjugated by a single stacked product, with the
-same phases and product order as the one-mode-at-a-time loop, so the errors
-are the same bits while memory stays O(N^3).
+a row alone is larger), which every matrix at that N conjugates by one
+stacked product, and the image operators are subtracted at their nonzeros.
+The phases and product order are those of the one-mode-at-a-time loop, so
+the errors are the same bits while memory stays O(N^3).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .phases import e_frac_array
-from .propagator import Report, _drive, build
+from .propagator import Report, _drive, build, build_many
 from .sl2 import Mat2
 
 Mode = tuple[int, int]
@@ -47,19 +48,18 @@ Observable = Mapping[Mode, complex]
 
 EGOROV_TOL = 1e-8  # times N
 
-# entries of one mode stack in egorov_mode_errors: 4 rows of modes at N = 16,
+# entries of one mode stack in _mode_errors: 4 rows of modes at N = 16,
 # one row from N = 26 on
 _BLOCK = 1 << 14
 
 
-def _weyl_stack(n1: np.ndarray, n2: np.ndarray, n: int) -> np.ndarray:
-    """Stack of T_N(n1[k], n2[k]) for int64 modes already reduced mod 2N."""
+def _weyl_entries(n1: np.ndarray, n2: np.ndarray, n: int):
+    """Index (k, Q, Q') and value of the one nonzero in each row Q of the
+    stack of T_N(n1[k], n2[k]), for int64 modes already reduced mod 2N."""
     q = np.arange(n, dtype=np.int64)
     num = 2 * (n1 % n)[:, None] * q + ((n1 * n2) % (2 * n))[:, None]
-    stack = np.zeros((len(n1), n, n), dtype=np.complex128)
-    k = np.arange(len(n1))[:, None]
-    stack[k, q, (q + n2[:, None]) % n] = e_frac_array(num, 2 * n)
-    return stack
+    at = np.arange(len(n1))[:, None], q, (q + n2[:, None]) % n
+    return at, e_frac_array(num, 2 * n)
 
 
 def weyl_op(mode: Mode, n: int) -> np.ndarray:
@@ -73,7 +73,10 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be a positive integer")
     n1, n2 = (np.array([x % (2 * n)], dtype=np.int64) for x in mode)
-    return _weyl_stack(n1, n2, n)[0]
+    at, vals = _weyl_entries(n1, n2, n)
+    op = np.zeros((1, n, n), dtype=np.complex128)
+    op[at] = vals
+    return op[0]
 
 
 def quantize(f: Observable, n: int) -> np.ndarray:
@@ -105,6 +108,31 @@ def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Rep
     return _drive("egorov", [(err, n)], EGOROV_TOL, tol_scale=tol_scale)
 
 
+def _mode_errors(ms, n: int) -> np.ndarray:
+    """(K, N^2) conjugation errors of every mode n1 * N + n2 for each of
+    the matrices ms, as egorov_mode_errors computes them for one."""
+    n1, n2 = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    conjugations = []
+    for m, u in zip(ms, build_many(ms, n)):
+        a, b, c, d = (x % (2 * n) for x in m.entries())
+        conjugations.append((u.conj().T, u, (a * n1 + c * n2) % (2 * n),
+                             (b * n1 + d * n2) % (2 * n)))
+    step = n * max(1, _BLOCK // n**3)
+    errs = np.empty((len(ms), n * n))
+    for lo in range(0, n * n, step):
+        blk = slice(lo, lo + step)
+        at, vals = _weyl_entries(n1[blk], n2[blk], n)
+        src = np.zeros((len(vals), n, n), dtype=np.complex128)
+        src[at] = vals
+        conj = np.empty_like(src)
+        for k, (uh, u, im1, im2) in enumerate(conjugations):
+            at, vals = _weyl_entries(im1[blk], im2[blk], n)
+            np.matmul(uh @ src, u, out=conj)
+            conj[at] -= vals
+            errs[k, blk] = np.abs(conj).max(axis=(1, 2))
+    return errs
+
+
 def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:
     """Conjugation error of every single mode (n1, n2) in [0, N)^2.
 
@@ -112,16 +140,4 @@ def egorov_mode_errors(m: Mat2, n: int) -> np.ndarray:
     of whole n1 rows, as many as keep a block's (modes, N, N) stack within
     _BLOCK entries (at least one), each by one stacked product.
     """
-    u = build(m, n)
-    uh = u.conj().T
-    a, b, c, d = (x % (2 * n) for x in m.entries())
-    n1, n2 = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    im1, im2 = (a * n1 + c * n2) % (2 * n), (b * n1 + d * n2) % (2 * n)
-    step = n * max(1, _BLOCK // n**3)
-    errs = np.empty(n * n)
-    for lo in range(0, n * n, step):
-        blk = slice(lo, lo + step)
-        conj = uh @ _weyl_stack(n1[blk], n2[blk], n) @ u
-        conj -= _weyl_stack(im1[blk], im2[blk], n)
-        errs[blk] = np.abs(conj).max(axis=(1, 2))
-    return errs.reshape(n, n)
+    return _mode_errors([m], n)[0].reshape(n, n)

@@ -14,16 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcatmap import gauss
+from qcatmap import gauss, hecke, weyl
 from qcatmap.hecke import CapExceededError
 from qcatmap.numtheory import jacobi
 from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
 from qcatmap.propagator import (MULT_TOL, Report, _drive, _fits_kernel, build,
                                 h_phase, verify_mult)
-from qcatmap.sl2 import (TOKEN_MATRIX, Mat2, ModMatrix, evaluate, lift_theta,
-                         random_word)
+from qcatmap.sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, ModMatrix, decompose,
+                         evaluate, lift_theta, random_word)
 from qcatmap.suites import (GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL,
-                            GENERATOR_RELATIONS, RELATION_TOL)
+                            GENERATOR_RELATIONS, RELATION_TOL, word_product)
 from qcatmap.weyl import weyl_op
 
 
@@ -438,6 +438,96 @@ def multiplicativity_sweep_reference(pairs: int = 500, max_dim: int = 32,
             yield verify_mult(a, b, n).max_error, n
 
     return _drive("multiplicativity", trials(), MULT_TOL, tol_scale=tol_scale)
+
+
+# The per-sample sweeps below draw and check one sample at a time, through
+# the public single-sample functions, which they look up on their modules at
+# call time so that a test can swap in a loop reference; the suites sweeps
+# of the same names, which draw every sample first and build per N, must
+# return equal Reports.
+
+def egorov_sweep_reference(samples: int = 100, max_dim: int = 16, seed: int = 0,
+                           tol_scale: float = 1.0) -> Report:
+    """Exact conjugation of every Weyl mode, one weyl.egorov_mode_errors
+    call per drawn matrix."""
+    rng = random.Random(seed)
+
+    def trials():
+        for _ in range(samples):
+            n = rng.randint(1, max_dim)
+            m = evaluate(random_word(rng, 8))
+            yield float(weyl.egorov_mode_errors(m, n).max()), n
+
+    return _drive("egorov", trials(), weyl.EGOROV_TOL, tol_scale=tol_scale)
+
+
+def mod4n_sweep_reference(pairs: int = 100, max_dim: int = 16, seed: int = 0,
+                          tol_scale: float = 1.0) -> Report:
+    """Equal propagators mod 4N, one hecke.verify_mod4N call per drawn pair."""
+    rng = random.Random(seed)
+
+    def trials():
+        for _ in range(pairs):
+            n = rng.randint(1, max_dim)
+            a = evaluate(random_word(rng, 6))
+            b = hecke.congruent_companion(a, 4 * n, rng)
+            yield hecke.verify_mod4N(a, b, n).max_error, n
+
+    return _drive("mod4N", trials(), MULT_TOL, tol_scale=tol_scale)
+
+
+def mod2n_sweep_reference(pairs: int = 100, max_dim: int = 16, seed: int = 0,
+                          tol_scale: float = 1.0) -> Report:
+    """The Jacobi-sign relation mod 2N, one hecke.mod2N_factor call per pair,
+    the two fixed pairs at N = 3 first."""
+    if pairs < 2:
+        raise ValueError("mod2n needs at least 2 pairs, one for each sign")
+    rng = random.Random(seed)
+    cases = [(Mat2(7, 6, 36, 31), IDENTITY, 3),
+             (Mat2(13, 12, 144, 133), IDENTITY, 3)]
+    while len(cases) < pairs:
+        n = rng.randint(1, max_dim)
+        a = evaluate(random_word(rng, 6))
+        cases.append((a, hecke.congruent_companion(a, 2 * n, rng), n))
+    factors = set()
+
+    def trials():
+        for a, b, n in cases:
+            factor, rep = hecke.mod2N_factor(a, b, n)
+            factors.add(factor)
+            yield rep.max_error, n
+
+    rep = _drive("mod2N", trials(), MULT_TOL, tol_scale=tol_scale)
+    return replace(rep, passed=rep.passed and factors >= {1, -1},
+                   note=f"factors seen {sorted(factors)}")
+
+
+def decomposition_sweep_reference(words: int = 1000, max_word_len: int = 12,
+                                  build_checks: int = 60, max_dim: int = 16,
+                                  seed: int = 0, tol_scale: float = 1.0) -> Report:
+    """Round trip through generator words, with one build and one
+    suites.word_product per spot-checked sample."""
+    rng = random.Random(seed)
+    failures = 0
+    longest = 0
+
+    def trials():
+        nonlocal failures, longest
+        for i in range(words):
+            m = evaluate(random_word(rng, max_word_len))
+            d = decompose(m)
+            longest = max(longest, len(d))
+            if evaluate(d) != m:
+                failures += 1
+            if i < build_checks:
+                n = rng.randint(1, max_dim)
+                yield float(np.abs(build(m, n) - word_product(d, n)).max()), n
+            else:
+                yield None
+
+    rep = _drive("decomposition", trials(), MULT_TOL, tol_scale=tol_scale)
+    return replace(rep, samples=words, passed=rep.passed and failures == 0,
+                   note=f"{failures} round-trip failures, longest word {longest}")
 
 
 def word_product_reference(word, n: int) -> np.ndarray:

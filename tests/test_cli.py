@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import (commutant_mod_reference, egorov_mode_errors_reference,
-                      gauss_oracle_sweep_loop_reference, verify_hecke_reference)
+from _oracles import (commutant_mod_reference, decomposition_sweep_reference,
+                      egorov_mode_errors_reference, egorov_sweep_reference,
+                      gauss_oracle_sweep_loop_reference, mod2n_sweep_reference,
+                      mod4n_sweep_reference, verify_hecke_reference)
 
 from qcatmap import cli, hecke, suites, weyl
 from qcatmap.propagator import Report, build
@@ -392,17 +394,25 @@ def test_verify_seed_defaults_to_zero(capsys):
     assert out == out_seeded
 
 
-@pytest.mark.parametrize("what", ["egorov", "hecke", "gauss-oracle"])
+@pytest.mark.parametrize("what", ["egorov", "hecke", "gauss-oracle", "mod4n",
+                                  "mod2n", "decompose"])
 def test_batched_checks_print_the_loop_output(capsys, monkeypatch, what):
     argv = ["verify", what, "--format", "json"]
     if what != "gauss-oracle":
         argv += ["--seed", "3"]
     rc, out = run(capsys, argv)
+    # the per-sample sweeps call the single-sample functions, which are
+    # patched in turn with their loop references
     monkeypatch.setattr(weyl, "egorov_mode_errors", egorov_mode_errors_reference)
     monkeypatch.setattr(hecke, "commutant_mod", commutant_mod_reference)
     monkeypatch.setattr(hecke, "verify_hecke", verify_hecke_reference)
-    monkeypatch.setattr(suites, "gauss_oracle_sweep",
-                        gauss_oracle_sweep_loop_reference)
+    for sweep, reference in [
+            ("gauss_oracle_sweep", gauss_oracle_sweep_loop_reference),
+            ("egorov_sweep", egorov_sweep_reference),
+            ("mod4n_sweep", mod4n_sweep_reference),
+            ("mod2n_sweep", mod2n_sweep_reference),
+            ("decomposition_sweep", decomposition_sweep_reference)]:
+        monkeypatch.setattr(suites, sweep, reference)
     rc_loop, out_loop = run(capsys, argv)
     assert rc == rc_loop == 0
     assert out == out_loop
@@ -568,20 +578,37 @@ def test_verify_mod4n_is_exact(capsys, seed):
     assert report["max_error"] == 0.0 and report["samples"] == 100
 
 
-def test_verify_mod4n_fails_a_perturbed_side(capsys, monkeypatch):
-    # one exponent of the second side moved by 1: that entry is off by
-    # |1 - e(1/4N)|/sqrt(N_b), far past 1e-8 N
+def _perturbed_pair_output(capsys, monkeypatch, check):
+    """Exit code and output of `verify <check>` on 3 pairs when one entry of
+    the second side of one pair, in the stacked [A, B, A, B, ...] build of
+    one N, has its exponent moved by 1: off by |1 - e(1/4N)|/sqrt(N_b), far
+    past 1e-8 N."""
     real = hecke.build_many
+    stacks = []
 
     def perturbed(ms, n):
         u = real(ms, n)
-        at = np.flatnonzero(u[1])[0]
-        u[1].flat[at] *= np.exp(2j * np.pi / (4 * n))
+        if not stacks:
+            at = np.flatnonzero(u[1])[0]
+            u[1].flat[at] *= np.exp(2j * np.pi / (4 * n))
+        stacks.append(len(ms))
         return u
 
     monkeypatch.setattr(hecke, "build_many", perturbed)
-    assert cli.main(["verify", "mod4n", "--samples", "3", "--dims", "1..4"]) == 1
-    assert capsys.readouterr().out.startswith("[FAIL] mod4N: 3 samples")
+    rc = cli.main(["verify", check, "--samples", "3", "--dims", "1..4"])
+    # one stack per N, each of whole pairs
+    assert sum(stacks) == 6 and not any(k % 2 for k in stacks)
+    return rc, capsys.readouterr().out
+
+
+def test_verify_mod4n_fails_a_perturbed_side(capsys, monkeypatch):
+    rc, out = _perturbed_pair_output(capsys, monkeypatch, "mod4n")
+    assert rc == 1 and out.startswith("[FAIL] mod4N: 3 samples")
+
+
+def test_verify_mod2n_fails_a_perturbed_side(capsys, monkeypatch):
+    rc, out = _perturbed_pair_output(capsys, monkeypatch, "mod2n")
+    assert rc == 1 and out.startswith("[FAIL] mod2N: 3 samples")
 
 
 # every command that prints a verdict, on inputs whose errors are nonzero;

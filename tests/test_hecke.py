@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,13 +197,24 @@ def test_verify_hecke_sampled():
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_commutant_matches_loop_enumeration(n):
-    # every 4N up to the default cap, with a scalar matrix at small N
+    # every 4N up to the default cap, with both scalar matrices, whose
+    # commutant is every theta matrix mod 4N (65,536 of them at 4N = 64)
     rng = random.Random(100 + n)
-    mats = [random_theta_general(rng, 5)]
-    if n <= 3:
-        mats.append(Mat2(-1, 0, 0, -1))
-    for a in mats:
+    for a in [random_theta_general(rng, 5), IDENTITY, Mat2(-1, 0, 0, -1)]:
         assert commutant_mod(a, n) == commutant_mod_reference(a, n), a
+
+
+def test_commutant_of_the_identity_peaks_below_12_mb():
+    # the members are found one top-left entry at a time, so the 65,536
+    # ModMatrix members themselves (about 8 MB) are most of the peak
+    tracemalloc.start()
+    try:
+        members = commutant_mod(IDENTITY, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 65536
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("kwargs", [

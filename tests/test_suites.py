@@ -6,7 +6,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from _oracles import (direct_row_reference, gauss_oracle_sweep_loop_reference,
+from _oracles import (decomposition_sweep_reference, direct_row_reference,
+                      egorov_sweep_reference, gauss_oracle_sweep_loop_reference,
+                      mod2n_sweep_reference, mod4n_sweep_reference,
                       multiplicativity_sweep_reference, relations_reference,
                       word_product_reference)
 
@@ -77,6 +79,60 @@ def test_multiplicativity_sweep_splits_a_large_stack(monkeypatch):
     kwargs = dict(pairs=30, max_dim=6, seed=4)
     assert (suites.multiplicativity_sweep(**kwargs)
             == multiplicativity_sweep_reference(**kwargs))
+
+
+# each sweep that draws first and builds per N, with its per-sample
+# reference and the name of its sample count
+PER_N_SWEEPS = {
+    "egorov_sweep": (egorov_sweep_reference, "samples"),
+    "mod4n_sweep": (mod4n_sweep_reference, "pairs"),
+    "mod2n_sweep": (mod2n_sweep_reference, "pairs"),
+    "decomposition_sweep": (decomposition_sweep_reference, "words"),
+}
+
+
+@pytest.mark.parametrize("case", ["seed-0", "seed-1", "seed-2", "one-sample",
+                                  "max-dim-1", "split-stacks"])
+@pytest.mark.parametrize("sweep", list(PER_N_SWEEPS))
+def test_per_n_sweep_equals_per_sample_reference(monkeypatch, sweep, case):
+    # samples drawn first and built per N give the report of one
+    # single-sample check per draw, in the same rng order
+    reference, count = PER_N_SWEEPS[sweep]
+    kwargs = {"seed": 4}
+    if case.startswith("seed-"):
+        kwargs = {"seed": int(case.removeprefix("seed-"))}
+    elif case == "one-sample":
+        # mod2n takes at least its two fixed pairs
+        kwargs[count] = 2 if sweep == "mod2n_sweep" else 1
+    elif case == "max-dim-1":
+        kwargs["max_dim"] = 1
+    else:
+        # one draw per stack, so every N with several draws spans several
+        # stacks; Egorov draws at N >= 12 also span several mode blocks
+        monkeypatch.setattr(suites, "_STACK", 1)
+        kwargs[count] = 30
+    assert getattr(suites, sweep)(**kwargs) == reference(**kwargs)
+
+
+def test_per_n_sweeps_build_one_stack_per_n(monkeypatch):
+    # egorov, mod4n, mod2n and decompose each make one checked build_many
+    # call per distinct N, with every draw at that N in it (decompose's
+    # generator tables are built unchecked)
+    calls = []
+    for module in (hecke, suites, weyl):
+        def counting(ms, n, check=True, real=module.build_many):
+            if check:
+                calls.append((len(ms), n))
+            return real(ms, n, check)
+
+        monkeypatch.setattr(module, "build_many", counting)
+    for sweep, (_, count) in PER_N_SWEEPS.items():
+        calls.clear()
+        getattr(suites, sweep)(**{count: 40, "max_dim": 5, "seed": 2})
+        ns = [n for _, n in calls]
+        per_draw = 2 if sweep in ("mod4n_sweep", "mod2n_sweep") else 1
+        assert len(ns) == len(set(ns)) and set(ns) <= set(range(1, 6)), sweep
+        assert sum(k for k, _ in calls) == per_draw * 40, sweep
 
 
 def test_multiplicativity_sweep_reports_a_nan_pair(monkeypatch):
