@@ -20,12 +20,15 @@ entry is e(k/4N)/sqrt(N_b) (N_b = 1 for a shear).  The kernel computes k
 in int64, checks on every entry that the division by L/4N is exact
 (ExponentError otherwise), and reads the entry, or a zero, from the
 (N, N_b) table of _roots.  Each entry is rounded once, and matrices
-congruent mod 4N, having the same exponents, build the same bits.  So a
-matrix too large for the int64 exponents is reduced mod 4N and built from
-its theta lift (sl2.lift_theta), which has 1 <= b <= 4N.
+congruent mod 4N, having the same exponents, build the same bits.  So
+every matrix with |b| > 4N is reduced mod 4N and built from its theta
+lift (sl2.lift_theta), which has 1 <= b <= 4N, and no kernel input has
+|b| > 4N.  Its int64 exponents then stay below 96 N^4 (L <= 8N|b|), so a
+stack that holds a b != 0 matrix takes N <= 17,605 (_MAX_N); a stack of
+shears has no bound.
 
 h and G depend on (Q, Q') only through r = (a*Q' - Q) mod |b|, so their
-exponents are tabulated over r, or over the grid when 2|b| > N^2.  At
+exponents are one table over the 2|b| <= 8N shifted residues r.  At
 |b| = 1, a is even, so h(a, b) = G(N*a, b, 2r) = 1 and every entry is
 e(num/2N)/sqrt(N), an even exponent of the (N, N) table with no Gauss
 term: the anti-shears (a = 0) and a third of the general matrices.
@@ -33,8 +36,8 @@ term: the anti-shears (a = 0) and a third of the general matrices.
 build_many builds a stack of matrices at one N, and build is the stack of
 one.  Per matrix only scalars are made in Python (the theta check, the
 lift, L, gcd(b, N), the signs, eighth roots and inverses of h and of the
-Gauss branch).  The b != 0 kernel sorts a stack by kind (|b| = 1; Gauss
-exponents over r; over the grid) and fills each kind in blocks of at most
+Gauss branch).  The b != 0 kernel sorts a stack into two kinds (|b| = 1,
+and the Gauss table over r) and fills each kind in blocks of at most
 _BLOCK entries: _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each
 step one numpy pass over all of them, and rows of one matrix past that,
 which share its tables; while |b| is at most a block's rows, blocks of a
@@ -269,20 +272,14 @@ def _build_shear(ms: list, n: int) -> np.ndarray:
 _BLOCK = 1 << 14
 
 
-def _fits_kernel(b: int, n: int) -> bool:
-    """Whether the general kernel can build a matrix with top-right entry b.
-
-    Its int64 blocks hold quadratic exponents below 3 L N^2 in units of
-    1/L, L = lcm(8, 4N, 2N|b|) <= 8N|b|, so below 24 N^3 |b|, and its
-    Gauss exponents square residues mod |b'| <= 10^6, the int64 bound of
-    gauss_closed_many.  A lift mod 4N has |b| <= 4N, so 24 N^3 |b| <=
-    96 N^4 < 2^63 and |b'| <= 10^6 for every N <= 17,605.
-    """
-    return (24 * n**3 * abs(b) < 2**63
-            and abs(b) // math.gcd(b, n) <= gauss._MAX_ARRAY_BETA)
+# The largest N of a stack that holds a b != 0 matrix.  The general
+# kernel's int64 blocks hold quadratic exponents below 3 L N^2 in units of
+# 1/L, L = lcm(8, 4N, 2N|b|) <= 8N|b|, and build_many hands it |b| <= 4N
+# only, so below 96 N^4, which is < 2^63 up to N = 17,605.
+_MAX_N = 17_605
 
 
-def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray, on_grid: bool):
+def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
     """Integer exponent tables of the |b| >= 2 matrices ms, laid end to end.
 
     Matrix k's table holds, per r = (aQ' - Q) mod |b|, the exponent of
@@ -296,9 +293,9 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray, on_grid: bool
 
     Returns the tables, the row and column parts of each entry's index
     into them ((K, N), or (N,) for one matrix), and the roots.  A table
-    runs over [0, 2|b|), read at r_col[Q'] + r_row[Q] (r shifted by |b|
-    to need no N x N `%`), or on_grid (every 2|b| > N^2) over each
-    matrix's own grid, read back by grid position.
+    runs over [0, 2|b|), 2|b| <= 8N entries for the lifted inputs of
+    build_many, read at r_col[Q'] + r_row[Q] (r shifted by |b| to need no
+    N x N `%`).
     """
     params, tables = [], {}
     for m, L in zip(ms, units):
@@ -319,21 +316,16 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray, on_grid: bool
                        L // (2 * beta), L // (2 * n * b_abs),
                        s * pow(m.a, -1, b_abs) % b_abs, L, L // (4 * n),
                        3 * L * tables.setdefault(n_b, len(tables))))
-    counts = [n * n if on_grid else 2 * p[0] for p in params]
+    counts = [2 * p[0] for p in params]
     one = len(ms) == 1
     p = params[0] if one else np.array(params, dtype=np.int64).T
     b_abs, a_mod = p[:2] if one else (p[0][:, None], p[1][:, None])
     r_row, r_col = b_abs - q % b_abs, a_mod * q % b_abs
-    if on_grid:
-        keys = (r_col[..., None, :] + r_row[..., :, None]).ravel()
-        r_row, r_col = n * q, q
-    else:
-        keys = np.arange(sum(counts))
+    keys = np.arange(sum(counts))
     if not one:
         # each matrix reads its own run of the table
         start = np.array(list(itertools.accumulate(counts, initial=0))[:-1])
-        if not on_grid:
-            keys -= np.repeat(start, counts)
+        keys -= np.repeat(start, counts)
         r_row = r_row + start[:, None]
         p = np.repeat(p, counts, axis=1)
     b_abs, _, g, beta, inv, parity, alpha, lead, per_beta, per_den, sa, L, step, offset = p
@@ -352,17 +344,19 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray, on_grid: bool
 
 
 def _build_general(ms: list, n: int) -> np.ndarray:
-    """Stack of U_N(A) for matrices A = ms[k] with b != 0."""
-    # build_many has checked _fits_kernel(m.b, n) for every m
+    """Stack of U_N(A) for matrices A = ms[k] with b != 0.
+
+    Raises ExponentError(k) at the first matrix ms[k] found with an entry
+    off the 4N-th roots of unity; build_many names it.
+    """
+    # build_many has checked N <= _MAX_N and lifted every |b| > 4N
     q = np.arange(n, dtype=np.int64)
     qq = q * q
     powers = np.array([qq, q, qq])
-    # by kind: |b| = 1; Gauss exponents tabulated over 2|b| <= N^2
-    # residues, or over the grid
-    groups = ([], [], [])
+    # by kind: |b| = 1, and Gauss exponents tabulated over 2|b| residues
+    groups = ([], [])
     for k, m in enumerate(ms):
-        b_abs = abs(m.b)
-        groups[0 if b_abs == 1 else 1 if 2 * b_abs <= n * n else 2].append(k)
+        groups[abs(m.b) > 1].append(k)
     u = np.empty((len(ms), n, n), dtype=np.complex128)
     per_block = max(1, _BLOCK // (n * n))
     rows = max(1, _BLOCK // (per_block * n))
@@ -380,7 +374,7 @@ def _build_general(ms: list, n: int) -> np.ndarray:
                           * (L // (2 * n * abs(m.b))) for c in (m.d, -2, m.a))
                     for m, L in zip(chunk, units)]
             if kind:
-                exps, r_row, r_col, roots = _exponent_tables(chunk, units, n, q, kind == 2)
+                exps, r_row, r_col, roots = _exponent_tables(chunk, units, n, q)
             else:
                 roots = _roots(n, n)[:4 * n:2]
             # (K, N) vectors, or for one matrix (N,) ones, so that its
@@ -399,7 +393,7 @@ def _build_general(ms: list, n: int) -> np.ndarray:
             unit, step = (x[0] if len(set(x)) == 1 else np.array(x)[:, None, None]
                           for x in (units, [x // (4 * n) for x in units]))
             span, same = rows, None
-            if kind == 1 and len(chunk) == 1 and abs(chunk[0].b) <= rows < n:
+            if kind and len(chunk) == 1 and abs(chunk[0].b) <= rows < n:
                 # the Gauss exponents of row Q depend on Q mod |b| only, so
                 # every block of a multiple of |b| rows reads the same ones
                 span -= rows % abs(chunk[0].b)
@@ -419,9 +413,8 @@ def _build_general(ms: list, n: int) -> np.ndarray:
                     k = np.floor_divide(e, step, out=num)
                     e -= k * step
                     if e.any():
-                        bad = chunk[int(np.flatnonzero(e.reshape(len(chunk), -1).any(axis=1))[0])]
-                        raise ExponentError(f"propagator of {bad} at N={n} has an "
-                                            "entry off the 4N-th roots of unity")
+                        bad = e.reshape(len(chunk), -1).any(axis=1)
+                        raise ExponentError(idx[int(np.flatnonzero(bad)[0])])
                     e = k
                 if dest is None:
                     u[idx, r0:r0 + span] = roots[e]
@@ -466,37 +459,41 @@ def build_many(ms, n: int, check: bool = True) -> np.ndarray:
         raise ValueError("dimension must be a positive integer")
     if not ms:
         raise ValueError("build_many needs at least one matrix")
-    shears, general, kernel = [], [], []
-    for k, m in enumerate(ms):
-        if m.b == 0:
-            shears.append(k)
+    shears = [k for k, m in enumerate(ms) if m.b == 0]
+    general = [k for k, m in enumerate(ms) if m.b]
+    if general and n > _MAX_N:
+        raise ValueError(f"N = {n} is too large for the int64 propagator "
+                         f"kernel, which takes N <= {_MAX_N} when b != 0")
+    # U_N(A) depends on A only mod 4N, and the lift is general too
+    kernel = [lift_theta(reduce_mod(m, 4 * n)) if abs(m.b) > 4 * n else m
+              for m in ms]
+
+    def named(k: int) -> str:
+        where = f" (stack member {k})" if len(ms) > 1 else ""
+        return f"propagator of {ms[k]}{where} at N={n}"
+
+    try:
+        if not general:
+            u = _build_shear(kernel, n)
+        elif not shears:
+            u = _build_general(kernel, n)
         else:
-            general.append(k)
-            if not _fits_kernel(m.b, n):
-                # U_N(A) depends on A only mod 4N, and the lift is general too
-                m = lift_theta(reduce_mod(m, 4 * n))
-                if not _fits_kernel(m.b, n):
-                    raise ValueError(f"N = {n} is too large for the int64 "
-                                     "propagator kernel")
-        kernel.append(m)
-    if not general:
-        u = _build_shear(kernel, n)
-    elif not shears:
-        u = _build_general(kernel, n)
-    else:
-        u = np.empty((len(kernel), n, n), dtype=np.complex128)
-        u[shears] = _build_shear([kernel[k] for k in shears], n)
-        u[general] = _build_general([kernel[k] for k in general], n)
+            u = np.empty((len(kernel), n, n), dtype=np.complex128)
+            u[shears] = _build_shear([kernel[k] for k in shears], n)
+            u[general] = _build_general([kernel[k] for k in general], n)
+    except ExponentError as err:
+        k = general[err.args[0]]
+        lift = "" if kernel[k] is ms[k] else f", built from its lift {kernel[k]},"
+        raise ExponentError(f"{named(k)}{lift} has an entry off the 4N-th "
+                            "roots of unity") from None
     if check:
         tol = UNITARITY_TOL * math.sqrt(n)
         defects = _stack_defects(u)
         # not d < tol also catches a NaN defect
         failed = [k for k, d in enumerate(defects) if not d < tol]
         if failed:
-            k = failed[0]
-            where = f" (stack member {k})" if len(ms) > 1 else ""
-            raise UnitarityError(f"propagator of {ms[k]}{where} at N={n} is not "
-                                 f"unitary (defect {defects[k]:.3e})")
+            raise UnitarityError(f"{named(failed[0])} is not unitary "
+                                 f"(defect {defects[failed[0]]:.3e})")
     return u
 
 

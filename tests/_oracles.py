@@ -18,8 +18,8 @@ from qcatmap import gauss, hecke, weyl
 from qcatmap.hecke import CapExceededError
 from qcatmap.numtheory import jacobi
 from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
-from qcatmap.propagator import (MULT_TOL, Report, _drive, _fits_kernel, build,
-                                h_phase, verify_mult)
+from qcatmap.propagator import (MULT_TOL, Report, _drive, build, h_phase,
+                                verify_mult)
 from qcatmap.sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, ModMatrix, decompose,
                          evaluate, lift_theta, random_word)
 from qcatmap.suites import (GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL,
@@ -339,9 +339,11 @@ def build_general_reference(m, n: int) -> np.ndarray:
     (num % den, one exp each); the table-driven, row-blocked
     propagator._build_general must match it bit for bit."""
     a, b, d = m.a, m.b, m.d
-    if not _fits_kernel(b, n):
-        raise ValueError(f"N = {n} is too large for the int64 propagator kernel")
     g = math.gcd(b, n)
+    # its quadratic numerators, below 3 (2N|b|) N^2, are int64, and so are
+    # gauss_closed_many's over |b'|
+    if 6 * n**3 * abs(b) >= 2**63 or abs(b) // g > gauss._MAX_ARRAY_BETA:
+        raise ValueError(f"N = {n} is too large for the int64 reference kernel")
     n_b = n // g
     bp = b // g
     beta_abs = abs(bp)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
@@ -362,9 +363,11 @@ def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
 def _general_kernel_cases():
     """General matrices at N = 1..32, 61, 64, 127, 128, 129, 200, 256, 1024:
     random words, which reach b < 0 and gcd(b, N) > 1, lifts mod 4N, which
-    reach |b| > N, and matrices with 2|b| > N^2, whose Gauss exponents are
-    tabulated on the grid itself.  N = 129 and 200 end in a partial row
-    block, and N = 256 and 1024 take several full ones."""
+    reach |b| > N, and matrices with 2|b| > N^2, which build lifts mod 4N
+    to a Gauss table of 2|b| <= 8N entries, and which the kernel, called
+    on them directly, tabulates over their 2|b| residues.  N = 129 and 200
+    end in a partial row block, and N = 256 and 1024 take several full
+    ones."""
     rng = random.Random(41)
     # a lift mod 1024, and |b| = 40000 and 59049, past N^2 / 2
     cases = [(Mat2(875, 558, -96722, -61681), 256),
@@ -508,14 +511,23 @@ def _mutant_eighths(monkeypatch, where):
 @pytest.mark.parametrize("n", [3, 5, 129])
 def test_an_eighth_root_off_by_one_raises(monkeypatch, where, n):
     # at odd N, e(1/8) is no 4N-th root of unity, so an entry's exponent is
-    # not a whole number of steps; the check runs without the guard too
+    # not a whole number of steps; the check runs without the guard too.
+    # The error names the caller's matrix, not the lift it is built from
+    # ((2, 1; 3, 2)^14 lifts to |b| = 4, 4 and 316).
     _mutant_eighths(monkeypatch, where)
-    for m in (Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5)):
+    power = _power(Mat2(2, 1, 3, 2), 14)
+    assert abs(power.b) > 4 * n
+    for m in (Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5), power):
         with pytest.raises(propagator.ExponentError, match=f"propagator of {m} at N={n}"):
             build(m, n, check=False)
     ms = [Mat2(2, 1, 3, 2), T2_PLUS, Mat2(1, -2, 2, -3), Mat2(2, 3, 1, 2)]
-    with pytest.raises(propagator.ExponentError, match="propagator of 1,-2,2,-3 "):
+    with pytest.raises(propagator.ExponentError,
+                       match=r"propagator of 1,-2,2,-3 \(stack member 2\) "):
         propagator.build_many(ms, n)
+    with pytest.raises(propagator.ExponentError,
+                       match=rf"propagator of {power} \(stack member 1\) at N={n}, "
+                             rf"built from its lift {lift_theta(reduce_mod(power, 4 * n))},"):
+        propagator.build_many([T2_PLUS, power], n)
     # |b| = 1 and the shears read no eighth root
     assert _same_bits(build(Mat2(2, 1, 3, 2), n), _exact(Mat2(2, 1, 3, 2), n))
 
@@ -535,9 +547,9 @@ def test_build_holds_little_more_than_its_output(m):
     assert peak <= 1.25 * u.nbytes
 
 
-def test_general_kernel_memory_is_bounded_by_the_grid():
-    # |b| = 2 * 999999 is within the kernel budget at N = 2; a Gauss table
-    # over all residues mod |b| would take tens of megabytes
+def test_general_kernel_memory_is_bounded_by_the_lift():
+    # |b| = 2 * 999999 is lifted at N = 2 to |b| <= 8; a Gauss table over
+    # all residues mod |b| would take tens of megabytes
     tracemalloc.start()
     try:
         build(Mat2(1, 2 * 999_999, 0, 1), 2)
@@ -594,7 +606,7 @@ def test_huge_powers_match_exact_reference(n):
                     (Mat2(1, 2, 2, 5), 26), (Mat2(1, 2, 2, 5), 27)):
         m = _power(base, t)
         assert max(abs(x) for x in m.entries()) > 2**64
-        assert not propagator._fits_kernel(m.b, n)
+        assert abs(m.b) > 4 * n
         assert n != 12 or math.gcd(m.b, n) > 1
         u = build(m, n)
         assert np.abs(u - propagator_reference(m, n)).max() < 1e-10
@@ -602,19 +614,20 @@ def test_huge_powers_match_exact_reference(n):
         assert _same_bits(u, _exact(m, n))
 
 
-@pytest.mark.parametrize("n", [1, 61])
-def test_fits_kernel_stops_at_the_gauss_int64_bound(n):
-    # the bound is on b' = b / gcd(b, N), the beta of the Gauss sums
-    for g in {1, n}:
-        assert propagator._fits_kernel(g * 10**6, n)
-        assert not propagator._fits_kernel(g * (10**6 + 1), n)
-        assert not propagator._fits_kernel(-g * (10**6 + 1), n)
-
-
 def test_every_lift_fits_the_kernel_up_to_its_dimension_bound():
-    # a lift mod 4N has 1 <= b <= 4N, and 24 N^3 (4N) < 2^63 up to N = 17,605
-    assert propagator._fits_kernel(4 * 17605, 17605)
-    assert not propagator._fits_kernel(4 * 17606, 17606)
+    # a kernel input has |b| <= 4N, so its exponents stay below
+    # 24 N^3 (4N) = 96 N^4, which is < 2^63 up to N = 17,605
+    assert propagator._MAX_N == 17_605
+    assert 96 * 17_605**4 < 2**63 <= 96 * 17_606**4
+    # past it even |b| = 1 is refused, before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            build(Mat2(2, 1, 3, 2), 17_606)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_huge_b_divisible_by_4n_lifts_to_b_equal_4n():
@@ -626,8 +639,49 @@ def test_huge_b_divisible_by_4n_lifts_to_b_equal_4n():
         assert np.abs(build(mm, n) - propagator_reference(mm, n)).max() < 1e-10
 
 
+def _straddle(m, n):
+    """The partner of a lift m with 1 <= b < 4N: the same residues mod 4N
+    and b - 4N, a' = a + 4N t for the first t >= 0 with gcd(a', b - 4N) = 1,
+    and c', d' solved as lift_theta does."""
+    mod = 4 * n
+    b = m.b - mod
+    a = next(x for x in itertools.count(m.a, mod) if math.gcd(x, b) == 1)
+    k = (1 - a * m.d + b * m.c) // mod
+    v = k * pow(a, -1, -b) % -b
+    return Mat2(a, b, m.c + mod * ((a * v - k) // b), m.d + mod * v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 61])
+def test_congruent_pair_straddling_the_lift_window_keeps_two_kernel_inputs(
+        monkeypatch, n):
+    # A has 1 <= b < 4N and B = A mod 4N has b - 4N, so neither is lifted
+    # and a congruence check compares two kernel inputs, not one with itself
+    seen = []
+    real = propagator._build_general
+
+    def spy(ms, n):
+        seen.append(list(ms))
+        return real(ms, n)
+
+    monkeypatch.setattr(propagator, "_build_general", spy)
+    rng = random.Random(n)
+    pairs = 0
+    while pairs < 6:
+        a = lift_theta(reduce_mod(random_theta_general(rng, 12), 4 * n))
+        if a.b == 4 * n:
+            continue
+        b = _straddle(a, n)
+        assert reduce_mod(b, 4 * n) == reduce_mod(a, 4 * n) and b != a
+        seen.clear()
+        u = propagator.build_many([a, b], n)
+        assert seen == [[a, b]]
+        assert _same_bits(u[0], u[1])
+        assert _same_bits(u[0], _exact(a, n)) and _same_bits(u[1], _exact(b, n))
+        pairs += 1
+
+
 def test_dimension_beyond_kernel_budget_is_value_error():
-    # 24 N^3 |b| >= 2^63 even for the lift, so build refuses before allocating
+    # N > 17,605 with b != 0, so build refuses before allocating
     with pytest.raises(ValueError, match="too large"):
         build(Mat2(2, 1, 3, 2), 2**21)
 
@@ -675,7 +729,7 @@ def _stack_cases(n):
     """One mixed stack at N: shears and parity, anti-shears and the Fourier
     matrices, general matrices with |b| = 1 and |b| >= 2 (random words and
     lifts mod 4N, which reach |b| > N and 2|b| > N^2), and hyperbolic
-    powers with entries past 2^64, which build from their lifts."""
+    powers with entries past 2^64; every |b| > 4N builds from its lift."""
     rng = random.Random(1000 + n)
     ms = [Mat2(1, 0, 6, 1), Mat2(-1, 0, -4, -1), P_MAT, T2_PLUS, T2_MINUS,
           S_PLUS, S_MINUS, Mat2(0, 1, -1, 4), Mat2(0, -1, 1, -6),
@@ -698,13 +752,32 @@ def test_build_many_bit_equal_to_build_and_whole_grid_reference(n):
     # spans several blocks of each kind; N = 129 takes rows of one matrix
     ms = _stack_cases(n)
     assert any(m.b == 0 for m in ms) and any(abs(m.b) == 1 for m in ms)
-    assert any(not propagator._fits_kernel(m.b, n) for m in ms)
+    assert any(abs(m.b) > 4 * n for m in ms)
     stack = propagator.build_many(ms, n)
     assert stack.shape == (len(ms), n, n) and stack.dtype == np.complex128
     for m, u in zip(ms, stack):
         assert _same_bits(u, build(m, n)), m
         # the exact formula on m itself, past 2^64 too
         assert _same_bits(u, _exact(m, n)), m
+
+
+def test_no_kernel_input_has_b_past_4n(monkeypatch):
+    # every |b| > 4N is lifted, so a Gauss table has 2|b| <= 8N entries;
+    # the cases reach |b| > 4N and 2|b| > N^2
+    widest = []
+    real = propagator._exponent_tables
+
+    def spy(ms, units, n, q):
+        widest.append((max(abs(m.b) for m in ms), n))
+        return real(ms, units, n, q)
+
+    monkeypatch.setattr(propagator, "_exponent_tables", spy)
+    cases = [(_stack_cases(n), n) for n in STACK_DIMS]
+    cases += [([m], n) for m, n in _general_kernel_cases()]
+    assert any(2 * abs(m.b) > n * n for ms, n in cases if n >= 128 for m in ms)
+    for ms, n in cases:
+        propagator.build_many(ms, n, check=False)
+    assert widest and all(b <= 4 * n for b, n in widest)
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])

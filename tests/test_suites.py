@@ -12,7 +12,7 @@ from _oracles import (decomposition_sweep_reference, direct_row_reference,
                       multiplicativity_sweep_reference, relations_reference,
                       word_product_reference)
 
-from qcatmap import gauss, hecke, suites, weyl
+from qcatmap import gauss, hecke, propagator, suites, weyl
 from qcatmap.propagator import MULT_TOL, verify_mult
 from qcatmap.sl2 import IDENTITY, T2_PLUS, Mat2, random_word
 
@@ -133,6 +133,45 @@ def test_per_n_sweeps_build_one_stack_per_n(monkeypatch):
         per_draw = 2 if sweep in ("mod4n_sweep", "mod2n_sweep") else 1
         assert len(ns) == len(set(ns)) and set(ns) <= set(range(1, 6)), sweep
         assert sum(k for k, _ in calls) == per_draw * 40, sweep
+
+
+def _kernel_input(monkeypatch, m, n):
+    """The matrix build hands its general kernel for m at N (its lift when
+    |b| > 4N), or m itself for a shear."""
+    seen = [m]
+    real = propagator._build_general
+
+    def spy(ms, n):
+        seen.extend(ms)
+        return real(ms, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "_build_general", spy)
+        propagator.build(m, n, check=False)
+    return seen[-1]
+
+
+@pytest.mark.parametrize("seed, equal", [(0, 16), (106, 8)])
+def test_mod4n_pairs_reach_the_kernel_as_two_matrices(monkeypatch, seed, equal):
+    # build lifts every |b| > 4N, and two congruent matrices that are both
+    # lifted reach the kernel as one matrix, a comparison of a build with
+    # itself; in the sweep's draws only the pairs with A == B coincide
+    pairs = []
+    real = hecke._pair_errors
+
+    def spy(batch, n, modulus):
+        pairs.extend((n, a, b) for a, b in batch)
+        return real(batch, n, modulus)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hecke, "_pair_errors", spy)
+        suites.mod4n_sweep(seed=seed)
+    assert len(pairs) == 100
+    assert any(abs(m.b) > 4 * n for n, a, b in pairs for m in (a, b))
+    same = [_kernel_input(monkeypatch, a, n) == _kernel_input(monkeypatch, b, n)
+            for n, a, b in pairs]
+    assert same == [a == b for _, a, b in pairs]
+    assert sum(same) == equal
 
 
 def test_multiplicativity_sweep_reports_a_nan_pair(monkeypatch):
