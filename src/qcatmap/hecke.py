@@ -16,6 +16,7 @@ mod 4N is decided by integer array arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -108,9 +109,9 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
         d = (d0[:, None] + m // h * g[:h]).ravel()
         b, c = np.repeat(b, h), np.repeat(c, h)
         keep = ok[(xa - d) % m, b, c] & ((xa * b) % 2 == 0) & ((c * d) % 2 == 0)
-        members += [ModMatrix(xa, *e, m) for e in zip(b[keep].tolist(),
-                                                      c[keep].tolist(),
-                                                      d[keep].tolist())]
+        # every entry is a residue in [0, m) already
+        members += map(ModMatrix._of_residues, itertools.repeat(xa), b[keep].tolist(),
+                       c[keep].tolist(), d[keep].tolist(), itertools.repeat(m))
     return members
 
 

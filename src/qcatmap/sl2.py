@@ -116,6 +116,20 @@ class ModMatrix:
         for name in "abcd":
             object.__setattr__(self, name, getattr(self, name) % self.modulus)
 
+    @classmethod
+    def _of_residues(cls, a: int, b: int, c: int, d: int, modulus: int) -> "ModMatrix":
+        """The matrix of residues a, b, c, d, already in [0, modulus), taken
+        as they are: no check and no second reduction, which were most of
+        the cost of a large commutant."""
+        x = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(x, "a", a)
+        setattr_(x, "b", b)
+        setattr_(x, "c", c)
+        setattr_(x, "d", d)
+        setattr_(x, "modulus", modulus)
+        return x
+
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.modulus != other.modulus:
             raise ValueError("moduli differ")

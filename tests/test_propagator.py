@@ -12,7 +12,7 @@ from qcatmap.numtheory import NotCoprimeError
 from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
                                 propagator_json, unitarity_defect, verify_mult)
 from qcatmap.sl2 import (IDENTITY, P_MAT, S_MINUS, S_PLUS, T2_MINUS, T2_PLUS,
-                         Mat2, NotThetaError, evaluate, lift_theta,
+                         Mat2, NotThetaError, evaluate, is_theta, lift_theta,
                          random_theta_general, random_word, reduce_mod)
 from _oracles import (build_antishear_reference, build_general_reference,
                       delta_basis, exponent_reference, gauss_reference,
@@ -214,7 +214,11 @@ def test_blocked_unitarity_defect_equals_dense_product(n):
         mats.append(z / math.sqrt(2 * n))
     for u in mats:
         before = u.copy()
-        assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
+        want = unitarity_defect_reference(u)
+        assert abs(unitarity_defect(u) - want) <= 1e-15 * n
+        # block rows in products of fewer columns, as for strided blocks
+        for width in (B, 2 * B):
+            assert abs(propagator._half_gram(u, width) - want) <= 1e-15 * n
         assert np.array_equal(u, before)
 
 
@@ -230,17 +234,28 @@ def test_blocked_unitarity_defect_sees_a_lower_left_entry(row, col):
     assert abs(got - unitarity_defect_reference(u)) <= 1e-15 * n
 
 
-def test_blocked_unitarity_defect_holds_no_square_temporary():
-    # the dense product held an N x N conjugate copy and an N x N product
-    n = 4 * B
-    u = build(Mat2(2, 1, 3, 2), n)
+def _peak_bytes(guard, u):
     tracemalloc.start()
     try:
-        unitarity_defect(u)
-        peak = tracemalloc.get_traced_memory()[1]
+        guard(u)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < u.nbytes
+
+
+def test_blocked_unitarity_defect_holds_no_square_temporary():
+    # the dense product held an N x N conjugate copy and an N x N product;
+    # (1, 2; 2, 5) has g = 2 blocks, which are views
+    n = 4 * B
+    for m in (Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5)):
+        u = build(m, n)
+        assert _peak_bytes(unitarity_defect, u) < u.nbytes
+
+
+def test_block_guard_holds_no_more_than_the_half_gram():
+    # the blocks of a g = 2 matrix are strided views, not copies
+    u = build(Mat2(1, 2, 2, 5), 4 * B)
+    assert _peak_bytes(unitarity_defect, u) <= _peak_bytes(propagator._half_gram, u)
 
 
 @pytest.mark.parametrize("at", [(0, 0), (2 * B + 2, 2 * B + 2)],
@@ -358,6 +373,138 @@ def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
     u[0] = 0
     u[0, 4] = 1
     assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
+
+
+@pytest.mark.parametrize("u", [np.eye(3, 2), np.eye(2, 3), np.ones(4),
+                               np.zeros((2, 2, 2)), np.array(1.0)],
+                         ids=["tall", "wide", "1-d", "3-d", "0-d"])
+def test_unitarity_defect_rejects_a_non_square_array(u):
+    # eye(3, 2) is an isometry, u^dagger u = I exactly, but had read 1.0
+    # from a diagonal stride taken from the row count
+    with pytest.raises(ValueError, match="square"):
+        unitarity_defect(u)
+
+
+def _with_b(a, b):
+    """The theta matrix (a, b; c, d) with the least d >= 0 (a, b coprime,
+    one of them even)."""
+    d = pow(a, -1, abs(b)) if abs(b) > 1 else 0
+    m = Mat2(a, b, (a * d - 1) // b, d)
+    # a shift by (a, b) flips the parity of c d
+    return m if is_theta(m) else Mat2(a, b, m.c + a, d + b)
+
+
+# (N, top rows (a, b)): g = gcd(b, N) from 2 to N, with N/g nonzeros per
+# row, in one stack (N/g <= B) or as strided views (N/g > B); a != 1 mod
+# g permutes the column classes, and b = N (g = N) is a general monomial
+BLOCK_CASES = [(129, (2, 3)), (129, (5, 6)), (129, (2, 129)),
+               (256, (1, 2)), (256, (3, 4)), (256, (3, 8)), (256, (1, 256)),
+               (300, (1, 2)), (300, (7, 2)), (300, (2, 3)), (300, (3, 4)),
+               (300, (2, 5)), (300, (5, 6)), (300, (7, 20)), (300, (1, 300)),
+               (1024, (1, 2)), (1024, (3, -4)), (1024, (3, 8)), (1024, (5, 64))]
+
+
+@pytest.mark.parametrize("n, top", BLOCK_CASES,
+                         ids=[f"{n}-{a},{b}" for n, (a, b) in BLOCK_CASES])
+def test_block_guard_equals_dense_product(n, top):
+    m = _with_b(*top)
+    g = math.gcd(m.b, n)
+    u = build(m, n, check=False)
+    before = u.copy()
+    # the guard finds g blocks of N/g x N/g entries that hold every nonzero
+    blocks = [u[x] for x in propagator._residue_blocks(u)]
+    assert sum(len(x) if x.ndim == 3 else 1 for x in blocks) == g
+    assert all(x.shape[-2:] == (n // g, n // g) for x in blocks)
+    assert sum(np.count_nonzero(x) for x in blocks) == np.count_nonzero(u)
+    assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
+    assert np.array_equal(u, before)
+
+
+def test_shear_is_the_case_of_one_by_one_blocks():
+    n = 2 * B + 3
+    for m in (Mat2(1, 0, 6, 1), P_MAT):
+        [x] = propagator._residue_blocks(build(m, n))
+        assert build(m, n)[x].shape == (n, 1, 1)
+
+
+def _first_nonzero(u, row):
+    return int(np.flatnonzero(u[row])[0])
+
+
+def _move_off_block(u, g):
+    col = _first_nonzero(u, 9)
+    u[9, col + 1], u[9, col] = u[9, col], 0
+
+
+def _set_block_entry(value, inside):
+    # row 9's first nonzero, or the zero next to it, in another class
+    def edit(u, g):
+        u[9, _first_nonzero(u, 9) + (not inside)] = value
+    return edit
+
+
+def _empty_column(first):
+    # a column of row class 1's column class, which misses row 0; among
+    # the first g columns the guard reads the classes from, or past them
+    def edit(u, g):
+        u[:, _first_nonzero(u, 1) + (0 if first else g)] = 0
+    return edit
+
+
+def _two_column_classes_in_one_row_class(u, g):
+    # row class 2's block moves into row class 1, which then meets two
+    # column classes, and row class 2 is empty
+    c = _first_nonzero(u, 2) % g
+    u[1::g, c::g] = u[2::g, c::g]
+    u[2::g] = 0
+
+
+def _two_row_classes_in_one_column_class(u, g):
+    # row class 2 takes a copy of row class 1's block, in its column
+    # class: each block alone is unitary, but that column class has norm 2
+    # and row class 2's own column class is empty
+    c1, c2 = (_first_nonzero(u, r) % g for r in (1, 2))
+    u[2::g, c1::g] = u[1::g, c1::g]
+    u[2::g, c2::g] = 0
+
+
+DEFECTIVE_BLOCKS = {
+    "moved-off-block": _move_off_block,
+    "nan-in-block": _set_block_entry(np.nan, True),
+    "nan-off-block": _set_block_entry(np.nan, False),
+    "inf-in-block": _set_block_entry(np.inf, True),
+    "inf-off-block": _set_block_entry(np.inf, False),
+    "emptied-column": _empty_column(False),
+    "emptied-first-column": _empty_column(True),
+    "two-column-classes-in-one-row-class": _two_column_classes_in_one_row_class,
+    "two-row-classes-in-one-column-class": _two_row_classes_in_one_column_class,
+}
+
+
+# g = 3 blocks of 130 columns as views, and g = 6 blocks of 50 in a stack
+@pytest.mark.parametrize("n, m", [(390, Mat2(2, 3, 1, 2)), (300, _with_b(5, 6))],
+                         ids=["views", "stack"])
+@pytest.mark.parametrize("edit", DEFECTIVE_BLOCKS.values(),
+                         ids=DEFECTIVE_BLOCKS.keys())
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_unitarity_guard_rejects_a_defective_block_pattern(monkeypatch, edit, n, m):
+    g = math.gcd(m.b, n)
+    real = propagator._build_general
+
+    def defective(ms, n):
+        u = real(ms, n)
+        edit(u[0], g)
+        return u
+
+    monkeypatch.setattr(propagator, "_build_general", defective)
+    u = build(m, n, check=False)
+    got, want = unitarity_defect(u), unitarity_defect_reference(u)
+    if math.isfinite(want):
+        assert abs(got - want) <= 1e-15 * n
+    else:
+        assert not math.isfinite(got)
+    with pytest.raises(propagator.UnitarityError):
+        build(m, n)
 
 
 def _general_kernel_cases():
