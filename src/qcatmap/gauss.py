@@ -14,7 +14,8 @@ For coprime alpha, beta the nonzero values have unit modulus and a closed
 form per parity branch, evaluated by gauss_closed through Jacobi symbols,
 eighth roots of unity and one modular inverse, on Python ints for any
 beta.  gauss_direct and gauss_closed_many work in int64 and raise
-ValueError for |beta| > 10^6, where gauss_closed takes over.
+ValueError for |beta| > 10^6, and gauss_closed_many for a gamma outside
+int64, where gauss_closed takes over.
 gauss_closed_many takes rows of alphas at one beta (one alpha is a row of
 one), and checks every pair in one pass before it lays their branch
 constants out as columns.  _branch gives each branch's leading
@@ -151,9 +152,13 @@ def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
     One pass checks each pair in turn: |beta| <= 10^6, or ValueError (the
     values are int64; gauss_closed takes any beta), then gcd = 1, or
     NotCoprimeError, then takes its branch.  Rows of alpha spanning two
-    branches, or none, then raise UnsupportedParityError.
+    branches then raise UnsupportedParityError, and an empty row gives an
+    empty result.  A gamma outside int64 is a ValueError too.
     """
-    gam = np.asarray(gammas, dtype=np.int64)
+    try:
+        gam = np.asarray(gammas, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("gammas exceed int64; use gauss_closed") from None
     rows = isinstance(alpha, np.ndarray)
     alphas = alpha.tolist() if rows else [alpha]
     branches = []
@@ -163,9 +168,11 @@ def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
         if math.gcd(a, beta) != 1:
             raise NotCoprimeError(f"alpha={a} and beta={beta} share a factor")
         branches.append(_branch(a, beta))
-    if len({parity for *_, parity in branches}) != 1:
+    if len({parity for *_, parity in branches}) > 1:
         raise UnsupportedParityError(
             f"alphas {alphas} do not share one branch at beta={beta}")
+    if not branches:
+        return np.zeros((0, *gam.shape), dtype=complex)
     # one row per alpha, broadcast against every gamma axis; beta is |beta|
     # from here on, and the values read alpha only mod 2|beta|, so it
     # enters the int64 rows reduced

@@ -41,13 +41,13 @@ and the Gauss table over r) and fills each kind in blocks of at most
 _BLOCK entries: _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each
 step one numpy pass over all of them, and rows of one matrix past that,
 which share its tables; while |b| is at most a block's rows, blocks of a
-multiple of |b| rows share their Gauss exponents too.  The guard takes
-one stacked Gram product per block of whole matrices up to
-N = _GRAM_BLOCK, and unitarity_defect per matrix past that.  There a
-matrix with g = gcd(b, N) > 1, whose nonzeros lie where Q = aQ' mod g,
-is block diagonal up to a permutation of residue classes mod g, and only
-the Gram matrices of its g blocks of N/g x N/g entries are formed; a
-shear is the case g = N.
+multiple of |b| rows share their Gauss exponents too.  The guard runs
+one Gram routine, _gram_defects, on stacks: the whole stack up to
+N = _GRAM_BLOCK, and past that, per matrix, the stacks unitarity_defect
+takes.  A matrix with g = gcd(b, N) > 1, whose nonzeros lie where
+Q = aQ' mod g, is block diagonal up to a permutation of residue classes
+mod g, so there only the Gram matrices of its g blocks of N/g x N/g
+entries are formed; a shear is the case g = N.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -199,7 +199,7 @@ def _h_eighths(a: int, b: int) -> tuple[int, int]:
     return jacobi(abs(b), abs(a)), -sign(a * b) * abs(a)
 
 
-# Columns per block row of the Gram matrix in _half_gram.  At N = 1024
+# Columns per block row of the Gram matrix in _gram_defects.  At N = 1024
 # on 2 cores (OpenBLAS, 2 threads) the guard took a median 90 ms as one
 # dense product, and 61, 58, 67 and 71 ms in blocks of 64, 128, 256 and
 # 512, with bit-equal defects on the 4 matrices tried.  Every N <= 128 is
@@ -209,92 +209,89 @@ _GRAM_BLOCK = 128
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of u^dagger u from the identity, for a square u
-    (ValueError for any other shape).
+    (ValueError for any other shape): the largest _gram_defects over the
+    stacks of _residue_blocks.
 
-    Past one Gram block, a u whose row 0 holds k = N/g nonzeros, 1 <= k <
-    N, and whose nonzeros all lie in the g blocks u[r::g, tau(r)::g] of
-    row class r mod g and column class tau(r), tau a permutation of Z/g,
-    takes only the Gram matrices of those blocks, with no approximation:
-    every other entry of u^dagger u is a sum of products with an exact
-    zero factor.  A propagator with g = gcd(b, N) > 1 is such a u, and a
-    shear or parity is its case g = N of 1 x 1 blocks.  Blocks of at most
-    _GRAM_BLOCK columns are one stack for _stack_defects, and larger ones
-    go through _half_gram as strided views.  A NaN or inf is nonzero, so
-    it lands in a block, whose defect it makes non-finite, or breaks the
-    pattern.  Any other u takes the _half_gram of the whole matrix.
+    Past one Gram block, a u whose nonzeros all lie in g blocks, one per
+    row class mod g, is taken block by block, with no approximation: every
+    other entry of u^dagger u is a sum of products with an exact zero
+    factor.  A propagator with g = gcd(b, N) > 1 is such a u, and a shear
+    or parity is its case g = N of 1 x 1 blocks.  A NaN or inf is nonzero,
+    so it lands in a block, whose defect it makes non-finite, or breaks
+    the pattern.
     """
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitarity_defect needs a square matrix, not shape {u.shape}")
-    blocks = _residue_blocks(u) if len(u) > _GRAM_BLOCK else None
-    if blocks is None:
-        return _half_gram(u)
-    defects = []
-    for x in blocks:
-        block = u[x]
-        # the (g, N/g, N/g) stack of the blocks, or one block as a strided
-        # view, in products of g * _GRAM_BLOCK of its columns, which hold
-        # the N * _GRAM_BLOCK entries a dense product reads
-        defects += (_stack_defects(block) if block.ndim == 3 else
-                    [_half_gram(block, len(blocks) * _GRAM_BLOCK)])
-    return float(np.max(defects))
+    stacks = _residue_blocks(u)
+    # g strided views go in products of g * _GRAM_BLOCK of their columns,
+    # which hold the N * _GRAM_BLOCK entries a dense product reads
+    width = len(stacks) * _GRAM_BLOCK if len(stacks) > 1 else None
+    return float(np.concatenate([_gram_defects(x, width) for x in stacks]).max())
 
 
-def _residue_blocks(u: np.ndarray) -> list | None:
-    """The indices that take from u its g blocks u[r::g, tau(r)::g]: one
-    index of their (g, N/g, N/g) stack while N/g <= _GRAM_BLOCK, else g
-    slices.  None unless row 0 of u holds k = N/g nonzeros, 1 <= k < N,
-    the first nonzeros of rows r < g among the first g columns, at
-    tau(r), make a permutation tau of Z/g, and every nonzero of u lies
-    in a block."""
+def _residue_blocks(u: np.ndarray) -> list:
+    """u as stacks for _gram_defects: its g blocks u[r::g, tau(r)::g], as
+    one (g, N/g, N/g) stack while N/g <= _GRAM_BLOCK, else as g strided
+    views with a leading axis, when N > _GRAM_BLOCK, row 0 of u holds
+    k = N/g nonzeros, 1 <= k < N, the first nonzeros of rows r < g among
+    the first g columns, at tau(r), make a permutation tau of Z/g, and
+    every nonzero of u lies in a block; else the stack of u alone."""
     n = len(u)
-    k = np.count_nonzero(u[0])
+    k = np.count_nonzero(u[0]) if n > _GRAM_BLOCK else n
     if not 0 < k < n or n % k:
-        return None
+        return [u[None]]
     g = n // k
     nz = u != 0
     tau = nz[:g, :g].argmax(axis=1)
     if np.bincount(tau, minlength=g).max() > 1:
-        return None
+        return [u[None]]
     if k <= _GRAM_BLOCK:
         i = np.arange(0, n, g)
         blocks = [((np.arange(g)[:, None] + i)[:, :, None], (tau[:, None] + i)[:, None, :])]
     else:
-        blocks = [np.s_[r::g, c::g] for r, c in enumerate(tau.tolist())]
-    # nz dies here, before the Gram products: held through them it raised
-    # the peak resident memory of build(A, 1024) by 1 MB
+        blocks = [np.s_[None, r::g, c::g] for r, c in enumerate(tau.tolist())]
+    # nz dies on return, before the Gram products: held through them it
+    # raised the peak resident memory of build(A, 1024) by 1 MB
     if sum(np.count_nonzero(nz[x]) for x in blocks) != np.count_nonzero(nz):
-        return None
-    return blocks
+        return [u[None]]
+    return [u[x] for x in blocks]
 
 
-def _half_gram(u: np.ndarray, width: int | None = None) -> float:
-    """unitarity_defect of a square u from its Gram matrix u^dagger u,
-    Hermitian for any u, formed only in its upper block triangle: for each
-    block of _GRAM_BLOCK columns starting at lo, the block row
-    u[:, lo:hi]^dagger u[:, lo:], whose leading square holds that block's
-    diagonal, in products of at most width columns (all of them by
-    default).  Past one block no N x N product or conjugate copy is held,
-    and a NaN block maximum stays the defect.  A product copies the
-    columns of a strided u first, unseen by tracemalloc, and width bounds
+def _gram_defects(u: np.ndarray, width: int | None = None) -> np.ndarray:
+    """unitarity_defect of each matrix of a (K, M, M) stack, from the upper
+    block triangle of its Gram matrix u^dagger u, which is Hermitian for
+    any u: per chunk of _BLOCK // M^2 matrices (one past M = 128) and per
+    block of _GRAM_BLOCK columns from lo, the block row u[:, lo:hi]^dagger
+    u[:, lo:], whose leading square holds the block's diagonal, in
+    products of at most width columns (all by default).  Past one block
+    no M x M product or conjugate copy is held.  A product first copies
+    the columns of a strided u, unseen by tracemalloc, and width bounds
     that copy: at N = 2048 the guard of a g = 2 propagator raised the
     resident peak by 21 MB in whole block rows and by 7 MB in products of
     256 columns, against 12 MB for the dense guard."""
-    n = len(u)
-    width = width or n
-    worst = 0.0
-    for lo in range(0, n, _GRAM_BLOCK):
-        for start in range(lo, n, width):
-            # the conjugate copy dies before np.abs(p) is allocated
-            p = u[:, lo:lo + _GRAM_BLOCK].conj().T @ u[:, start:start + width]
-            if start == lo:
-                # the block's diagonal runs down the leading square of p
-                p.reshape(-1)[::p.shape[1] + 1] -= 1
-            block = np.abs(p).max()
-            # not the builtin max, which drops a later NaN, nor np.max over
-            # a list, which adds ~5 us to every single-block guard
-            if block > worst or math.isnan(block):
-                worst = block
-    return float(worst)
+    m = u.shape[-1]
+    width = width or m
+    step = max(1, _BLOCK // (m * m))
+    defects = []
+    for i in range(0, len(u), step):
+        part = u[i:i + step]
+        worst = None
+        for lo in range(0, m, _GRAM_BLOCK):
+            for start in range(lo, m, width):
+                # the conjugate copy dies before np.abs(p) is allocated
+                p = (part[:, :, lo:lo + _GRAM_BLOCK].conj().mT
+                     @ part[:, :, start:start + width])
+                if start == lo:
+                    # the diagonals, 1-D for one matrix (numpy subtracts
+                    # from a (1, M) view 1 us slower), through no named
+                    # view: one would hold p past the next product
+                    shape = -1 if len(p) == 1 else (len(p), -1)
+                    p.reshape(shape)[..., ::p.shape[2] + 1] -= 1
+                block = np.abs(p).max(axis=(1, 2))
+                # not the builtin max, which drops a later NaN
+                worst = block if worst is None else np.maximum(worst, block)
+        defects.append(worst)
+    return defects[0] if len(defects) == 1 else np.concatenate(defects)
 
 
 @functools.lru_cache(maxsize=32)
@@ -482,27 +479,6 @@ def _build_general(ms: list, n: int) -> np.ndarray:
     return u
 
 
-def _stack_defects(u: np.ndarray) -> list[float]:
-    """unitarity_defect of every matrix of a stack, bit for bit.
-
-    Up to one Gram block each (N <= _GRAM_BLOCK), the Gram matrices of
-    _BLOCK // N^2 matrices are one stacked product, which runs each slice
-    through the product unitarity_defect makes; past that, or for a stack
-    of one, every matrix goes through unitarity_defect.
-    """
-    n = u.shape[-1]
-    if n > _GRAM_BLOCK or len(u) == 1:
-        return [unitarity_defect(x) for x in u]
-    defects = []
-    step = max(1, _BLOCK // (n * n))
-    for lo in range(0, len(u), step):
-        part = u[lo:lo + step]
-        p = part.conj().transpose(0, 2, 1) @ part
-        p.reshape(len(p), -1)[:, ::n + 1] -= 1
-        defects += np.abs(p).max(axis=(1, 2)).tolist()
-    return defects
-
-
 def build_many(ms, n: int, check: bool = True) -> np.ndarray:
     """Propagators U_N(A) of a stack of theta matrices at one dimension N.
 
@@ -547,7 +523,8 @@ def build_many(ms, n: int, check: bool = True) -> np.ndarray:
                             "roots of unity") from None
     if check:
         tol = UNITARITY_TOL * math.sqrt(n)
-        defects = _stack_defects(u)
+        defects = (_gram_defects(u) if n <= _GRAM_BLOCK else
+                   [unitarity_defect(x) for x in u])
         # not d < tol also catches a NaN defect
         failed = [k for k, d in enumerate(defects) if not d < tol]
         if failed:

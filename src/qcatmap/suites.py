@@ -71,8 +71,11 @@ def _generators(tokens, n: int) -> dict:
 def word_product(word, n: int) -> np.ndarray:
     """Product of generator propagators, left to right (empty: identity).
 
-    Each distinct token is built once; an unknown token is a ValueError.
+    Each distinct token is built once; an unknown token or N < 1 is a
+    ValueError.
     """
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
     tokens = [tok for tok in dict.fromkeys(word) if tok in TOKEN_MATRIX]
     return _product(word, _generators(tokens, n), n)
 

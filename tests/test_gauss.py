@@ -214,11 +214,32 @@ def test_direct_past_the_int64_bound_raises(beta):
 
 @pytest.mark.parametrize("alphas, error", [
     ([1, 2], UnsupportedParityError), ([1, 3], NotCoprimeError),
-    ([], UnsupportedParityError),
-], ids=["two-branches", "shared-factor", "empty"])
+], ids=["two-branches", "shared-factor"])
 def test_closed_many_alpha_rows_need_one_coprime_branch(alphas, error):
     with pytest.raises(error):
         gauss.gauss_closed_many(np.array(alphas, dtype=np.int64), 3, np.arange(4))
+
+
+@pytest.mark.parametrize("gammas", [np.arange(4), 5, np.zeros((2, 3), dtype=np.int64)],
+                         ids=["row", "scalar", "grid"])
+def test_closed_many_of_an_empty_alpha_row_is_empty(gammas):
+    # one row per alpha: no alphas, no rows, at any beta
+    for beta in (3, 4, 10**6 + 1):
+        got = gauss.gauss_closed_many(np.array([], dtype=np.int64), beta, gammas)
+        assert got.shape == (0, *np.shape(gammas))
+        assert got.dtype == complex
+
+
+@pytest.mark.parametrize("gammas", [[2**70], 2**70, [0, -2**63 - 1], [[4], [2**64]]],
+                         ids=["row", "scalar", "below", "grid"])
+def test_closed_many_gamma_outside_int64_names_gauss_closed(gammas):
+    with pytest.raises(ValueError, match="gauss_closed"):
+        gauss.gauss_closed_many(1, 2, gammas)
+    with pytest.raises(ValueError, match="gauss_closed"):
+        gauss.gauss_closed_many(np.array([1, 3]), 2, gammas)
+    # gauss_closed takes these parameters
+    big = GaussParams(1, 2, 2**70)
+    assert abs(gauss.gauss_closed(big) - gauss_reference(1, 2, 2**70 % 4)) < 1e-12
 
 
 def test_closed_many_rejects_shared_factor():

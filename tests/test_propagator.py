@@ -1,8 +1,12 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +222,8 @@ def test_blocked_unitarity_defect_equals_dense_product(n):
         assert abs(unitarity_defect(u) - want) <= 1e-15 * n
         # block rows in products of fewer columns, as for strided blocks
         for width in (B, 2 * B):
-            assert abs(propagator._half_gram(u, width) - want) <= 1e-15 * n
+            [got] = propagator._gram_defects(u[None], width)
+            assert abs(got - want) <= 1e-15 * n
         assert np.array_equal(u, before)
 
 
@@ -255,7 +260,55 @@ def test_blocked_unitarity_defect_holds_no_square_temporary():
 def test_block_guard_holds_no_more_than_the_half_gram():
     # the blocks of a g = 2 matrix are strided views, not copies
     u = build(Mat2(1, 2, 2, 5), 4 * B)
-    assert _peak_bytes(unitarity_defect, u) <= _peak_bytes(propagator._half_gram, u)
+    dense = _peak_bytes(lambda x: propagator._gram_defects(x[None]), u)
+    assert _peak_bytes(unitarity_defect, u) <= dense
+
+
+# One unitarity_defect at N = 2048 in a fresh process, after a warm-up
+# guard; prints the growth of ru_maxrss across the call.
+_RSS_GROWTH = """
+import resource, sys
+from qcatmap.propagator import build, unitarity_defect
+from qcatmap.sl2 import Mat2
+unitarity_defect(build(Mat2(2, 1, 3, 2), 64))
+u = build(Mat2(*map(int, sys.argv[1:])), 2048, check=False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unitarity_defect(u)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def _guard_rss_growth(m):
+    # Linux carries a process's resident peak across exec into ru_maxrss,
+    # so a child of this test process would start from its peak: the guard
+    # runs in a grandchild, through a small launcher
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    argv = [sys.executable, "-c", launch,
+            sys.executable, "-c", _RSS_GROWTH, *map(str, m.entries())]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    return int(proc.stdout)
+
+
+def test_block_guard_resident_growth_stays_below_the_dense_guards():
+    # tracemalloc does not see the buffer numpy's matmul copies a strided
+    # operand into, but the resident set does: g = 2 block rows as whole
+    # products rose 20.8 MB at N = 2048, against 12.5 MB for the dense guard
+    dense = _guard_rss_growth(Mat2(2, 1, 3, 2))
+    assert _guard_rss_growth(Mat2(1, 2, 2, 5)) < dense
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_strided_block_guard_keeps_a_nan_past_its_first_product(value):
+    # g = 2 at N = 1024: two views of 512 columns, taken in products of
+    # 2 * B, so an entry in a block's last columns, here column 511 of row
+    # 9's block, first shows in a later product than the block's first
+    u = build(Mat2(1, 2, 2, 5), 1024)
+    u[9, 1023] = value
+    assert len(propagator._residue_blocks(u)) == 2
+    assert math.isnan(unitarity_defect(u))
 
 
 @pytest.mark.parametrize("at", [(0, 0), (2 * B + 2, 2 * B + 2)],
@@ -411,10 +464,12 @@ def test_block_guard_equals_dense_product(n, top):
     g = math.gcd(m.b, n)
     u = build(m, n, check=False)
     before = u.copy()
-    # the guard finds g blocks of N/g x N/g entries that hold every nonzero
-    blocks = [u[x] for x in propagator._residue_blocks(u)]
-    assert sum(len(x) if x.ndim == 3 else 1 for x in blocks) == g
-    assert all(x.shape[-2:] == (n // g, n // g) for x in blocks)
+    # the guard finds g blocks of N/g x N/g entries that hold every nonzero,
+    # gathered into one stack up to one Gram block and strided views past it
+    blocks = propagator._residue_blocks(u)
+    assert sum(len(x) for x in blocks) == g
+    assert all(x.shape[1:] == (n // g, n // g) for x in blocks)
+    assert all(np.shares_memory(x, u) == (n // g > B) for x in blocks)
     assert sum(np.count_nonzero(x) for x in blocks) == np.count_nonzero(u)
     assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
     assert np.array_equal(u, before)
@@ -424,7 +479,7 @@ def test_shear_is_the_case_of_one_by_one_blocks():
     n = 2 * B + 3
     for m in (Mat2(1, 0, 6, 1), P_MAT):
         [x] = propagator._residue_blocks(build(m, n))
-        assert build(m, n)[x].shape == (n, 1, 1)
+        assert x.shape == (n, 1, 1)
 
 
 def _first_nonzero(u, row):
@@ -952,8 +1007,11 @@ def test_stack_guard_equals_unitarity_defect(n):
     z = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
     stack = np.concatenate([stack, z / math.sqrt(2 * n)])
     before = stack.copy()
-    got = propagator._stack_defects(stack)
-    assert got == [unitarity_defect(u) for u in stack]
+    # past one Gram block build_many runs unitarity_defect per matrix, and
+    # a matrix with no block pattern is a stack of one there
+    dense = stack if n <= B else stack[-6:]
+    got = propagator._gram_defects(dense)
+    assert got.tolist() == [unitarity_defect(u) for u in dense]
     assert np.array_equal(stack, before)
 
 

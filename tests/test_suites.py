@@ -43,6 +43,15 @@ def test_word_product_unknown_token_raises_parse_word_error(word):
         suites.word_product(word, 3)
 
 
+@pytest.mark.parametrize("word, n", [([], 0), ([], -1), (["S"], 0), (["S", "X"], 0)],
+                         ids=["empty-0", "empty-negative", "S-0", "unknown-0"])
+def test_word_product_needs_a_positive_dimension(word, n):
+    # the empty word used to return a 0 x 0 identity at N = 0 and raise
+    # numpy's "negative dimensions" at N = -1
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        suites.word_product(word, n)
+
+
 def test_word_product_equals_fresh_build_reference():
     # each distinct token built once gives the bits of a fresh build per token
     rng = random.Random(19)
