@@ -41,13 +41,11 @@ and the Gauss table over r) and fills each kind in blocks of at most
 _BLOCK entries: _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each
 step one numpy pass over all of them, and rows of one matrix past that,
 which share its tables; while |b| is at most a block's rows, blocks of a
-multiple of |b| rows share their Gauss exponents too.  The guard runs
-one Gram routine, _gram_defects, on stacks: the whole stack up to
-N = _GRAM_BLOCK, and past that, per matrix, the stacks unitarity_defect
-takes.  A matrix with g = gcd(b, N) > 1, whose nonzeros lie where
-Q = aQ' mod g, is block diagonal up to a permutation of residue classes
-mod g, so there only the Gram matrices of its g blocks of N/g x N/g
-entries are formed; a shear is the case g = N.
+multiple of |b| rows share their Gauss exponents too.  Up to
+N = _GRAM_BLOCK the guard is _gram_defects on the stack; past that,
+_certified checks in O(N^2) that a matrix is gcd(b, N) blocks D_x F_k D_y
+(F_k a DFT at a unit k) up to a permutation of residue classes, which
+bounds its Gram defect by 5e-12, and the dense Gram decides the rest.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -208,90 +206,92 @@ _GRAM_BLOCK = 128
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-entry deviation of u^dagger u from the identity, for a square u
-    (ValueError for any other shape): the largest _gram_defects over the
-    stacks of _residue_blocks.
-
-    Past one Gram block, a u whose nonzeros all lie in g blocks, one per
-    row class mod g, is taken block by block, with no approximation: every
-    other entry of u^dagger u is a sum of products with an exact zero
-    factor.  A propagator with g = gcd(b, N) > 1 is such a u, and a shear
-    or parity is its case g = N of 1 x 1 blocks.  A NaN or inf is nonzero,
-    so it lands in a block, whose defect it makes non-finite, or breaks
-    the pattern.
-    """
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitarity_defect needs a square matrix, not shape {u.shape}")
-    stacks = _residue_blocks(u)
-    # g strided views go in products of g * _GRAM_BLOCK of their columns,
-    # which hold the N * _GRAM_BLOCK entries a dense product reads
-    width = len(stacks) * _GRAM_BLOCK if len(stacks) > 1 else None
-    return float(np.concatenate([_gram_defects(x, width) for x in stacks]).max())
+    """Max-entry deviation of u^dagger u from I by the dense Gram, NaN if u
+    holds a NaN or inf; u must be a non-empty square matrix (ValueError)."""
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not len(u):
+        raise ValueError(f"unitarity_defect needs a non-empty square matrix, not shape {u.shape}")
+    return float(_gram_defects(u[None])[0])
 
 
-def _residue_blocks(u: np.ndarray) -> list:
-    """u as stacks for _gram_defects: its g blocks u[r::g, tau(r)::g], as
-    one (g, N/g, N/g) stack while N/g <= _GRAM_BLOCK, else as g strided
-    views with a leading axis, when N > _GRAM_BLOCK, row 0 of u holds
-    k = N/g nonzeros, 1 <= k < N, the first nonzeros of rows r < g among
-    the first g columns, at tau(r), make a permutation tau of Z/g, and
-    every nonzero of u lies in a block; else the stack of u alone."""
-    n = len(u)
-    k = np.count_nonzero(u[0]) if n > _GRAM_BLOCK else n
-    if not 0 < k < n or n % k:
-        return [u[None]]
-    g = n // k
-    nz = u != 0
-    tau = nz[:g, :g].argmax(axis=1)
-    if np.bincount(tau, minlength=g).max() > 1:
-        return [u[None]]
-    if k <= _GRAM_BLOCK:
-        i = np.arange(0, n, g)
-        blocks = [((np.arange(g)[:, None] + i)[:, :, None], (tau[:, None] + i)[:, None, :])]
-    else:
-        blocks = [np.s_[None, r::g, c::g] for r, c in enumerate(tau.tolist())]
-    # nz dies on return, before the Gram products: held through them it
-    # raised the peak resident memory of build(A, 1024) by 1 MB
-    if sum(np.count_nonzero(nz[x]) for x in blocks) != np.count_nonzero(nz):
-        return [u[None]]
-    return [u[x] for x in blocks]
-
-
-def _gram_defects(u: np.ndarray, width: int | None = None) -> np.ndarray:
+def _gram_defects(u: np.ndarray) -> np.ndarray:
     """unitarity_defect of each matrix of a (K, M, M) stack, from the upper
     block triangle of its Gram matrix u^dagger u, which is Hermitian for
     any u: per chunk of _BLOCK // M^2 matrices (one past M = 128) and per
     block of _GRAM_BLOCK columns from lo, the block row u[:, lo:hi]^dagger
-    u[:, lo:], whose leading square holds the block's diagonal, in
-    products of at most width columns (all by default).  Past one block
-    no M x M product or conjugate copy is held.  A product first copies
-    the columns of a strided u, unseen by tracemalloc, and width bounds
-    that copy: at N = 2048 the guard of a g = 2 propagator raised the
-    resident peak by 21 MB in whole block rows and by 7 MB in products of
-    256 columns, against 12 MB for the dense guard."""
+    u[:, lo:], whose leading square holds the block's diagonal.  Past one
+    block no M x M product or conjugate copy is held."""
     m = u.shape[-1]
-    width = width or m
     step = max(1, _BLOCK // (m * m))
     defects = []
     for i in range(0, len(u), step):
-        part = u[i:i + step]
-        worst = None
+        part, worst = u[i:i + step], None
         for lo in range(0, m, _GRAM_BLOCK):
-            for start in range(lo, m, width):
-                # the conjugate copy dies before np.abs(p) is allocated
-                p = (part[:, :, lo:lo + _GRAM_BLOCK].conj().mT
-                     @ part[:, :, start:start + width])
-                if start == lo:
-                    # the diagonals, 1-D for one matrix (numpy subtracts
-                    # from a (1, M) view 1 us slower), through no named
-                    # view: one would hold p past the next product
-                    shape = -1 if len(p) == 1 else (len(p), -1)
-                    p.reshape(shape)[..., ::p.shape[2] + 1] -= 1
-                block = np.abs(p).max(axis=(1, 2))
-                # not the builtin max, which drops a later NaN
-                worst = block if worst is None else np.maximum(worst, block)
+            # the conjugate copy dies before np.abs(p) is allocated
+            p = part[:, :, lo:lo + _GRAM_BLOCK].conj().mT @ part[:, :, lo:]
+            # the diagonals, 1-D for one matrix (1 us faster than a (1, M) view),
+            # through no named view, which would hold p past the next product
+            shape = -1 if len(p) == 1 else (len(p), -1)
+            p.reshape(shape)[..., ::p.shape[2] + 1] -= 1
+            block = np.abs(p).max(axis=(1, 2))
+            # not the builtin max, which drops a later NaN
+            worst = block if worst is None else np.maximum(worst, block)
         defects.append(worst)
     return defects[0] if len(defects) == 1 else np.concatenate(defects)
+
+
+_CERT_SLACK = 1e-12  # eta = delta of _certified; builds miss by ~1e-15
+
+
+def _certified(u: np.ndarray) -> bool:
+    """Whether a C-contiguous N x N u passes the O(N^2) certificate; NaN fails.
+
+    With M nonzeros in row 0 and g = N/M, block r < g is
+    B[i, j] = u[r + g i, t(r) + g j], t(r) < g a nonzero of row r.  It needs t
+    to permute Z/g, N M nonzeros in u, and per block, with c = B[:, 0],
+    r = B[0, :], w = e(1/M) and w^k = B11 B00 / (c1 r1): M |c_i|^2, M |r_j|^2
+    and M |B11|^2 within eta of 1, gcd(k, M) = 1, and each |Re| and |Im| of
+    E = B - P below delta / sqrt(2M), P = D_a F D_r, a = c / B00,
+    F[i, j] = w^(k i j).  So no nonzero lies off the blocks, F^H F = M I,
+    |a_i|^2 = 1 + t_i with |t_i| < 2 eta, and to first order in eta,
+    (P^H P)[j, j'] = conj(r_j) r_j' (M delta(j, j')
+    + sum_i t_i w^(k i (j' - j))) is within eta + 2 eta M |r_j r_j'| = 3 eta
+    of delta(j, j'), P^H E within M max|P| |E| = delta of 0, and E^H E
+    within delta^2.  So the Gram defect is at most 3 eta + 2 delta + delta^2
+    = 5e-12 in exact arithmetic, which the dense Gram reads within N 2^-53
+    and roundings here move by 2^-50: far below 1e-9 sqrt(N).
+    """
+    n, m = len(u), np.count_nonzero(u[0])
+    if not m or n % m:
+        return False
+    g, tau = n // m, np.zeros(1, dtype=np.intp)
+    if g > 1:
+        # (re, im) flag pairs as uint16: about half the time of u != 0
+        nz = (u.view(np.float64) != 0).view(np.uint16)
+        tau = nz[:g, :g].argmax(axis=1)
+        if np.bincount(tau).max() > 1 or np.count_nonzero(nz) != n * m:
+            return False
+    # v[i, r, j, c] = u[i g + r, j g + c]; at M = 1 B11 is B00, and w^k = 1
+    v, blocks, i1 = u.reshape(m, g, m, g), np.arange(g), min(1, m - 1)
+    col, row, b11 = v[:, blocks, 0, tau].T, v[0, blocks, :, tau], v[i1, blocks, i1, tau]
+    edge = np.abs(np.concatenate([col, row, b11[:, None]], axis=1)) ** 2 * m
+    if not np.abs(edge - 1).max() < _CERT_SLACK:
+        return False
+    w = b11 * col[:, 0] / (col[:, i1] * row[:, i1])
+    k = np.rint(np.angle(w) * (m / (2 * math.pi))).astype(np.int64) % m
+    if not (np.gcd(k, m) == 1).all():
+        return False
+    # e(t/M) for t < M; row lo + d of a row block is w^(k d j) times w^(k lo j)
+    roots, j, h = _roots(n, 1)[:4 * n:4 * g], np.arange(m), max(1, _BLOCK // n)
+    step = roots[(k[:, None, None] * np.arange(min(h, m))[:, None] % m) * j % m]
+    a, bound = col / col[:, :1], _CERT_SLACK / math.sqrt(2 * m)
+    for lo in range(0, m, h):
+        p = step[:, :m - lo] * (roots[(k * lo % m)[:, None] * j % m] * row)[:, None, :]
+        p *= a[:, lo:lo + h, None]
+        p -= v[lo:lo + h, blocks, :, tau]
+        p = p.view(np.float64)
+        if not (-bound < p.min() and p.max() < bound):
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=32)
@@ -524,7 +524,7 @@ def build_many(ms, n: int, check: bool = True) -> np.ndarray:
     if check:
         tol = UNITARITY_TOL * math.sqrt(n)
         defects = (_gram_defects(u) if n <= _GRAM_BLOCK else
-                   [unitarity_defect(x) for x in u])
+                   [0.0 if _certified(x) else unitarity_defect(x) for x in u])
         # not d < tol also catches a NaN defect
         failed = [k for k, d in enumerate(defects) if not d < tol]
         if failed:

@@ -325,12 +325,10 @@ def projective_phase(a, b, n: int, variant: str = "paper") -> complex:
 def unitarity_defect_reference(u: np.ndarray) -> float:
     """Max-entry deviation of u^dagger u from the identity, from the whole
     dense product (of any 2-D u, whose Gram matrix has one row and column
-    per column of u); propagator.unitarity_defect, which takes square
-    matrices only, must match it to rounding past one Gram block, where
-    it forms the upper block triangle of the Gram matrix or, for a u
-    whose nonzeros lie in g blocks of residue classes mod g (g = gcd(b, N)
-    for a propagator, g = N for a shear), only those blocks' Gram
-    matrices, and bit for bit while N fits one block."""
+    per column of u); propagator.unitarity_defect, which takes non-empty
+    square matrices only, must match it to rounding past one Gram block,
+    where it forms the upper block triangle of the Gram matrix, and bit
+    for bit while N fits one block."""
     p = u.conj().T @ u
     p.flat[::len(p) + 1] -= 1
     return float(np.abs(p).max())

@@ -3,9 +3,11 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,14 +218,12 @@ def test_blocked_unitarity_defect_equals_dense_product(n):
     for _ in range(2):
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         mats.append(z / math.sqrt(2 * n))
-    for u in mats:
+    for k, u in enumerate(mats):
         before = u.copy()
         want = unitarity_defect_reference(u)
         assert abs(unitarity_defect(u) - want) <= 1e-15 * n
-        # block rows in products of fewer columns, as for strided blocks
-        for width in (B, 2 * B):
-            [got] = propagator._gram_defects(u[None], width)
-            assert abs(got - want) <= 1e-15 * n
+        # the certificate accepts the builds and rejects the random matrices
+        assert propagator._certified(u) == (k < 2)
         assert np.array_equal(u, before)
 
 
@@ -250,7 +250,7 @@ def _peak_bytes(guard, u):
 
 def test_blocked_unitarity_defect_holds_no_square_temporary():
     # the dense product held an N x N conjugate copy and an N x N product;
-    # (1, 2; 2, 5) has g = 2 blocks, which are views
+    # (1, 2; 2, 5) has g = 2 blocks
     n = 4 * B
     for m in (Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5)):
         u = build(m, n)
@@ -258,57 +258,82 @@ def test_blocked_unitarity_defect_holds_no_square_temporary():
 
 
 def test_block_guard_holds_no_more_than_the_half_gram():
-    # the blocks of a g = 2 matrix are strided views, not copies
-    u = build(Mat2(1, 2, 2, 5), 4 * B)
-    dense = _peak_bytes(lambda x: propagator._gram_defects(x[None]), u)
-    assert _peak_bytes(unitarity_defect, u) <= dense
+    # the certificate works in row blocks of _BLOCK entries; for g > 1 it
+    # also holds the (re, im) flags of u, an eighth of its bytes
+    for m in (Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5)):
+        u = build(m, 4 * B)
+        dense = _peak_bytes(unitarity_defect, u)
+        assert propagator._certified(u)
+        assert _peak_bytes(propagator._certified, u) <= dense
 
 
-# One unitarity_defect at N = 2048 in a fresh process, after a warm-up
-# guard; prints the growth of ru_maxrss across the call.
+# One guard, the certificate or the dense Gram, at N = 2048 in a fresh
+# process, after a warm-up of both; prints the growth of ru_maxrss across
+# the call.
 _RSS_GROWTH = """
 import resource, sys
-from qcatmap.propagator import build, unitarity_defect
+from qcatmap import propagator
 from qcatmap.sl2 import Mat2
-unitarity_defect(build(Mat2(2, 1, 3, 2), 64))
-u = build(Mat2(*map(int, sys.argv[1:])), 2048, check=False)
+guard = getattr(propagator, sys.argv[1])
+for m in (Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5)):
+    propagator.unitarity_defect(propagator.build(m, 256))
+    propagator._certified(propagator.build(m, 256))
+u = propagator.build(Mat2(*map(int, sys.argv[2:])), 2048, check=False)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-unitarity_defect(u)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+result = guard(u)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, result)
 """
 
 
-def _guard_rss_growth(m):
+def _guard_rss_growth(guard, m):
     # Linux carries a process's resident peak across exec into ru_maxrss,
     # so a child of this test process would start from its peak: the guard
     # runs in a grandchild, through a small launcher
     src = str(Path(__file__).resolve().parents[1] / "src")
     launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
     argv = [sys.executable, "-c", launch,
-            sys.executable, "-c", _RSS_GROWTH, *map(str, m.entries())]
+            sys.executable, "-c", _RSS_GROWTH, guard, *map(str, m.entries())]
     proc = subprocess.run(argv, capture_output=True, text=True, check=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    return int(proc.stdout)
+    growth, result = proc.stdout.split()
+    return int(growth), result
 
 
 def test_block_guard_resident_growth_stays_below_the_dense_guards():
-    # tracemalloc does not see the buffer numpy's matmul copies a strided
-    # operand into, but the resident set does: g = 2 block rows as whole
-    # products rose 20.8 MB at N = 2048, against 12.5 MB for the dense guard
-    dense = _guard_rss_growth(Mat2(2, 1, 3, 2))
-    assert _guard_rss_growth(Mat2(1, 2, 2, 5)) < dense
+    # tracemalloc does not see the buffers numpy's matmul takes, but the
+    # resident set does: the dense guard rose about 11 MB at N = 2048, the
+    # certificate 0 MB at g = 1 and 8 MB (the (re, im) flags of u) at g = 2
+    for m in (Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5)):
+        growth, certified = _guard_rss_growth("_certified", m)
+        dense, _ = _guard_rss_growth("unitarity_defect", m)
+        assert certified == "True"
+        assert growth < dense
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_strided_block_guard_keeps_a_nan_past_its_first_product(value):
-    # g = 2 at N = 1024: two views of 512 columns, taken in products of
-    # 2 * B, so an entry in a block's last columns, here column 511 of row
-    # 9's block, first shows in a later product than the block's first
+def test_strided_block_guard_keeps_a_nan_past_its_first_product(monkeypatch, value):
+    # g = 2 at N = 1024: an entry of the last row, which the certificate
+    # reaches in its last row block, fails it, and the dense Gram, which
+    # decides, reads NaN
+    def edit(u):
+        u[1023, _first_nonzero(u, 1023) + 2] = value
+
     u = build(Mat2(1, 2, 2, 5), 1024)
-    u[9, 1023] = value
-    assert len(propagator._residue_blocks(u)) == 2
+    edit(u)
+    assert not propagator._certified(u)
     assert math.isnan(unitarity_defect(u))
+    _edit_builds(monkeypatch, edit)
+    with pytest.raises(propagator.UnitarityError, match="defect nan"):
+        build(Mat2(1, 2, 2, 5), 1024)
+    # at B00 or B11 of block 0, which k is read from, it fails with no
+    # warning
+    for row, col in ((0, 0), (2, 2)):
+        v = build(Mat2(1, 2, 2, 5), 1024, check=False)
+        v[row, _first_nonzero(v, row) + col] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not propagator._certified(v)
 
 
 @pytest.mark.parametrize("at", [(0, 0), (2 * B + 2, 2 * B + 2)],
@@ -414,9 +439,16 @@ def test_unitarity_guard_rejects_a_defective_shear(monkeypatch, edit):
         assert abs(want - 1) < 1e-12
         assert abs(got - want) <= 1e-15 * n
     else:
-        assert not math.isfinite(got)
-    with pytest.raises(propagator.UnitarityError):
+        assert math.isnan(got)
+    assert not propagator._certified(u)
+    with pytest.raises(propagator.UnitarityError, match=_dense_message(u)):
         build(m, n)
+
+
+def _dense_message(u):
+    """The end of the UnitarityError message that the dense Gram of u
+    gives."""
+    return re.escape(f"is not unitary (defect {unitarity_defect(u):.3e})")
 
 
 def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
@@ -429,11 +461,13 @@ def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
 
 
 @pytest.mark.parametrize("u", [np.eye(3, 2), np.eye(2, 3), np.ones(4),
-                               np.zeros((2, 2, 2)), np.array(1.0)],
-                         ids=["tall", "wide", "1-d", "3-d", "0-d"])
+                               np.zeros((2, 2, 2)), np.array(1.0),
+                               np.zeros((0, 0))],
+                         ids=["tall", "wide", "1-d", "3-d", "0-d", "empty"])
 def test_unitarity_defect_rejects_a_non_square_array(u):
     # eye(3, 2) is an isometry, u^dagger u = I exactly, but had read 1.0
-    # from a diagonal stride taken from the row count
+    # from a diagonal stride taken from the row count; a 0 x 0 array had
+    # raised a ZeroDivisionError
     with pytest.raises(ValueError, match="square"):
         unitarity_defect(u)
 
@@ -448,8 +482,8 @@ def _with_b(a, b):
 
 
 # (N, top rows (a, b)): g = gcd(b, N) from 2 to N, with N/g nonzeros per
-# row, in one stack (N/g <= B) or as strided views (N/g > B); a != 1 mod
-# g permutes the column classes, and b = N (g = N) is a general monomial
+# row, in blocks of N/g <= B or N/g > B; a != 1 mod g permutes the column
+# classes, and b = N (g = N) is a general monomial
 BLOCK_CASES = [(129, (2, 3)), (129, (5, 6)), (129, (2, 129)),
                (256, (1, 2)), (256, (3, 4)), (256, (3, 8)), (256, (1, 256)),
                (300, (1, 2)), (300, (7, 2)), (300, (2, 3)), (300, (3, 4)),
@@ -464,13 +498,10 @@ def test_block_guard_equals_dense_product(n, top):
     g = math.gcd(m.b, n)
     u = build(m, n, check=False)
     before = u.copy()
-    # the guard finds g blocks of N/g x N/g entries that hold every nonzero,
-    # gathered into one stack up to one Gram block and strided views past it
-    blocks = propagator._residue_blocks(u)
-    assert sum(len(x) for x in blocks) == g
-    assert all(x.shape[1:] == (n // g, n // g) for x in blocks)
-    assert all(np.shares_memory(x, u) == (n // g > B) for x in blocks)
-    assert sum(np.count_nonzero(x) for x in blocks) == np.count_nonzero(u)
+    # g blocks of N/g x N/g entries hold every nonzero, and the certificate
+    # accepts them
+    assert np.count_nonzero(u) == n * n // g
+    assert propagator._certified(u)
     assert abs(unitarity_defect(u) - unitarity_defect_reference(u)) <= 1e-15 * n
     assert np.array_equal(u, before)
 
@@ -478,8 +509,9 @@ def test_block_guard_equals_dense_product(n, top):
 def test_shear_is_the_case_of_one_by_one_blocks():
     n = 2 * B + 3
     for m in (Mat2(1, 0, 6, 1), P_MAT):
-        [x] = propagator._residue_blocks(build(m, n))
-        assert x.shape == (n, 1, 1)
+        u = build(m, n)
+        assert np.count_nonzero(u) == n
+        assert propagator._certified(u)
 
 
 def _first_nonzero(u, row):
@@ -536,7 +568,7 @@ DEFECTIVE_BLOCKS = {
 }
 
 
-# g = 3 blocks of 130 columns as views, and g = 6 blocks of 50 in a stack
+# g = 3 blocks of 130 columns, past one Gram block, and g = 6 blocks of 50
 @pytest.mark.parametrize("n, m", [(390, Mat2(2, 3, 1, 2)), (300, _with_b(5, 6))],
                          ids=["views", "stack"])
 @pytest.mark.parametrize("edit", DEFECTIVE_BLOCKS.values(),
@@ -557,9 +589,132 @@ def test_unitarity_guard_rejects_a_defective_block_pattern(monkeypatch, edit, n,
     if math.isfinite(want):
         assert abs(got - want) <= 1e-15 * n
     else:
-        assert not math.isfinite(got)
-    with pytest.raises(propagator.UnitarityError):
+        assert math.isnan(got)
+    assert not propagator._certified(u)
+    with pytest.raises(propagator.UnitarityError, match=_dense_message(u)):
         build(m, n)
+
+
+def _edit_builds(monkeypatch, edit):
+    """Make build apply edit to the first matrix its kernels return."""
+    for name in ("_build_general", "_build_shear"):
+        def edited(ms, n, real=getattr(propagator, name)):
+            u = real(ms, n)
+            edit(u[0])
+            return u
+        monkeypatch.setattr(propagator, name, edited)
+
+
+# g = 1, and g > 1 with blocks of M > 1 entries (g = 3, 2 and 2)
+MUTANT_CASES = [(129, Mat2(2, 1, 3, 2)), (129, Mat2(2, 3, 1, 2)),
+                (300, Mat2(2, 1, 3, 2)), (300, Mat2(1, 2, 2, 5)),
+                (1024, Mat2(2, 1, 3, 2)), (1024, Mat2(1, 2, 2, 5))]
+MUTANT_IDS = [f"{n}-{m}" for n, m in MUTANT_CASES]
+
+
+def _non_unit_block(u):
+    # row class 1's block becomes e(p i j / M) / sqrt(M), p the least prime
+    # factor of M: moduli and form right, k = p no unit mod M
+    n, m = len(u), np.count_nonzero(u[0])
+    g, r = n // m, 1 % (n // m)
+    p = next(q for q in range(2, m + 1) if m % q == 0)
+    i = np.arange(m)
+    u[r::g, _first_nonzero(u, r)::g] = np.exp(2j * np.pi * (p * np.outer(i, i) % m) / m) / math.sqrt(m)
+
+
+def _turn_an_entry(u):
+    u[9, _first_nonzero(u, 9)] *= cmath.exp(2j * cmath.pi / (4 * len(u)))
+
+
+@pytest.mark.parametrize("edit", [_non_unit_block, _turn_an_entry],
+                         ids=["non-unit-k", "turned-by-a-4N-th-root"])
+@pytest.mark.parametrize("n, m", MUTANT_CASES, ids=MUTANT_IDS)
+def test_certificate_and_build_reject_a_block_form_mutant(monkeypatch, edit, n, m):
+    u = build(m, n)
+    edit(u)
+    assert not propagator._certified(u)
+    assert unitarity_defect_reference(u) > 1e-6
+    _edit_builds(monkeypatch, edit)
+    with pytest.raises(propagator.UnitarityError, match=_dense_message(u)):
+        build(m, n)
+
+
+@pytest.mark.parametrize("n, m", MUTANT_CASES, ids=MUTANT_IDS)
+def test_guard_is_never_stricter_than_the_dense_gram(monkeypatch, n, m):
+    # an entry moved by 1e-10 of itself fails the certificate, but the
+    # dense Gram passes it, so build returns it as built
+    def edit(u):
+        u[9, _first_nonzero(u, 9)] *= 1 + 1e-10
+
+    _edit_builds(monkeypatch, edit)
+    u = build(m, n, check=False)
+    assert not propagator._certified(u)
+    assert unitarity_defect(u) < propagator.UNITARITY_TOL * math.sqrt(n)
+    assert _same_bits(build(m, n), u)
+
+
+def _decision_matrices(n, rng):
+    """|b| = 1, an anti-shear, S, parity and a shear, and general matrices
+    with |b| >= 2 and g = gcd(b, N) = 1, 2, 4 where g divides N."""
+    ms = [Mat2(2, 1, 3, 2), Mat2(0, 1, -1, 4), S_PLUS, P_MAT, Mat2(1, 0, 6, 1)]
+    for g in (1, 2, 4):
+        if n % g:
+            continue
+        while True:
+            b = g * rng.randrange(1, 40)
+            a = rng.randrange(1, 40)
+            if (b > 2 and math.gcd(b, n) == g and math.gcd(a, b) == 1
+                    and (a + b) % 2):
+                ms.append(_with_b(a, b))
+                break
+    return ms
+
+
+def _random_edit(rng):
+    """One seeded entry edit: a relative move of a nonzero entry or a
+    value at a zero, of a size from 1e-14 to 1, or a NaN or inf."""
+    kind = rng.choice(["move", "move", "move", "zero", "nan", "inf"])
+    size = 10 ** rng.uniform(-14, 0)
+    turn = cmath.exp(2j * cmath.pi * rng.random())
+    row, pick = rng.randrange(10**6), rng.randrange(10**6)
+
+    def edit(u):
+        nz = u[row % len(u)] != 0
+        cols = np.flatnonzero(nz if kind != "zero" else ~nz)
+        if not len(cols):
+            return
+        at = row % len(u), cols[pick % len(cols)]
+        if kind == "move":
+            u[at] *= 1 + size * turn
+        elif kind == "zero":
+            u[at] = size * turn / math.sqrt(len(u))
+        else:
+            u[at] = np.nan if kind == "nan" else np.inf
+    return edit
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("n", [129, 256, 300, 390, 512, 1024])
+def test_guard_decides_as_the_dense_reference(monkeypatch, n):
+    # the certificate accepts every build, and under seeded entry edits
+    # build raises exactly when the dense reference defect reaches the
+    # tolerance
+    rng = random.Random(n)
+    tol = propagator.UNITARITY_TOL * math.sqrt(n)
+    for m in _decision_matrices(n, rng):
+        assert propagator._certified(build(m, n, check=False)), m
+        for _ in range(2):
+            with monkeypatch.context() as patch:
+                _edit_builds(patch, _random_edit(rng))
+                u = build(m, n, check=False)
+                fails = not unitarity_defect_reference(u) < tol
+                try:
+                    got = build(m, n)
+                except propagator.UnitarityError:
+                    assert fails, m
+                else:
+                    assert not fails, m
+                    assert _same_bits(got, u)
 
 
 def _general_kernel_cases():
@@ -1007,11 +1162,12 @@ def test_stack_guard_equals_unitarity_defect(n):
     z = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
     stack = np.concatenate([stack, z / math.sqrt(2 * n)])
     before = stack.copy()
-    # past one Gram block build_many runs unitarity_defect per matrix, and
-    # a matrix with no block pattern is a stack of one there
-    dense = stack if n <= B else stack[-6:]
-    got = propagator._gram_defects(dense)
-    assert got.tolist() == [unitarity_defect(u) for u in dense]
+    got = propagator._gram_defects(stack)
+    assert got.tolist() == [unitarity_defect(u) for u in stack]
+    # past one Gram block build_many certifies each matrix, and the built
+    # ones pass
+    if n > B:
+        assert [propagator._certified(u) for u in stack] == [True] * len(ms) + [False] * 6
     assert np.array_equal(stack, before)
 
 
