@@ -16,16 +16,18 @@ eighth roots of unity and one modular inverse, on Python ints for any
 beta.  gauss_direct and gauss_closed_many work in int64 and raise
 ValueError for |beta| > 10^6, and gauss_closed_many for a gamma outside
 int64, where gauss_closed takes over.
-gauss_closed_many takes rows of alphas at one beta (one alpha is a row of
-one), and checks every pair in one pass before it lays their branch
-constants out as columns.  _branch gives each branch's leading
-constant as a Jacobi sign and an eighth-root index, which the propagator
-kernel adds to its integer exponents and the values here multiply out.
+The closed form is derived once, in _branch: a leading constant jac e(t/8)
+(a Jacobi sign and an eighth-root index) and one quadratic phase
+e(c x^2 / (2|beta|)) with x = inv * (gamma >> (1 - parity)) mod |beta|.
+gauss_closed evaluates it on Python ints, gauss_closed_many on int64 rows
+of alphas at one beta, of any branches (one alpha is a row of one), and
+the propagator kernel adds t and c x^2 to its integer exponents.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +43,6 @@ _MAX_ARRAY_BETA = 1_000_000
 
 class VanishingError(ValueError):
     """Raised when the closed form is requested for a vanishing sum."""
-
-
-class UnsupportedParityError(ValueError):
-    """Raised when gauss_closed_many's alphas span two closed-form branches."""
 
 
 @dataclass(frozen=True)
@@ -90,23 +88,29 @@ def gauss_direct(p: GaussParams) -> complex:
     return complex(total) / (2.0 * math.sqrt(beta_abs))
 
 
-def _branch(alpha: int, beta: int) -> tuple[int, int, int, int]:
-    """Closed-form branch selected by the parities of alpha and beta: the
-    leading constant jac * e(t/8) as the Jacobi sign jac and the
-    eighth-root index t in [0, 8), the modular inverse, and the required
-    gamma parity."""
-    beta_abs = abs(beta)
+def _branch(alpha: int, beta: int) -> tuple[int, int, int, int, int]:
+    """Closed-form branch selected by the parities of alpha and beta.
+
+    Returns (jac, t, inv, parity, c): the leading constant jac * e(t/8) as
+    the Jacobi sign jac and the eighth-root index t in [0, 8), the modular
+    inverse inv, the required gamma parity, and the coefficient c mod
+    2|beta| of the quadratic phase, so that for every gamma of that parity
+
+        G(alpha, beta, gamma) = jac e(t/8) e(c x^2 / (2|beta|)),
+        x = inv * (gamma >> (1 - parity)) mod |beta|.
+    """
+    beta_abs, s = abs(beta), sign(beta)
     if alpha % 2 == 0:
         # alpha even, beta odd, gamma even
         return (jacobi(abs(alpha), beta_abs), -sign(alpha * beta) * (beta_abs - 1) % 8,
-                pow(alpha, -1, beta_abs), 0)
+                pow(alpha, -1, beta_abs), 0, -s * alpha % (2 * beta_abs))
     if beta % 2 == 0:
         # alpha odd, beta even, gamma even
         return (jacobi(beta_abs, abs(alpha)), sign(alpha * beta) * abs(alpha) % 8,
-                pow(alpha, -1, beta_abs), 0)
+                pow(alpha, -1, beta_abs), 0, -s * alpha % (2 * beta_abs))
     # alpha odd, beta odd, gamma odd
     return (jacobi(abs(alpha), beta_abs), -sign(alpha * beta) * (beta_abs - 1) % 8,
-            pow(4 * alpha, -1, beta_abs), 1)
+            pow(4 * alpha, -1, beta_abs), 1, -4 * s * alpha % (2 * beta_abs))
 
 
 def gauss_closed(p: GaussParams) -> complex:
@@ -122,79 +126,70 @@ def gauss_closed(p: GaussParams) -> complex:
           jacobi(|a|,|b|) e(-sgn(ab)(|b|-1)/8) e(-2a*w^2*g^2/b),  w = (4a)^-1 mod |b|
 
     with all inverses taken mod |beta|; the resulting value does not depend
-    on the representative chosen.  Raises VanishingError if is_nonvanishing
-    fails, the one case in which gamma lacks the parity of the branch.
+    on the representative chosen.  Each form is _branch's
+    jac e(t/8) e(c x^2 / (2|beta|)), evaluated here on Python ints.
+    Raises VanishingError if is_nonvanishing fails, the one case in which
+    gamma lacks the parity of the branch.
     """
     if not is_nonvanishing(p):
         raise VanishingError(f"sum vanishes for {p}")
-    jac, t, inv, gamma_parity = _branch(p.alpha, p.beta)
-    lead = jac * e8(t)
-    beta_abs = abs(p.beta)
-    if gamma_parity == 0:
-        x = (inv * (p.gamma // 2)) % beta_abs
-        return lead * e_frac(-p.alpha * x * x, 2 * p.beta)
-    x = (inv * p.gamma) % beta_abs
-    return lead * e_frac(-2 * p.alpha * x * x, p.beta)
+    jac, t, inv, parity, c = _branch(p.alpha, p.beta)
+    x = inv * (p.gamma >> (1 - parity)) % abs(p.beta)
+    return jac * e8(t) * e_frac(c * x * x, 2 * abs(p.beta))
 
 
 def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
     """Closed-form values for an array of gamma values at fixed alpha, beta.
 
-    Requires gcd(alpha, beta) = 1.  Entries whose gamma has the wrong parity
-    for the branch (so alpha*beta + gamma is odd) are returned as 0, matching
-    the period-averaged direct sum.
+    Requires beta != 0 (ValueError) and gcd(alpha, beta) = 1.  Entries
+    whose gamma has the wrong parity for the branch (so alpha*beta + gamma
+    is odd) are returned as 0, matching the period-averaged direct sum.
 
-    alpha may also be a 1-D integer array whose entries share one branch
-    (at fixed beta, one parity of alpha).  The result then has one row per
-    alpha, shape (len(alpha), *np.shape(gammas)), and each row equals the
-    call with that alpha alone bit for bit: a single alpha is a row of one.
+    alpha may be an integer or a 1-D row of integers, of any branches; any
+    other shape is a ValueError.  A row gives one row per alpha, shape
+    (len(alpha), *np.shape(gammas)), and each row equals the call with
+    that alpha alone bit for bit: a single alpha is a row of one.  numpy
+    integers work as Python ints.
 
     One pass checks each pair in turn: |beta| <= 10^6, or ValueError (the
     values are int64; gauss_closed takes any beta), then gcd = 1, or
-    NotCoprimeError, then takes its branch.  Rows of alpha spanning two
-    branches then raise UnsupportedParityError, and an empty row gives an
-    empty result.  A gamma outside int64 is a ValueError too.
+    NotCoprimeError, then takes its branch.  An empty row gives an empty
+    result.  A gamma outside int64 is a ValueError too.
     """
+    beta = operator.index(beta)
+    if beta == 0:
+        raise ValueError("beta must be nonzero")
+    ndim = np.ndim(alpha)
+    if ndim > 1:
+        raise ValueError("alpha must be an integer or a 1-D row of integers, "
+                         f"not shape {np.shape(alpha)}")
     try:
         gam = np.asarray(gammas, dtype=np.int64)
     except OverflowError:
         raise ValueError("gammas exceed int64; use gauss_closed") from None
-    rows = isinstance(alpha, np.ndarray)
-    alphas = alpha.tolist() if rows else [alpha]
     branches = []
-    for a in alphas:
+    for a in (alpha if ndim else [alpha]):
+        a = operator.index(a)
         if abs(beta) > _MAX_ARRAY_BETA:
             raise ValueError(f"|beta| = {abs(beta)} exceeds 10^6; use gauss_closed")
         if math.gcd(a, beta) != 1:
             raise NotCoprimeError(f"alpha={a} and beta={beta} share a factor")
         branches.append(_branch(a, beta))
-    if len({parity for *_, parity in branches}) > 1:
-        raise UnsupportedParityError(
-            f"alphas {alphas} do not share one branch at beta={beta}")
     if not branches:
         return np.zeros((0, *gam.shape), dtype=complex)
     # one row per alpha, broadcast against every gamma axis; beta is |beta|
-    # from here on, and the values read alpha only mod 2|beta|, so it
-    # enters the int64 rows reduced
+    # from here on, and the value has period 2|beta| in gamma
     column = (-1,) + (1,) * gam.ndim
-    jac, t, inv, (parity, *_) = zip(*branches)
+    jac, t, *ints = zip(*branches)
     lead = np.array([j * e8(x) for j, x in zip(jac, t)]).reshape(column)
-    inv = np.array(inv, dtype=np.int64).reshape(column)
-    s, beta = (1 if beta > 0 else -1), abs(beta)
-    alpha = np.array([a % (2 * beta) for a in alphas], dtype=np.int64).reshape(column)
-    # the value has period 2|beta| in gamma
+    inv, parity, c = (np.array(v, dtype=np.int64).reshape(column) for v in ints)
+    beta = abs(beta)
     gam = gam % (2 * beta)
-    valid = (gam % 2) == parity
-    # even gamma branch: e(-s (alpha mod 2|beta|) x^2 / (2|beta|)) with
-    # x = inv * gamma/2; odd: e(-s 2 (alpha mod |beta|) x^2 / |beta|) with
-    # x = inv * gamma, each over the den written here
-    den = beta << (1 - parity)
     x = (inv * (gam >> (1 - parity))) % beta
-    num = -(((alpha % den) << parity) * x * x) * s
-    vals = e_frac_array(num, den)
+    vals = e_frac_array(c * x * x, 2 * beta)
     # lead * vals, rounded the same at every batch size: from 256 KiB on,
     # numpy would reuse the temporary in `lead * e_frac_array(...)` in place
     # as vals * lead, which rounds differently
     np.multiply(lead, vals, out=vals)
-    vals = np.where(valid, vals, 0.0)
-    return vals if rows else vals[0]
+    vals = np.where(gam % 2 == parity, vals, 0.0)
+    return vals if ndim else vals[0]

@@ -359,15 +359,13 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
         g = math.gcd(b_abs, n)
         beta, n_b = b_abs // g, n // g
         jh, th = _h_eighths(m.a, m.b)
-        jg, tg, inv, parity = gauss._branch(n_b * m.a, m.b // g)
-        # G's exponent over 2|b'| is alpha x^2, x = inv gamma/2 (gamma even)
-        # or inv gamma (odd) mod |b'|, with alpha = -sgn(b) N_b a mod 2|b'|
-        # or -4 sgn(b) N_b a mod |b'|
-        alpha = -s * (n_b * m.a % (2 * beta >> parity) << 2 * parity) % (2 * beta)
-        # |b|, a mod |b|, g, |b'|, inv, parity, alpha, the exponent of
+        # G's exponent over 2|b'| is c x^2, x = inv gamma/2 (gamma even) or
+        # inv gamma (odd) mod |b'|
+        jg, tg, inv, parity, c = gauss._branch(n_b * m.a, m.b // g)
+        # |b|, a mod |b|, g, |b'|, inv, parity, c, the exponent of
         # h(a,b) and of G's lead, L/2|b'|, L/2N|b|, sgn(b) a^-1 mod |b|, L,
         # L/4N and the offset of the matrix's (N, N_b) table
-        params.append((b_abs, m.a % b_abs, g, beta, inv, parity, alpha,
+        params.append((b_abs, m.a % b_abs, g, beta, inv, parity, c,
                        (th + tg + 4 * (jh < 0) + 4 * (jg < 0)) % 8 * L // 8,
                        L // (2 * beta), L // (2 * n * b_abs),
                        s * pow(m.a, -1, b_abs) % b_abs, L, L // (4 * n),
@@ -384,11 +382,11 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
         keys -= np.repeat(start, counts)
         r_row = r_row + start[:, None]
         p = np.repeat(p, counts, axis=1)
-    b_abs, _, g, beta, inv, parity, alpha, lead, per_beta, per_den, sa, L, step, offset = p
+    b_abs, _, g, beta, inv, parity, c, lead, per_beta, per_den, sa, L, step, offset = p
     gam2 = 2 * keys
     gam = gam2 // g
     x = inv * (gam >> (1 - parity)) % beta
-    exps = (lead + alpha * (x * x % (2 * beta)) % (2 * beta) * per_beta) % L
+    exps = (lead + c * (x * x % (2 * beta)) % (2 * beta) * per_beta) % L
     # at g = 1, gamma = 2r is even and b' = b, so alpha or b' is even: no
     # entry vanishes
     if any(f[2] > 1 for f in params):

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import gauss, hecke, weyl
 from .phases import TWO_PI
-from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, build,
-                         build_many, h_phase, unitarity_defect)
+# build is bound here for the benchmark's tracer, which wraps suites.build
+from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, _gram_defects,
+                         build, build_many, h_phase)
 from .sl2 import (_UNKNOWN_TOKEN, IDENTITY, TOKEN_MATRIX, TOKENS, Mat2,
                   decompose, evaluate, random_word, random_theta_general)
 
@@ -150,16 +151,14 @@ def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
 def unitarity_sweep(samples: int = 64, max_dim: int = 64, seed: int = 0,
                     tol_scale: float = 1.0) -> Report:
     """Unitarity defect of unchecked builds for random words and dims,
-    each held to a tolerance that grows like sqrt(N)."""
+    each held to a tolerance that grows like sqrt(N).  All samples are
+    drawn first, and the matrices of each N are built as one stack."""
     rng = random.Random(seed)
-
-    def trials():
-        for _ in range(samples):
-            n = rng.randint(1, max_dim)
-            m = evaluate(random_word(rng, 10))
-            yield unitarity_defect(build(m, n, check=False)), n
-
-    return _drive("unitarity", trials(), UNITARITY_TOL, law=math.sqrt,
+    draws = [(rng.randint(1, max_dim), evaluate(random_word(rng, 10)))
+             for _ in range(samples)]
+    trials = _trials_by_n(draws, 1, lambda batch, n: _gram_defects(
+        build_many([m for _, m in batch], n, check=False)))
+    return _drive("unitarity", trials, UNITARITY_TOL, law=math.sqrt,
                   tol_scale=tol_scale)
 
 
@@ -205,8 +204,8 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     table of residue pairs and gathers the box from it.  The table of -beta
     is that of |beta| read at (-rho mod P, -g mod P), which sums the same
     roots in the same order, so the gather of -beta reads the |beta| table
-    at the negated residues, bit for bit.  The closed forms of each parity
-    of coprime alpha come from one stacked gauss_closed_many call.
+    at the negated residues, bit for bit.  The closed forms of all coprime
+    alpha at one beta come from one stacked gauss_closed_many call.
     A NaN in either maximum is the reported error and fails the check.
     """
     if max_abs < 1:
@@ -223,12 +222,10 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
             direct = table[np.ix_(at, at)]
             odd = ((values[:, None] * beta + values) % 2).astype(bool)
             vanish.append(np.abs(direct[odd]).max())
+            # alpha = 1 is always coprime
             coprime = np.gcd(values, beta) == 1
-            for parity in (0, 1):
-                group = coprime & (values % 2 == parity)
-                if group.any():
-                    closed = gauss.gauss_closed_many(values[group], beta, values)
-                    oracle.append(np.abs(closed - direct[group]).max())
+            closed = gauss.gauss_closed_many(values[coprime], beta, values)
+            oracle.append(np.abs(closed - direct[coprime]).max())
             compared += int(coprime.sum()) * values.size
     max_oracle, max_vanish = float(np.max(oracle)), float(np.max(vanish))
     passed = (max_oracle < GAUSS_ORACLE_TOL * tol_scale

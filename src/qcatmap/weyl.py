@@ -80,7 +80,10 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
 
 
 def quantize(f: Observable, n: int) -> np.ndarray:
-    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f."""
+    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1 is a
+    ValueError."""
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
     op = np.zeros((n, n), dtype=np.complex128)
     for mode, coeff in f.items():
         op += coeff * weyl_op(mode, n)

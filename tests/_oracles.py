@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcatmap import gauss, hecke, weyl
+from qcatmap import gauss, hecke, propagator, weyl
 from qcatmap.hecke import CapExceededError
 from qcatmap.numtheory import jacobi
 from qcatmap.phases import TWO_PI, e8, e_frac, e_frac_array
-from qcatmap.propagator import (MULT_TOL, Report, _drive, build, h_phase,
-                                verify_mult)
+from qcatmap.propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, build,
+                                h_phase, verify_mult)
 from qcatmap.sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, ModMatrix, decompose,
                          evaluate, lift_theta, random_word)
 from qcatmap.suites import (GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL,
@@ -463,6 +463,22 @@ def egorov_sweep_reference(samples: int = 100, max_dim: int = 16, seed: int = 0,
             yield float(weyl.egorov_mode_errors(m, n).max()), n
 
     return _drive("egorov", trials(), weyl.EGOROV_TOL, tol_scale=tol_scale)
+
+
+def unitarity_sweep_reference(samples: int = 64, max_dim: int = 64, seed: int = 0,
+                              tol_scale: float = 1.0) -> Report:
+    """Unitarity defect of one unchecked build per drawn sample, through
+    propagator.unitarity_defect."""
+    rng = random.Random(seed)
+
+    def trials():
+        for _ in range(samples):
+            n = rng.randint(1, max_dim)
+            m = evaluate(random_word(rng, 10))
+            yield propagator.unitarity_defect(propagator.build(m, n, check=False)), n
+
+    return _drive("unitarity", trials(), UNITARITY_TOL, law=math.sqrt,
+                  tol_scale=tol_scale)
 
 
 def mod4n_sweep_reference(pairs: int = 100, max_dim: int = 16, seed: int = 0,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qcatmap import gauss
-from qcatmap.gauss import GaussParams, UnsupportedParityError, VanishingError
+from qcatmap.gauss import GaussParams, VanishingError
 from qcatmap.numtheory import NotCoprimeError
-from qcatmap.phases import e8
+from qcatmap.phases import e8, e_frac
 from _oracles import gauss_reference
 
 
@@ -153,10 +153,12 @@ def test_closed_many_bits_do_not_depend_on_batch_size():
 
 @pytest.mark.parametrize("beta", [1, -1, 2, 3, -3, 8, -8, 15, 64, -97, 100, -100])
 def test_closed_many_alpha_rows_bit_equal_to_single_calls(beta):
+    # rows of one parity of alpha, and rows of every coprime alpha, which
+    # mix both branches at odd beta
     gammas = np.arange(-100, 101)
     alphas = np.arange(-120, 121)
     alphas = alphas[np.gcd(alphas, beta) == 1]
-    for group in (alphas[alphas % 2 == 0], alphas[alphas % 2 == 1]):
+    for group in (alphas[alphas % 2 == 0], alphas[alphas % 2 == 1], alphas):
         if not group.size:
             continue
         rows = gauss.gauss_closed_many(group, beta, gammas)
@@ -212,12 +214,43 @@ def test_direct_past_the_int64_bound_raises(beta):
         gauss.gauss_direct(GaussParams(1, beta, 1))
 
 
-@pytest.mark.parametrize("alphas, error", [
-    ([1, 2], UnsupportedParityError), ([1, 3], NotCoprimeError),
-], ids=["two-branches", "shared-factor"])
+@pytest.mark.parametrize("alphas, error", [([1, 3], NotCoprimeError)],
+                         ids=["shared-factor"])
 def test_closed_many_alpha_rows_need_one_coprime_branch(alphas, error):
     with pytest.raises(error):
         gauss.gauss_closed_many(np.array(alphas, dtype=np.int64), 3, np.arange(4))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, np.array([1, 2])], ids=["odd", "even", "row"])
+def test_closed_many_needs_a_nonzero_beta(alpha):
+    # beta = 0 used to raise pow()'s "3rd argument cannot be 0" (alpha = 1)
+    # or a NotCoprimeError (alpha = 2)
+    with pytest.raises(ValueError, match="beta must be nonzero") as caught:
+        gauss.gauss_closed_many(alpha, 0, np.arange(4))
+    assert caught.type is ValueError
+
+
+def test_closed_many_takes_numpy_integers_as_python_ints():
+    # values[i] of an int64 array used to raise a bare TypeError from pow
+    gammas = np.arange(-9, 10)
+    for a, beta in [(3, 5), (2, -7), (5, 8), (-1, 1)]:
+        want = gauss.gauss_closed_many(a, beta, gammas)
+        for alpha in (np.int64(a), np.int32(a)):
+            for b in (beta, np.int64(beta)):
+                got = gauss.gauss_closed_many(alpha, b, gammas)
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    row = gauss.gauss_closed_many([3, 4], np.int64(5), gammas)
+    assert np.array_equal(row, gauss.gauss_closed_many(np.array([3, 4]), 5, gammas))
+
+
+@pytest.mark.parametrize("alpha", [np.array([[1, 3]]), [[1], [3]], np.ones((2, 2, 2), dtype=int)],
+                         ids=["1x2", "2x1-list", "2x2x2"])
+def test_closed_many_alpha_must_be_a_scalar_or_a_row(alpha):
+    # a 2-D alpha used to raise "'list' object cannot be interpreted as an
+    # integer"
+    with pytest.raises(ValueError, match="an integer or a 1-D row") as caught:
+        gauss.gauss_closed_many(alpha, 4, np.arange(4))
+    assert caught.type is ValueError
 
 
 @pytest.mark.parametrize("gammas", [np.arange(4), 5, np.zeros((2, 3), dtype=np.int64)],
@@ -257,12 +290,36 @@ def test_branch_gives_the_lead_as_a_sign_and_an_eighth_root():
     # exponents; gauss_closed multiplies the lead out as jac * e8(t)
     for alpha, beta in [(2, 3), (-4, 7), (3, 8), (-5, -2), (3, 5), (-7, 9),
                         (1, 1), (10**30 + 1, 10**6), (-(10**30) + 2, 10**6 + 1)]:
-        jac, t, inv, parity = gauss._branch(alpha, beta)
-        assert all(type(x) is int for x in (jac, t, inv, parity))
-        assert jac in (1, -1) and 0 <= t < 8
+        jac, t, inv, parity, c = gauss._branch(alpha, beta)
+        assert all(type(x) is int for x in (jac, t, inv, parity, c))
+        assert jac in (1, -1) and 0 <= t < 8 and 0 <= c < 2 * abs(beta)
         # at x = 0 the closed form is the lead itself
         gamma = 0 if parity == 0 else abs(beta)
         assert gauss.gauss_closed(GaussParams(alpha, beta, gamma)) == jac * e8(t)
+
+
+BIG = [2**64 + 1, 2**70 + 3, 3**45]
+
+
+def test_branch_coefficient_equals_the_per_branch_formulas():
+    # c mod 2|beta| is -sgn(beta) alpha on the even-gamma branches and
+    # -4 sgn(beta) alpha on the odd one: the kernel's former
+    # -s ((alpha mod 2|beta| >> parity) << 2 parity), and over 2|beta| the
+    # phases of the former scalar forms e(-alpha x^2 / 2beta) and
+    # e(-2 alpha x^2 / beta), bit for bit
+    alphas = [*range(-30, 31), *BIG, *(-x for x in BIG)]
+    betas = [*range(-30, 31), *BIG, *(-x - 2 for x in BIG)]
+    for alpha in alphas:
+        for beta in betas:
+            if beta == 0 or math.gcd(alpha, beta) != 1:
+                continue
+            *_, parity, c = gauss._branch(alpha, beta)
+            b, s = abs(beta), (1 if beta > 0 else -1)
+            assert c == -s * (alpha % (2 * b >> parity) << 2 * parity) % (2 * b)
+            for x in (1, 2, 7, b - 1, 2**40 + 5):
+                seed = (e_frac(-alpha * x * x, 2 * beta) if parity == 0
+                        else e_frac(-2 * alpha * x * x, beta))
+                assert e_frac(c * x * x, 2 * b) == seed, (alpha, beta, x)
 
 
 def test_nonvanishing_gamma_has_the_parity_of_its_branch():

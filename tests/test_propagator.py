@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcatmap import gauss, propagator
+from qcatmap import gauss, propagator, suites
 from qcatmap.numtheory import NotCoprimeError
 from qcatmap.propagator import (InvalidParityError, build, classify, h_phase,
                                 propagator_json, unitarity_defect, verify_mult)
@@ -858,8 +858,8 @@ def _mutant_eighths(monkeypatch, where):
         real = gauss._branch
 
         def branch(alpha, beta):
-            jac, t, inv, parity = real(alpha, beta)
-            return jac, t + 1, inv, parity
+            jac, t, inv, parity, c = real(alpha, beta)
+            return jac, t + 1, inv, parity, c
 
         monkeypatch.setattr(gauss, "_branch", branch)
 
@@ -887,6 +887,27 @@ def test_an_eighth_root_off_by_one_raises(monkeypatch, where, n):
         propagator.build_many([T2_PLUS, power], n)
     # |b| = 1 and the shears read no eighth root
     assert _same_bits(build(Mat2(2, 1, 3, 2), n), _exact(Mat2(2, 1, 3, 2), n))
+
+
+@pytest.mark.parametrize("m, n", [
+    *((Mat2(2, 3, 1, 2), n) for n in (5, 8, 61, 256)),
+    *((Mat2(1, 2, 2, 5), n) for n in (3, 5, 61, 129)),
+], ids=str)
+def test_a_gauss_coefficient_off_by_one_fails(monkeypatch, m, n):
+    # gauss_closed_many and the kernel both read _branch's c, so one mutant
+    # fails the gauss-oracle sweep and the build; |b'| = |b|/gcd(b, N) >= 2
+    # here, as at |b'| = 1 every x is 0 and c is never read
+    real = gauss._branch
+
+    def branch(alpha, beta):
+        *lead, c = real(alpha, beta)
+        return *lead, (c + 1) % (2 * abs(beta))
+
+    monkeypatch.setattr(gauss, "_branch", branch)
+    assert abs(m.b) // math.gcd(m.b, n) >= 2
+    assert not suites.gauss_oracle_sweep(5).passed
+    with pytest.raises((propagator.ExponentError, propagator.UnitarityError)):
+        build(m, n)
 
 
 @pytest.mark.parametrize("m", [Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5),

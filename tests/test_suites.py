@@ -10,7 +10,7 @@ from _oracles import (decomposition_sweep_reference, direct_row_reference,
                       egorov_sweep_reference, gauss_oracle_sweep_loop_reference,
                       mod2n_sweep_reference, mod4n_sweep_reference,
                       multiplicativity_sweep_reference, relations_reference,
-                      word_product_reference)
+                      unitarity_sweep_reference, word_product_reference)
 
 from qcatmap import gauss, hecke, propagator, suites, weyl
 from qcatmap.propagator import MULT_TOL, verify_mult
@@ -97,6 +97,7 @@ PER_N_SWEEPS = {
     "mod4n_sweep": (mod4n_sweep_reference, "pairs"),
     "mod2n_sweep": (mod2n_sweep_reference, "pairs"),
     "decomposition_sweep": (decomposition_sweep_reference, "words"),
+    "unitarity_sweep": (unitarity_sweep_reference, "samples"),
 }
 
 
@@ -126,22 +127,23 @@ def test_per_n_sweep_equals_per_sample_reference(monkeypatch, sweep, case):
 def test_per_n_sweeps_build_one_stack_per_n(monkeypatch):
     # egorov, mod4n, mod2n and decompose each make one checked build_many
     # call per distinct N, with every draw at that N in it (decompose's
-    # generator tables are built unchecked)
+    # generator tables are built unchecked), and unitarity one unchecked call
     calls = []
     for module in (hecke, suites, weyl):
         def counting(ms, n, check=True, real=module.build_many):
-            if check:
-                calls.append((len(ms), n))
+            calls.append((len(ms), n, check))
             return real(ms, n, check)
 
         monkeypatch.setattr(module, "build_many", counting)
     for sweep, (_, count) in PER_N_SWEEPS.items():
         calls.clear()
         getattr(suites, sweep)(**{count: 40, "max_dim": 5, "seed": 2})
-        ns = [n for _, n in calls]
+        checked = sweep != "unitarity_sweep"
+        stacks = [(k, n) for k, n, check in calls if check == checked]
+        ns = [n for _, n in stacks]
         per_draw = 2 if sweep in ("mod4n_sweep", "mod2n_sweep") else 1
         assert len(ns) == len(set(ns)) and set(ns) <= set(range(1, 6)), sweep
-        assert sum(k for k, _ in calls) == per_draw * 40, sweep
+        assert sum(k for k, _ in stacks) == per_draw * 40, sweep
 
 
 def _kernel_input(monkeypatch, m, n):
@@ -304,6 +306,20 @@ def test_direct_table_of_negative_beta_is_the_negated_residue_table():
 def test_gauss_oracle_sweep_equals_loop_reference(max_abs):
     assert (suites.gauss_oracle_sweep(max_abs)
             == gauss_oracle_sweep_loop_reference(max_abs))
+
+
+def test_gauss_oracle_sweep_makes_one_closed_call_per_beta(monkeypatch):
+    # the coprime alphas of both branches share one row call per beta
+    calls = []
+    real = gauss.gauss_closed_many
+
+    def counting(alpha, beta, gammas):
+        calls.append(beta)
+        return real(alpha, beta, gammas)
+
+    monkeypatch.setattr(gauss, "gauss_closed_many", counting)
+    suites.gauss_oracle_sweep(12)
+    assert sorted(calls) == [b for b in range(-12, 13) if b]
 
 
 def test_gauss_oracle_sweep_peak_memory():

@@ -151,6 +151,15 @@ def test_quantize_real_observable_is_hermitian():
     assert not is_real_observable({(1, 0): 1.0})
 
 
+@pytest.mark.parametrize("f", [{}, {(1, 0): 1.0}], ids=["empty", "one-mode"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_quantize_needs_a_positive_dimension(f, n):
+    # the empty observable used to return a 0 x 0 array at N = 0 and raise
+    # numpy's "negative dimensions" at N = -1
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        weyl.quantize(f, n)
+
+
 def test_compose_classical_transpose_action():
     m = Mat2(2, 1, 3, 2)
     f = {(1, 0): 2.0, (0, 1): -1j}
