@@ -214,11 +214,23 @@ def test_direct_past_the_int64_bound_raises(beta):
         gauss.gauss_direct(GaussParams(1, beta, 1))
 
 
-@pytest.mark.parametrize("alphas, error", [([1, 3], NotCoprimeError)],
-                         ids=["shared-factor"])
+@pytest.mark.parametrize("alphas, error", [
+    ([1, 2], None), ([1, 3], NotCoprimeError),
+], ids=["two-branches", "shared-factor"])
 def test_closed_many_alpha_rows_need_one_coprime_branch(alphas, error):
-    with pytest.raises(error):
-        gauss.gauss_closed_many(np.array(alphas, dtype=np.int64), 3, np.arange(4))
+    # every alpha of a row must be coprime to beta; the row carries parity,
+    # inv and c per alpha, so it may mix both branches (alpha = 1 and 2 at
+    # beta = 3 used to raise UnsupportedParityError)
+    gammas = np.arange(4)
+    row = np.array(alphas, dtype=np.int64)
+    if error is not None:
+        with pytest.raises(error):
+            gauss.gauss_closed_many(row, 3, gammas)
+        return
+    assert len({gauss._branch(a, 3)[3] for a in alphas}) == 2
+    rows = gauss.gauss_closed_many(row, 3, gammas)
+    want = np.stack([gauss.gauss_closed_many(a, 3, gammas) for a in alphas])
+    assert np.array_equal(rows.view(np.float64), want.view(np.float64))
 
 
 @pytest.mark.parametrize("alpha", [1, 2, np.array([1, 2])], ids=["odd", "even", "row"])
