@@ -47,13 +47,18 @@ class VanishingError(ValueError):
 
 @dataclass(frozen=True)
 class GaussParams:
-    """Integer parameters (alpha, beta, gamma) with beta != 0."""
+    """Integer parameters (alpha, beta, gamma) with beta != 0, as Python ints."""
 
     alpha: int
     beta: int
     gamma: int
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if type(value := getattr(self, name)) is not int:
+                if not hasattr(value, "__index__"):
+                    raise ValueError(f"{name} must be an integer, not {value!r}")
+                object.__setattr__(self, name, operator.index(value))
         if self.beta == 0:
             raise ValueError("beta must be nonzero")
 
@@ -154,7 +159,8 @@ def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
     One pass checks each pair in turn: |beta| <= 10^6, or ValueError (the
     values are int64; gauss_closed takes any beta), then gcd = 1, or
     NotCoprimeError, then takes its branch.  An empty row gives an empty
-    result.  A gamma outside int64 is a ValueError too.
+    result.  Gammas of a non-integer dtype (float, bool, or object, as of
+    Python ints past int64) and a gamma outside int64 are ValueErrors too.
     """
     beta = operator.index(beta)
     if beta == 0:
@@ -163,6 +169,9 @@ def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
     if ndim > 1:
         raise ValueError("alpha must be an integer or a 1-D row of integers, "
                          f"not shape {np.shape(alpha)}")
+    if (dtype := np.asarray(gammas).dtype).kind not in "iu":
+        raise ValueError("gammas must be integers within int64 (gauss_closed takes "
+                         f"any), not of dtype {dtype}")
     try:
         gam = np.asarray(gammas, dtype=np.int64)
     except OverflowError:

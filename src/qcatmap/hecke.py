@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .numtheory import jacobi
+from .numtheory import jacobi, require_dimension
 from .propagator import MULT_TOL, Report, _drive, build_many
 from .sl2 import Mat2, ModMatrix, lift_theta
 
@@ -46,8 +46,7 @@ def _pair_errors(pairs, n: int, modulus: int) -> tuple[np.ndarray, list[int]]:
     built as one stack [A, B, A, B, ...], and their signs f: 1 at modulus 4N
     (not applied), jacobi(N, |c_a|) for the top-left entry c_a of C = B^-1 A
     at 2N.  A pair that is not congruent is a NotCongruentError."""
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = require_dimension(n)
     for a, b in pairs:
         if any((x - y) % modulus for x, y in zip(a.entries(), b.entries())):
             raise NotCongruentError(f"{a} and {b} differ mod {modulus}")
@@ -85,8 +84,7 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     cap.  The result is sorted by entries and closed under multiplication
     mod 4N.
     """
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = require_dimension(n)
     m = 4 * n
     if m > cap:
         raise CapExceededError(f"4N = {m} exceeds enumeration cap {cap}")

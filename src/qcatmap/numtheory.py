@@ -1,13 +1,22 @@
-"""Exact integer arithmetic: the sign function and Jacobi symbols.
+"""Exact integer arithmetic: signs, Jacobi symbols and the dimension check.
 
 All functions operate on arbitrary-precision Python ints.
 """
 
 from __future__ import annotations
 
+import operator
+
 
 class NotCoprimeError(ValueError):
     """Raised when a formula that needs coprime arguments gets a shared factor."""
+
+
+def require_dimension(n) -> int:
+    """N as a Python int (operator.index); ValueError unless an integer >= 1."""
+    if not hasattr(n, "__index__") or operator.index(n) < 1:
+        raise ValueError("dimension must be a positive integer")
+    return operator.index(n)
 
 
 def sign(x: int) -> int:

@@ -36,16 +36,18 @@ term: the anti-shears (a = 0) and a third of the general matrices.
 build_many builds a stack of matrices at one N, and build is the stack of
 one.  Per matrix only scalars are made in Python (the theta check, the
 lift, L, gcd(b, N), the signs, eighth roots and inverses of h and of the
-Gauss branch).  The b != 0 kernel sorts a stack into two kinds (|b| = 1,
-and the Gauss table over r) and fills each kind in blocks of at most
-_BLOCK entries: _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each
-step one numpy pass over all of them, and rows of one matrix past that,
-which share its tables; while |b| is at most a block's rows, blocks of a
-multiple of |b| rows share their Gauss exponents too.  Up to
-N = _GRAM_BLOCK the guard is _gram_defects on the stack; past that,
-_certified checks in O(N^2) that a matrix is gcd(b, N) blocks D_x F_k D_y
-(F_k a DFT at a unit k) up to a permutation of residue classes, which
-bounds its Gram defect by 5e-12, and the dense Gram decides the rest.
+Gauss branch).  build_many sorts the lifted stack once by kernel kind
+(shears, |b| = 1, the Gauss table over r), and _build_shear and
+_build_general write their members in place into its one (K, N, N) result.
+The b != 0 kernel fills a kind in blocks of at most _BLOCK entries:
+_BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each step one numpy pass
+over all of them, and rows of one matrix past that, which share its
+tables; while |b| is at most a block's rows, blocks of a multiple of |b|
+rows share their Gauss exponents too.  Up to N = _GRAM_BLOCK the guard is
+_gram_defects on the stack; past that, _certified checks in O(N^2) that a
+matrix is gcd(b, N) blocks D_x F_k D_y (F_k a DFT at a unit k) up to a
+permutation of residue classes, which bounds its Gram defect by 5e-12,
+and the dense Gram decides the rest.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -62,7 +64,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gauss
-from .numtheory import NotCoprimeError, jacobi, sign
+from .numtheory import NotCoprimeError, jacobi, require_dimension, sign
 from .phases import e8, e_frac_array
 from .sl2 import Mat2, lift_theta, reduce_mod, require_theta
 
@@ -304,18 +306,17 @@ def _roots(n: int, n_b: int) -> np.ndarray:
     return t
 
 
-def _build_shear(ms: list, n: int) -> np.ndarray:
-    """Stack of U_N(A) for shears A = (s, 0; m, s): one phase per row."""
+def _build_shear(u: np.ndarray, ms: list, ks: list, n: int) -> None:
+    """Write U_N(A), A = ms[k] = (s, 0; m, s), into the zero u[k] for each
+    k of ks: one phase per row."""
     q = np.arange(n, dtype=np.int64)
     two_n = 2 * n
     # row Q reads exponent 2 ((s*m) Q^2 mod 2N) of the (N, 1) table at
     # column s*Q mod N
-    coef = np.array([(m.a * m.c) % two_n for m in ms])[:, None]
-    sign = np.array([m.a for m in ms])[:, None]
-    u = np.zeros((len(ms), n, n), dtype=np.complex128)
+    coef = np.array([(ms[k].a * ms[k].c) % two_n for k in ks])[:, None]
+    sign = np.array([ms[k].a for k in ks])[:, None]
     evens = _roots(n, 1)[:4 * n:2]
-    u[np.arange(len(ms))[:, None], q, sign * q % n] = evens[coef * q * q % two_n]
-    return u
+    u[np.array(ks)[:, None], q, sign * q % n] = evens[coef * q * q % two_n]
 
 
 # Entries per block of the general kernel: each of its temporaries is one
@@ -397,8 +398,9 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
     return exps + offset, r_row, r_col, roots[0] if one else np.concatenate(roots)
 
 
-def _build_general(ms: list, n: int) -> np.ndarray:
-    """Stack of U_N(A) for matrices A = ms[k] with b != 0.
+def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
+    """Write U_N(A) of A = ms[k], b != 0, into u[k] for each k of the groups
+    (the |b| = 1 members, the Gauss-table members).
 
     Raises ExponentError(k) at the first matrix ms[k] found with an entry
     off the 4N-th roots of unity; build_many names it.
@@ -407,11 +409,6 @@ def _build_general(ms: list, n: int) -> np.ndarray:
     q = np.arange(n, dtype=np.int64)
     qq = q * q
     powers = np.array([qq, q, qq])
-    # by kind: |b| = 1, and Gauss exponents tabulated over 2|b| residues
-    groups = ([], [])
-    for k, m in enumerate(ms):
-        groups[abs(m.b) > 1].append(k)
-    u = np.empty((len(ms), n, n), dtype=np.complex128)
     per_block = max(1, _BLOCK // (n * n))
     rows = max(1, _BLOCK // (per_block * n))
     for kind, group in enumerate(groups):
@@ -474,7 +471,6 @@ def _build_general(ms: list, n: int) -> np.ndarray:
                     u[idx, r0:r0 + span] = roots[e]
                 else:
                     dest[..., r0:r0 + span, :] = roots[e]
-    return u
 
 
 def build_many(ms, n: int, check: bool = True) -> np.ndarray:
@@ -485,37 +481,34 @@ def build_many(ms, n: int, check: bool = True) -> np.ndarray:
     empty stack is a ValueError.  With check, the first matrix that is not
     unitary raises UnitarityError naming it and its place in the stack.
     """
-    ms = list(ms)
-    for m in ms:
-        require_theta(m)
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
+    ms = [require_theta(m) for m in ms]
+    n = require_dimension(n)
     if not ms:
         raise ValueError("build_many needs at least one matrix")
-    shears = [k for k, m in enumerate(ms) if m.b == 0]
-    general = [k for k, m in enumerate(ms) if m.b]
-    if general and n > _MAX_N:
-        raise ValueError(f"N = {n} is too large for the int64 propagator "
-                         f"kernel, which takes N <= {_MAX_N} when b != 0")
     # U_N(A) depends on A only mod 4N, and the lift is general too
     kernel = [lift_theta(reduce_mod(m, 4 * n)) if abs(m.b) > 4 * n else m
               for m in ms]
+    # stack positions by kernel kind: shears, |b| = 1, the Gauss table
+    shears, unit, table = kinds = ([], [], [])
+    for k, m in enumerate(kernel):
+        kinds[min(abs(m.b), 2)].append(k)
+    if n > _MAX_N and len(shears) < len(ms):
+        raise ValueError(f"N = {n} is too large for the int64 propagator "
+                         f"kernel, which takes N <= {_MAX_N} when b != 0")
 
     def named(k: int) -> str:
         where = f" (stack member {k})" if len(ms) > 1 else ""
         return f"propagator of {ms[k]}{where} at N={n}"
 
+    # the shear kernel writes only the nonzeros of its members
+    u = (np.zeros if shears else np.empty)((len(ms), n, n), dtype=np.complex128)
     try:
-        if not general:
-            u = _build_shear(kernel, n)
-        elif not shears:
-            u = _build_general(kernel, n)
-        else:
-            u = np.empty((len(kernel), n, n), dtype=np.complex128)
-            u[shears] = _build_shear([kernel[k] for k in shears], n)
-            u[general] = _build_general([kernel[k] for k in general], n)
+        if shears:
+            _build_shear(u, kernel, shears, n)
+        if unit or table:
+            _build_general(u, kernel, (unit, table), n)
     except ExponentError as err:
-        k = general[err.args[0]]
+        k = err.args[0]
         lift = "" if kernel[k] is ms[k] else f", built from its lift {kernel[k]},"
         raise ExponentError(f"{named(k)}{lift} has an entry off the 4N-th "
                             "roots of unity") from None

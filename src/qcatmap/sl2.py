@@ -14,6 +14,7 @@ lists of the tokens "S", "S-", "P", "T2", "T2-" and evaluate left to right.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -93,6 +94,11 @@ def is_theta(m: Mat2) -> bool:
 
 
 def require_theta(m: Mat2) -> Mat2:
+    """m with Python-int entries if it is a theta matrix, else NotThetaError."""
+    if not type(m.a) is type(m.b) is type(m.c) is type(m.d) is int:
+        if not all(hasattr(x, "__index__") for x in m.entries()):
+            raise NotThetaError(f"{m} has an entry that is not an integer")
+        m = Mat2(*map(operator.index, m.entries()))
     if m.det() != 1:
         raise NotThetaError(f"determinant of {m} is {m.det()}, not 1")
     if (m.a * m.b) % 2 or (m.c * m.d) % 2:

@@ -22,8 +22,8 @@ from .phases import TWO_PI
 # build is bound here for the benchmark's tracer, which wraps suites.build
 from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, _gram_defects,
                          build, build_many, h_phase)
-from .sl2 import (_UNKNOWN_TOKEN, IDENTITY, TOKEN_MATRIX, TOKENS, Mat2,
-                  decompose, evaluate, random_word, random_theta_general)
+from .sl2 import (IDENTITY, TOKEN_MATRIX, TOKENS, Mat2, decompose, evaluate,
+                  random_word, random_theta_general)
 
 RELATION_TOL = 1e-10          # times N
 SCALAR_TOL = 1e-10
@@ -51,34 +51,16 @@ def _constant(n) -> int:
 
 def _product(word, generators: dict, n: int) -> np.ndarray:
     """Product of generators[tok] over the word, left to right (empty:
-    identity); a token missing from the table is a ValueError."""
-    try:
-        factors = [generators[tok] for tok in word]
-    except KeyError as exc:
-        raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
-    if not factors:
+    identity)."""
+    if not word:
         return np.eye(n, dtype=complex)
-    return functools.reduce(np.matmul, factors)
+    return functools.reduce(np.matmul, [generators[tok] for tok in word])
 
 
-def _generators(tokens, n: int) -> dict:
-    """Propagator of each generator token, built once in one stack."""
-    if not tokens:
-        return {}
-    return dict(zip(tokens, build_many([TOKEN_MATRIX[tok] for tok in tokens], n,
+def _generators(n: int) -> dict:
+    """Propagator of each generator token at N, built once in one stack."""
+    return dict(zip(TOKENS, build_many([TOKEN_MATRIX[tok] for tok in TOKENS], n,
                                        check=False)))
-
-
-def word_product(word, n: int) -> np.ndarray:
-    """Product of generator propagators, left to right (empty: identity).
-
-    Each distinct token is built once; an unknown token or N < 1 is a
-    ValueError.
-    """
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
-    tokens = [tok for tok in dict.fromkeys(word) if tok in TOKEN_MATRIX]
-    return _product(word, _generators(tokens, n), n)
 
 
 def relations_sweep(dims=None, tol_scale: float = 1.0) -> Report:
@@ -93,7 +75,7 @@ def relations_sweep(dims=None, tol_scale: float = 1.0) -> Report:
 
     def trials():
         for n in dims:
-            gens = _generators(TOKENS, n)
+            gens = _generators(n)
             for lhs, rhs in GENERATOR_RELATIONS:
                 diff = _product(lhs, gens, n) - _product(rhs, gens, n)
                 yield float(np.abs(diff).max()), n
@@ -362,7 +344,7 @@ def decomposition_sweep(words: int = 1000, max_word_len: int = 12,
             checks.append((rng.randint(1, max_dim), m, d))
 
     def errors(batch, n):
-        gens = _generators(TOKENS, n)
+        gens = _generators(n)
         u = build_many([m for _, m, _ in batch], n)
         return [np.abs(u_m - _product(d, gens, n)).max()
                 for (_, _, d), u_m in zip(batch, u)]

@@ -39,6 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .numtheory import require_dimension
 from .phases import e_frac_array
 from .propagator import Report, _drive, build, build_many
 from .sl2 import Mat2
@@ -70,8 +71,7 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
     mod 2N, and T_N(n + N*m) equals T_N(n) up to the sign
     (-1)^(n1*m2 + n2*m1 + N*m1*m2).
     """
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = require_dimension(n)
     n1, n2 = (np.array([x % (2 * n)], dtype=np.int64) for x in mode)
     at, vals = _weyl_entries(n1, n2, n)
     op = np.zeros((1, n, n), dtype=np.complex128)
@@ -82,8 +82,7 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
 def quantize(f: Observable, n: int) -> np.ndarray:
     """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1 is a
     ValueError."""
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = require_dimension(n)
     op = np.zeros((n, n), dtype=np.complex128)
     for mode, coeff in f.items():
         op += coeff * weyl_op(mode, n)

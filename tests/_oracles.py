@@ -23,7 +23,7 @@ from qcatmap.propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, build,
 from qcatmap.sl2 import (IDENTITY, TOKEN_MATRIX, Mat2, ModMatrix, decompose,
                          evaluate, lift_theta, random_word)
 from qcatmap.suites import (GAUSS_ORACLE_TOL, GAUSS_VANISH_TOL,
-                            GENERATOR_RELATIONS, RELATION_TOL, word_product)
+                            GENERATOR_RELATIONS, RELATION_TOL)
 from qcatmap.weyl import weyl_op
 
 
@@ -526,7 +526,7 @@ def decomposition_sweep_reference(words: int = 1000, max_word_len: int = 12,
                                   build_checks: int = 60, max_dim: int = 16,
                                   seed: int = 0, tol_scale: float = 1.0) -> Report:
     """Round trip through generator words, with one build and one
-    suites.word_product per spot-checked sample."""
+    word_product_reference per spot-checked sample."""
     rng = random.Random(seed)
     failures = 0
     longest = 0
@@ -541,7 +541,7 @@ def decomposition_sweep_reference(words: int = 1000, max_word_len: int = 12,
                 failures += 1
             if i < build_checks:
                 n = rng.randint(1, max_dim)
-                yield float(np.abs(build(m, n) - word_product(d, n)).max()), n
+                yield float(np.abs(build(m, n) - word_product_reference(d, n)).max()), n
             else:
                 yield None
 

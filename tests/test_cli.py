@@ -529,10 +529,9 @@ def test_unitarity_failure_survives_optimize_flag():
     # the CLI must report it as a failed verification
     code = """
 import sys
-import numpy as np
 from qcatmap import cli, propagator
 from qcatmap.sl2 import Mat2
-propagator._build_general = lambda ms, n: np.ones((len(ms), n, n), dtype=complex)
+propagator._build_general = lambda u, ms, groups, n: u.fill(1)
 try:
     propagator.build(Mat2(2, 1, 3, 2), 3)
 except propagator.UnitarityError:

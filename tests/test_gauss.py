@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,32 @@ def test_closed_many_needs_a_nonzero_beta(alpha):
     assert caught.type is ValueError
 
 
+def test_params_take_numpy_integers_as_python_ints():
+    # gauss_closed used to raise a bare TypeError from pow in _branch
+    p = GaussParams(np.int64(3), np.int64(5), np.int64(1))
+    assert p == GaussParams(3, 5, 1)
+    assert all(type(x) is int for x in (p.alpha, p.beta, p.gamma))
+    assert gauss.gauss_closed(p) == gauss.gauss_closed(GaussParams(3, 5, 1))
+
+
+@pytest.mark.parametrize("params", [(3.5, 5, 1), (3, 5.0, 1), (3, 5, 1.0)],
+                         ids=["alpha", "beta", "gamma"])
+def test_params_must_be_integers(params):
+    # gauss_direct(GaussParams(3.5, 5, 1)) used to raise IndexError
+    name = ("alpha", "beta", "gamma")[[type(x) for x in params].index(float)]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        GaussParams(*params)
+
+
+@pytest.mark.parametrize("gammas", [[2.7], [True], np.array([1.0, 2.0]),
+                                    np.array([Fraction(5, 2)], dtype=object)],
+                         ids=["float", "bool", "float-array", "object"])
+def test_closed_many_gammas_must_be_integers(gammas):
+    # [2.7] used to return G(2, 3, 2), and [True] was taken as gamma = 1
+    with pytest.raises(ValueError, match="gammas must be integers"):
+        gauss.gauss_closed_many(2, 3, gammas)
+
+
 def test_closed_many_takes_numpy_integers_as_python_ints():
     # values[i] of an int64 array used to raise a bare TypeError from pow
     gammas = np.arange(-9, 10)
@@ -275,8 +302,8 @@ def test_closed_many_of_an_empty_alpha_row_is_empty(gammas):
         assert got.dtype == complex
 
 
-@pytest.mark.parametrize("gammas", [[2**70], 2**70, [0, -2**63 - 1], [[4], [2**64]]],
-                         ids=["row", "scalar", "below", "grid"])
+@pytest.mark.parametrize("gammas", [[2**70], 2**70, [0, -2**63 - 1], [[4], [2**64]], [2**63]],
+                         ids=["row", "scalar", "below", "grid", "uint64"])
 def test_closed_many_gamma_outside_int64_names_gauss_closed(gammas):
     with pytest.raises(ValueError, match="gauss_closed"):
         gauss.gauss_closed_many(1, 2, gammas)

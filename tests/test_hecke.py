@@ -57,6 +57,18 @@ def test_congruence_checks_reject_nonpositive_dimension(n):
         verify_hecke(a, n)
 
 
+def test_commutant_needs_an_integer_dimension():
+    # this used to raise a bare TypeError
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        commutant_mod(Mat2(2, 1, 3, 2), 2.0)
+
+
+def test_hecke_check_needs_an_integer_dimension():
+    # this used to raise a bare TypeError
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        verify_hecke(Mat2(2, 1, 3, 2), 2.0)
+
+
 def test_shear_parameter_periodic_mod_4N():
     # shifting the shear power by 4N leaves the propagator unchanged,
     # in both shear orientations

@@ -342,10 +342,9 @@ def test_unitarity_guard_rejects_a_nan(monkeypatch, at):
     n = 2 * B + 3
     real = propagator._build_general
 
-    def nan_at_one_entry(ms, n):
-        u = real(ms, n)
+    def nan_at_one_entry(u, ms, groups, n):
+        real(u, ms, groups, n)
         u[(0, *at)] = np.nan
-        return u
 
     monkeypatch.setattr(propagator, "_build_general", nan_at_one_entry)
     m = Mat2(2, 1, 3, 2)
@@ -425,10 +424,9 @@ def test_unitarity_guard_rejects_a_defective_shear(monkeypatch, edit):
     n = 2 * B + 3
     real = propagator._build_shear
 
-    def defective(ms, n):
-        u = real(ms, n)
+    def defective(u, ms, ks, n):
+        real(u, ms, ks, n)
         edit(u[0])
-        return u
 
     monkeypatch.setattr(propagator, "_build_shear", defective)
     m = Mat2(1, 0, 6, 1)
@@ -578,10 +576,9 @@ def test_unitarity_guard_rejects_a_defective_block_pattern(monkeypatch, edit, n,
     g = math.gcd(m.b, n)
     real = propagator._build_general
 
-    def defective(ms, n):
-        u = real(ms, n)
+    def defective(u, ms, groups, n):
+        real(u, ms, groups, n)
         edit(u[0], g)
-        return u
 
     monkeypatch.setattr(propagator, "_build_general", defective)
     u = build(m, n, check=False)
@@ -596,12 +593,12 @@ def test_unitarity_guard_rejects_a_defective_block_pattern(monkeypatch, edit, n,
 
 
 def _edit_builds(monkeypatch, edit):
-    """Make build apply edit to the first matrix its kernels return."""
+    """Make build apply edit to the first stack member once a kernel has
+    written its members."""
     for name in ("_build_general", "_build_shear"):
-        def edited(ms, n, real=getattr(propagator, name)):
-            u = real(ms, n)
+        def edited(u, ms, ks, n, real=getattr(propagator, name)):
+            real(u, ms, ks, n)
             edit(u[0])
-            return u
         monkeypatch.setattr(propagator, name, edited)
 
 
@@ -768,7 +765,9 @@ def test_general_kernel_bit_equal_to_unique_kernel():
     assert any(abs(m.b) > n for m, n in cases)
     assert any(2 * abs(m.b) > n * n for m, n in cases if n >= 128)
     for m, n in cases:
-        got = propagator._build_general([m], n)[0]
+        got = np.empty((n, n), dtype=complex)
+        kinds = ([0], []) if abs(m.b) == 1 else ([], [0])
+        propagator._build_general(got[None], [m], kinds, n)
         assert _same_bits(got, _exact(m, n)), (m, n)
         err = np.abs(got - build_general_reference(m, n)).max()
         assert err <= FLOAT_REFERENCE_ROUNDING, (m, n)
@@ -1037,9 +1036,9 @@ def test_congruent_pair_straddling_the_lift_window_keeps_two_kernel_inputs(
     seen = []
     real = propagator._build_general
 
-    def spy(ms, n):
-        seen.append(list(ms))
-        return real(ms, n)
+    def spy(u, ms, groups, n):
+        seen.append([ms[k] for k in sorted(itertools.chain(*groups))])
+        real(u, ms, groups, n)
 
     monkeypatch.setattr(propagator, "_build_general", spy)
     rng = random.Random(n)
@@ -1196,10 +1195,9 @@ def test_stack_guard_equals_unitarity_defect(n):
 def test_build_many_names_a_corrupted_member(monkeypatch, n):
     real = propagator._build_general
 
-    def corrupt_third(ms, n):
-        u = real(ms, n)
+    def corrupt_third(u, ms, groups, n):
+        real(u, ms, groups, n)
         u[2, 1, 1] += 1e-3
-        return u
 
     monkeypatch.setattr(propagator, "_build_general", corrupt_third)
     ms = [Mat2(2, 1, 3, 2), Mat2(2, 3, 1, 2), Mat2(0, 1, -1, 4), Mat2(2, -1, -3, 2)]
@@ -1212,10 +1210,9 @@ def test_build_many_names_a_corrupted_member(monkeypatch, n):
 def test_build_many_names_a_corrupted_shear_in_a_mixed_stack(monkeypatch):
     real = propagator._build_shear
 
-    def corrupt_first(ms, n):
-        u = real(ms, n)
-        u[0] *= 2
-        return u
+    def corrupt_first(u, ms, ks, n):
+        real(u, ms, ks, n)
+        u[ks[0]] *= 2
 
     monkeypatch.setattr(propagator, "_build_shear", corrupt_first)
     ms = [Mat2(2, 1, 3, 2), T2_PLUS, Mat2(1, 0, 6, 1)]
@@ -1230,3 +1227,68 @@ def test_build_many_empty_stack_is_value_error():
         propagator.build_many([IDENTITY], 0)
     with pytest.raises(NotThetaError):
         propagator.build_many([IDENTITY, Mat2(1, 1, 0, 1)], 4)
+
+
+def test_a_mixed_stack_holds_no_second_stack():
+    # the kernels write their members into the one (K, N, N) result; a
+    # shear sub-stack and a general one, copied into a third array, peaked
+    # at 1.71 times its bytes
+    rng = random.Random(64)
+    ms = [Mat2(s, 0, 2 * rng.randint(-20, 20), s) for s in rng.choices((1, -1), k=28)]
+    ms += [random_theta_general(rng, 10) for _ in range(32)]
+    rng.shuffle(ms)
+    propagator.build_many(ms, 64, check=False)  # fills the root tables' cache
+    tracemalloc.start()
+    try:
+        u = propagator.build_many(ms, 64, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (60, 64, 64)
+    assert peak < 1.5 * u.nbytes
+
+
+def _power_lifted_to_unit_b(n):
+    """The least power of (2, 1; 3, 2) with |b| > 4N whose lift mod 4N has
+    |b| = 1."""
+    base = m = Mat2(2, 1, 3, 2)
+    while abs(m.b) <= 4 * n or abs(lift_theta(reduce_mod(m, 4 * n)).b) != 1:
+        m = m @ base
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 61, 64, 128, 129, 300])
+def test_a_stack_of_every_kind_equals_its_builds(n):
+    # build_many sorts a stack into shears, |b| = 1 and Gauss-table members
+    # once, and each kernel writes its members at their stack positions
+    ms = [Mat2(1, 0, 6, 1), Mat2(2, -1, -3, 2), P_MAT,
+          _power_lifted_to_unit_b(n), Mat2(0, 1, -1, 4), Mat2(2, 3, 1, 2)]
+    if n > 1:
+        # g = gcd(b, N) > 1: b the least prime factor of N
+        p = next(q for q in range(2, n + 1) if n % q == 0)
+        ms.insert(3, _with_b(1 if p == 2 else 2, p))
+        assert math.gcd(ms[3].b, n) > 1
+    u = propagator.build_many(ms, n)
+    for m, x in zip(ms, u):
+        assert _same_bits(x, build(m, n)), m
+
+
+def test_build_takes_numpy_integer_entries_as_python_ints():
+    # these used to raise "tuple indices must be integers or slices, not
+    # numpy.bool" where the general kernel sorted its stack
+    for a in ((2, 1, 3, 2), (2, 3, 1, 2), (1, 0, 6, 1)):
+        m = Mat2(*map(np.int64, a))
+        assert _same_bits(build(m, 5), build(Mat2(*a), 5))
+
+
+def test_a_float_entry_is_not_a_theta_matrix():
+    # this used to raise numpy's UFuncTypeError in the kernel
+    with pytest.raises(NotThetaError, match="not an integer"):
+        build(Mat2(2.0, 1, 3, 2), 5)
+
+
+def test_a_float_dimension_is_a_value_error():
+    # this used to raise a bare TypeError
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        build(Mat2(2, 1, 3, 2), 8.0)
+    assert _same_bits(build(Mat2(2, 1, 3, 2), np.int64(8)), build(Mat2(2, 1, 3, 2), 8))

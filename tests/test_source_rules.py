@@ -7,10 +7,12 @@ bare RuntimeError.  Every exception class the package defines is raised
 somewhere in it, so a deletion cannot leave a typed error behind that no
 caller can meet.  The array code keeps one int64 path: no `dtype=object`
 arrays of Python ints, which gauss_closed covers for large parameters.
-Every name in `qcatmap.__all__` is read by the package itself, a demo or
-the benchmark harness, so the public API holds only what something calls,
-and every private module-level name is read by the package outside its own
-definition, so a replaced helper cannot stay behind.
+Every name in `qcatmap.__all__`, and every public top-level function of a
+package module, is read by the package itself, a demo or the benchmark
+harness (a sweep may instead be named in `suites.CHECKS`), so the public
+API holds only what something calls, and every private module-level name
+is read by the package outside its own definition, so a replaced helper
+cannot stay behind.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import qcatmap
+from qcatmap import suites
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qcatmap").glob("*.py"))
@@ -126,19 +129,23 @@ def test_raised_rule_catches_a_dead_class():
                                     "QualifiedError"]
 
 
-def _uncalled(public: list[str], trees: list[ast.AST]) -> list[str]:
-    """Public names that none of the trees reads: a name counts as read when
-    it is loaded bare, taken as an attribute, or imported; a definition or
-    an assignment alone does not count."""
+def _reads(tree: ast.AST) -> set[str]:
+    """Names a tree reads: loaded bare, taken as an attribute, or imported."""
     read = set()
-    for node in (n for tree in trees for n in ast.walk(tree)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.alias):
             read.add(node.name)
-    return sorted(set(public) - read)
+    return read
+
+
+def _uncalled(public: list[str], trees: list[ast.AST]) -> list[str]:
+    """Public names that none of the trees reads (_reads); a definition or
+    an assignment alone does not count."""
+    return sorted(set(public) - set().union(*map(_reads, trees)))
 
 
 def test_every_public_name_has_a_caller():
@@ -156,6 +163,44 @@ def test_caller_rule_catches_an_uncalled_name():
     public = ["dead", "Dead", "DEAD_TOL", "called", "imported", "LIVE_TOL"]
     assert _uncalled(public, [defined, calling]) == ["DEAD_TOL", "Dead", "dead"]
     assert _uncalled(public, [defined]) == sorted(public)
+
+
+def _unread_public(modules: dict[str, ast.Module], callers: list[ast.Module],
+                   sweeps) -> list[str]:
+    """Public top-level functions of the modules, as module.name, that no
+    top-level statement of the callers reads outside the function's own
+    definition, and that are not among the sweeps: a name counts as read
+    as in _uncalled, and a string that names it does not count."""
+    reads = [(stmt, _reads(stmt)) for tree in callers for stmt in tree.body]
+    return sorted(f"{mod}.{stmt.name}" for mod, tree in modules.items()
+                  for stmt in tree.body
+                  if isinstance(stmt, ast.FunctionDef)
+                  and not stmt.name.startswith("_") and stmt.name not in sweeps
+                  and not any(stmt.name in names
+                              for other, names in reads if other is not stmt))
+
+
+def test_every_public_function_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    callers = [modules[p.stem] if p in SOURCES else ast.parse(p.read_text(), str(p))
+               for p in CALLERS]
+    sweeps = {sweep for sweep, _ in suites.CHECKS.values()}
+    assert _unread_public(modules, callers, sweeps) == []
+
+
+def test_public_rule_catches_an_unread_function():
+    defining = ast.parse("def dead():\n    return 'live'\n"
+                         "def recursive(k):\n    return recursive(k - 1)\n"
+                         "def live():\n    pass\n"
+                         "def sweep():\n    pass\n"
+                         "def _private():\n    pass\n"
+                         "class Dead:\n    pass\n")
+    reading = ast.parse("from .m import live\nx = 'dead'\n")
+    modules = {"m": defining}
+    assert _unread_public(modules, [defining, reading], {"sweep"}) == [
+        "m.dead", "m.recursive"]
+    assert _unread_public(modules, [defining], set()) == [
+        "m.dead", "m.live", "m.recursive", "m.sweep"]
 
 
 def _defined(stmt: ast.stmt) -> list[str]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -10,11 +11,11 @@ from _oracles import (decomposition_sweep_reference, direct_row_reference,
                       egorov_sweep_reference, gauss_oracle_sweep_loop_reference,
                       mod2n_sweep_reference, mod4n_sweep_reference,
                       multiplicativity_sweep_reference, relations_reference,
-                      unitarity_sweep_reference, word_product_reference)
+                      unitarity_sweep_reference)
 
 from qcatmap import gauss, hecke, propagator, suites, weyl
 from qcatmap.propagator import MULT_TOL, verify_mult
-from qcatmap.sl2 import IDENTITY, T2_PLUS, Mat2, random_word
+from qcatmap.sl2 import IDENTITY, T2_PLUS, Mat2
 
 
 @pytest.mark.parametrize("sweep, kwargs", [
@@ -34,31 +35,6 @@ def test_empty_sweeps_are_input_errors(sweep, kwargs):
     # these used to raise IndexError (relations) or pass with 0 samples
     with pytest.raises(ValueError, match="no samples requested"):
         getattr(suites, sweep)(**kwargs)
-
-
-@pytest.mark.parametrize("word", [["X"], ["S", "X"]])
-def test_word_product_unknown_token_raises_parse_word_error(word):
-    # this used to raise a bare KeyError: 'X'
-    with pytest.raises(ValueError, match="unknown generator token 'X'"):
-        suites.word_product(word, 3)
-
-
-@pytest.mark.parametrize("word, n", [([], 0), ([], -1), (["S"], 0), (["S", "X"], 0)],
-                         ids=["empty-0", "empty-negative", "S-0", "unknown-0"])
-def test_word_product_needs_a_positive_dimension(word, n):
-    # the empty word used to return a 0 x 0 identity at N = 0 and raise
-    # numpy's "negative dimensions" at N = -1
-    with pytest.raises(ValueError, match="dimension must be a positive integer"):
-        suites.word_product(word, n)
-
-
-def test_word_product_equals_fresh_build_reference():
-    # each distinct token built once gives the bits of a fresh build per token
-    rng = random.Random(19)
-    for _ in range(40):
-        word, n = random_word(rng, 12), rng.randint(1, 16)
-        assert np.array_equal(suites.word_product(word, n),
-                              word_product_reference(word, n)), (word, n)
 
 
 @pytest.mark.parametrize("dims", [range(1, 65), [1], [3, 64, 7, 7]],
@@ -152,9 +128,9 @@ def _kernel_input(monkeypatch, m, n):
     seen = [m]
     real = propagator._build_general
 
-    def spy(ms, n):
-        seen.extend(ms)
-        return real(ms, n)
+    def spy(u, ms, groups, n):
+        seen.extend(ms[k] for k in itertools.chain(*groups))
+        real(u, ms, groups, n)
 
     with monkeypatch.context() as patch:
         patch.setattr(propagator, "_build_general", spy)

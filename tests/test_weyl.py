@@ -160,6 +160,12 @@ def test_quantize_needs_a_positive_dimension(f, n):
         weyl.quantize(f, n)
 
 
+def test_weyl_op_needs_an_integer_dimension():
+    # this used to raise a bare TypeError
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        weyl.weyl_op((1, 2), 3.0)
+
+
 def test_compose_classical_transpose_action():
     m = Mat2(2, 1, 3, 2)
     f = {(1, 0): 2.0, (0, 1): -1j}
