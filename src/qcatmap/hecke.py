@@ -134,8 +134,8 @@ def verify_hecke(a: Mat2, n: int, samples: int | None = None, cap: int = 64,
     commutator error (a NaN counts as the worst) and names the commutant
     size in its note.
     """
-    if samples is not None and samples < 1:
-        raise ValueError("samples must be a positive integer or None")
+    if samples is not None:
+        samples = require_dimension(samples, "samples")
     members = commutant_mod(a, n, cap=cap)
     if samples is None or samples >= len(members):
         picked = members

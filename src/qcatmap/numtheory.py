@@ -12,10 +12,10 @@ class NotCoprimeError(ValueError):
     """Raised when a formula that needs coprime arguments gets a shared factor."""
 
 
-def require_dimension(n) -> int:
-    """N as a Python int (operator.index); ValueError unless an integer >= 1."""
+def require_dimension(n, what: str = "dimension") -> int:
+    """N (or the count `what`) as a Python int; ValueError unless an integer >= 1."""
     if not hasattr(n, "__index__") or operator.index(n) < 1:
-        raise ValueError("dimension must be a positive integer")
+        raise ValueError(f"{what} must be a positive integer")
     return operator.index(n)
 
 

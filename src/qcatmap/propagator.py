@@ -17,8 +17,8 @@ h(a, b) and the lead of G's closed form are eighth roots of unity, and the
 other phases have denominators 2|b'| and 2N|b|, so in units of 1/L,
 L = lcm(8, 4N, 2N|b|), every phase is an integer, and each nonvanishing
 entry is e(k/4N)/sqrt(N_b) (N_b = 1 for a shear).  The kernel computes k
-in int64, checks on every entry that the division by L/4N is exact
-(ExponentError otherwise), and reads the entry, or a zero, from the
+in int64, checks on every entry it computes that the division by L/4N is
+exact (ExponentError otherwise), and reads the entry, or a zero, from the
 (N, N_b) table of _roots.  Each entry is rounded once, and matrices
 congruent mod 4N, having the same exponents, build the same bits.  So
 every matrix with |b| > 4N is reduced mod 4N and built from its theta
@@ -41,13 +41,13 @@ Gauss branch).  build_many sorts the lifted stack once by kernel kind
 _build_general write their members in place into its one (K, N, N) result.
 The b != 0 kernel fills a kind in blocks of at most _BLOCK entries:
 _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each step one numpy pass
-over all of them, and rows of one matrix past that, which share its
-tables; while |b| is at most a block's rows, blocks of a multiple of |b|
-rows share their Gauss exponents too.  Up to N = _GRAM_BLOCK the guard is
-_gram_defects on the stack; past that, _certified checks in O(N^2) that a
-matrix is gcd(b, N) blocks D_x F_k D_y (F_k a DFT at a unit k) up to a
-permutation of residue classes, which bounds its Gram defect by 5e-12,
-and the dense Gram decides the rest.
+over all of them, and rows Q <= N/2 of one matrix past that, which share
+its tables (the rest are parity copies); while |b| is at most a block's
+rows, blocks of a multiple of |b| rows share their Gauss exponents too.
+Up to N = _GRAM_BLOCK the guard is _gram_defects on the stack; past that,
+_certified checks in O(N^2) that a matrix is gcd(b, N) blocks D_x F_k D_y
+(F_k a DFT at a unit k) up to a permutation of residue classes, which
+bounds its Gram defect by 5e-12, and the dense Gram decides the rest.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -102,12 +102,8 @@ class Report:
     note: str = ""
 
 
-def _per_n(n: int) -> int:
-    return n
-
-
 def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
-           law: Callable = _per_n, tol_scale: float = 1.0) -> Report:
+           law: Callable = int, tol_scale: float = 1.0) -> Report:
     """Worst error over a check's trials, each held to tol * law(n) * tol_scale.
 
     trials yields (error, n) per sample, or None for a draw with no error
@@ -400,7 +396,10 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
 
 def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
     """Write U_N(A) of A = ms[k], b != 0, into u[k] for each k of the groups
-    (the |b| = 1 members, the Gauss-table members).
+    (the |b| = 1 members, the Gauss-table members).  Rows of one matrix
+    (N > 128) are computed for Q <= N/2 only: U_N(A) commutes with the
+    parity U_N(-I), so row Q > N/2 is row N - Q read at -Q'.  They meet every
+    r = (aQ' - Q) mod |b|, so the exactness check reads every Gauss exponent.
 
     Raises ExponentError(k) at the first matrix ms[k] found with an entry
     off the 4N-th roots of unity; build_many names it.
@@ -449,9 +448,11 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                 # every block of a multiple of |b| rows reads the same ones
                 span -= rows % abs(chunk[0].b)
                 same = exps[r_col + r_row[:span, None]]
-            for r0 in range(0, n, span):
-                num = cross[..., r0:r0 + span, None] * q
-                num += row[..., r0:r0 + span, None]
+            top = n // 2 + 1 if len(chunk) == 1 and rows < n else n
+            for r0 in range(0, top, span):
+                r1 = min(r0 + span, top)
+                num = cross[..., r0:r1, None] * q
+                num += row[..., r0:r1, None]
                 if with_col:
                     num += col[..., None, :]
                 # num mod L by floor division, which numpy runs by libdivide
@@ -459,8 +460,8 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                 e *= -unit
                 e += num
                 if kind:
-                    e += (same[:n - r0] if same is not None else
-                          exps[r_col[..., None, :] + r_row[..., r0:r0 + span, None]])
+                    e += (same[:r1 - r0] if same is not None else
+                          exps[r_col[..., None, :] + r_row[..., r0:r1, None]])
                     k = np.floor_divide(e, step, out=num)
                     e -= k * step
                     if e.any():
@@ -468,9 +469,13 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                         raise ExponentError(idx[int(np.flatnonzero(bad)[0])])
                     e = k
                 if dest is None:
-                    u[idx, r0:r0 + span] = roots[e]
+                    u[idx, r0:r1] = roots[e]
                 else:
-                    dest[..., r0:r0 + span, :] = roots[e]
+                    dest[..., r0:r1, :] = roots[e]
+            if top < n:
+                # parity symmetry: row Q > N/2 is row N - Q read at -Q'
+                dest[top:, 0] = dest[n - top:0:-1, 0]
+                dest[top:, 1:] = dest[n - top:0:-1, :0:-1]
 
 
 def build_many(ms, n: int, check: bool = True) -> np.ndarray:

@@ -18,6 +18,8 @@ import operator
 import random
 from dataclasses import dataclass
 
+from .numtheory import require_dimension
+
 
 class NotThetaError(ValueError):
     """Raised when a matrix is outside the theta group."""
@@ -117,8 +119,7 @@ class ModMatrix:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
+        object.__setattr__(self, "modulus", require_dimension(self.modulus, "modulus"))
         for name in "abcd":
             object.__setattr__(self, name, getattr(self, name) % self.modulus)
 

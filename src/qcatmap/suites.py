@@ -45,10 +45,6 @@ GENERATOR_RELATIONS = [
 ]
 
 
-def _constant(n) -> int:
-    return 1
-
-
 def _product(word, generators: dict, n: int) -> np.ndarray:
     """Product of generators[tok] over the word, left to right (empty:
     identity)."""
@@ -250,7 +246,7 @@ def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
         return abs(h_phase(m.a, m.b) * v1 - h_phase(m.d, m.b) * v2), n
 
     return _drive("substitution", (draw() for _ in range(samples)),
-                  SCALAR_TOL, law=_constant, tol_scale=tol_scale)
+                  SCALAR_TOL, law=lambda n: 1, tol_scale=tol_scale)
 
 
 def h_identity_sweep(samples: int = 500, seed: int = 0,
@@ -259,7 +255,7 @@ def h_identity_sweep(samples: int = 500, seed: int = 0,
     rng = random.Random(seed)
     trials = ((abs(h_phase(m.a, m.b) - h_phase(m.d, m.b)), None)
               for m in (random_theta_general(rng, 8) for _ in range(samples)))
-    return _drive("h-identity", trials, SCALAR_TOL, law=_constant,
+    return _drive("h-identity", trials, SCALAR_TOL, law=lambda n: 1,
                   tol_scale=tol_scale)
 
 

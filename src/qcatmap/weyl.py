@@ -35,6 +35,7 @@ the errors are the same bits while memory stays O(N^3).
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -63,16 +64,23 @@ def _weyl_entries(n1: np.ndarray, n2: np.ndarray, n: int):
     return at, e_frac_array(num, 2 * n)
 
 
+def _mode(mode) -> Mode:
+    """mode as Python ints (operator.index); ValueError unless integers."""
+    if not all(hasattr(x, "__index__") for x in mode):
+        raise ValueError(f"mode entries must be integers, not {mode!r}")
+    return tuple(map(operator.index, mode))
+
+
 def weyl_op(mode: Mode, n: int) -> np.ndarray:
     """Weyl operator T_N(mode) as an (N, N) matrix.
 
     Entry (Q, Q') is e((2*n1*Q + n1*n2)/(2N)) at Q' = Q + n2 mod N and zero
     elsewhere.  Accepts integer modes of any size: T_N(n) depends on n only
     mod 2N, and T_N(n + N*m) equals T_N(n) up to the sign
-    (-1)^(n1*m2 + n2*m1 + N*m1*m2).
+    (-1)^(n1*m2 + n2*m1 + N*m1*m2).  A non-integer entry is a ValueError.
     """
     n = require_dimension(n)
-    n1, n2 = (np.array([x % (2 * n)], dtype=np.int64) for x in mode)
+    n1, n2 = (np.array([x % (2 * n)], dtype=np.int64) for x in _mode(mode))
     at, vals = _weyl_entries(n1, n2, n)
     op = np.zeros((1, n, n), dtype=np.complex128)
     op[at] = vals
@@ -80,8 +88,8 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
 
 
 def quantize(f: Observable, n: int) -> np.ndarray:
-    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1 is a
-    ValueError."""
+    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1 or a
+    non-integer mode is a ValueError."""
     n = require_dimension(n)
     op = np.zeros((n, n), dtype=np.complex128)
     for mode, coeff in f.items():
@@ -93,11 +101,11 @@ def compose_classical(f: Observable, m: Mat2) -> dict[Mode, complex]:
     """Fourier coefficients of f composed with the torus map of m.
 
     Each mode is carried to its image under the transpose action, so the
-    support size is preserved.
+    support size is preserved; a non-integer mode is a ValueError.
     """
     return {
         (m.a * n1 + m.c * n2, m.b * n1 + m.d * n2): coeff
-        for (n1, n2), coeff in f.items()
+        for (n1, n2), coeff in ((_mode(k), v) for k, v in f.items())
     }
 
 

@@ -24,6 +24,23 @@ def test_reduce_mod_normalizes():
         ModMatrix(1, 0, 0, 1, 0)
 
 
+@pytest.mark.parametrize("modulus", [8.0, 2.5, np.float64(8)], ids=str)
+def test_mod_matrix_needs_an_integer_modulus(modulus):
+    # a float modulus used to give float residues, on which lift_theta
+    # raised a bare TypeError from pow
+    with pytest.raises(ValueError, match="modulus must be a positive integer"):
+        reduce_mod(Mat2(2, 1, 3, 2), modulus)
+    with pytest.raises(ValueError, match="modulus must be a positive integer"):
+        ModMatrix(2, 1, 3, 2, modulus)
+
+
+def test_numpy_integers_are_integers_for_modulus_and_samples():
+    bm = reduce_mod(Mat2(2, 1, 3, 2), np.int64(8))
+    assert lift_theta(bm) == lift_theta(reduce_mod(Mat2(2, 1, 3, 2), 8))
+    a = Mat2(2, 1, 3, 2)
+    assert verify_hecke(a, 4, samples=np.int64(6), seed=1) == verify_hecke(a, 4, samples=6, seed=1)
+
+
 def test_mod_matrix_product():
     a = ModMatrix(1, 2, 3, 4, 5)
     b = ModMatrix(2, 0, 1, 3, 5)
@@ -252,6 +269,8 @@ def test_verify_hecke_pairs_of_scalar_commutant(n):
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"samples": 0}, "samples"), ({"samples": -2}, "samples"),
+    ({"samples": 2.5}, "samples must be a positive integer"),
+    ({"samples": np.float64(3)}, "samples must be a positive integer"),
 ])
 def test_verify_hecke_rejects_vacuous_requests(kwargs, match):
     with pytest.raises(ValueError, match=match):

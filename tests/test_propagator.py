@@ -839,12 +839,34 @@ def _small_b(n):
     return ms
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 61, 129, 200, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 61, 129, 135, 200, 255, 257,
+                               1024, 1025])
 def test_build_bit_equal_to_exponent_reference(n):
     # every entry is one gather from the (N, N_b) table: shears, the |b| = 1
-    # gather and the Gauss exponents, in blocks whose rows share them
+    # gather and the Gauss exponents, in blocks whose rows share them.  Past
+    # N = 128 the rows past N/2 are parity copies: odd N, the middle row of
+    # even N, and gcd(b, N) > 1 (135, 255 and 1025) against the exact formula
     for m in _small_b(n):
         assert _same_bits(build(m, n, check=False), _exact(m, n)), m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 61, 64, 127, 128])
+def test_whole_matrix_stacks_commute_with_parity_bit_for_bit(n):
+    # U_N(A)[-Q, -Q'] = U_N(A)[Q, Q'], which the kernel uses to copy the
+    # rows past N/2 of one matrix; stacks of whole matrices (N <= 128)
+    # compute every entry, so here the identity is the formula's own
+    rng = random.Random(29 * n)
+    ms = [Mat2(1, 0, 6, 1), Mat2(-1, 0, -4, -1), P_MAT, S_PLUS,
+          Mat2(1, 2 * n, 2, 4 * n + 1), _power(Mat2(2, 1, 3, 2), 39)]
+    ms += [evaluate(random_word(rng, 14)) for _ in range(30)]
+    assert any(m.b == 0 and m.c for m in ms)
+    assert any(abs(m.b) > 4 * n for m in ms)
+    assert n == 1 or any(m.b and math.gcd(m.b, n) > 1 for m in ms)
+    idx = (-np.arange(n)) % n
+    stack = propagator.build_many(ms, n)
+    mirrored = stack[:, idx][:, :, idx].copy()
+    for m, u, v in zip(ms, stack, mirrored):
+        assert _same_bits(v, u), m
 
 
 def _mutant_eighths(monkeypatch, where):

@@ -166,6 +166,24 @@ def test_weyl_op_needs_an_integer_dimension():
         weyl.weyl_op((1, 2), 3.0)
 
 
+@pytest.mark.parametrize("mode", [(1.5, 2), (1, 2.0), (np.float64(3), 0)], ids=str)
+def test_non_integer_modes_are_value_errors(mode):
+    # weyl_op((1.5, 2), 3) used to equal weyl_op((1, 2), 3), and
+    # compose_classical returned float modes
+    for call in (lambda: weyl.weyl_op(mode, 3), lambda: weyl.quantize({mode: 1.0}, 3),
+                 lambda: weyl.compose_classical({mode: 1.0}, Mat2(2, 1, 3, 2))):
+        with pytest.raises(ValueError, match="mode entries must be integers"):
+            call()
+
+
+def test_numpy_integer_modes_are_taken_as_python_ints():
+    mode = (np.int64(1), np.int64(2))
+    assert np.array_equal(weyl.weyl_op(mode, 5), weyl.weyl_op((1, 2), 5))
+    g = weyl.compose_classical({mode: 1.0}, Mat2(2, 1, 3, 2))
+    assert g == {(8, 5): 1.0}
+    assert all(type(x) is int for x in next(iter(g)))
+
+
 def test_compose_classical_transpose_action():
     m = Mat2(2, 1, 3, 2)
     f = {(1, 0): 2.0, (0, 1): -1j}
