@@ -10,8 +10,8 @@ Weyl translation operators, dependence on the matrix only mod 4N, and
 commuting families arising from congruence conditions.
 """
 
-from .gauss import (GaussParams, VanishingError, gauss_closed,
-                    gauss_closed_many, gauss_direct, is_nonvanishing)
+from .gauss import (GaussParams, gauss_closed, gauss_closed_many, gauss_direct,
+                    is_nonvanishing)
 from .hecke import (CapExceededError, NotCongruentError, commutant_mod,
                     congruent_companion, mod2N_factor, verify_hecke,
                     verify_mod4N)
@@ -30,8 +30,8 @@ from .weyl import (EGOROV_TOL, compose_classical, egorov_mode_errors, quantize,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussParams", "VanishingError",
-    "gauss_closed", "gauss_closed_many", "gauss_direct", "is_nonvanishing",
+    "GaussParams", "gauss_closed", "gauss_closed_many", "gauss_direct",
+    "is_nonvanishing",
     "CapExceededError", "LiftError", "ModMatrix", "NotCongruentError",
     "commutant_mod", "congruent_companion", "lift_theta", "mod2N_factor",
     "reduce_mod", "verify_hecke", "verify_mod4N",

@@ -27,7 +27,6 @@ import math
 import sys
 
 from . import gauss, hecke, suites, weyl
-from .numtheory import NotCoprimeError
 from .propagator import ExponentError, Report, UnitarityError, _drive, propagator_json
 from .sl2 import Mat2, decompose, format_word
 
@@ -122,9 +121,7 @@ def _cmd_gauss(args) -> int:
         payload["direct"] = [direct.real, direct.imag]
         lines.append(f"direct  {direct:.12g}")
     if args.method in ("closed", "both"):
-        if math.gcd(p.alpha, p.beta) != 1:
-            raise NotCoprimeError("closed form requires gcd(alpha, beta) = 1")
-        closed = gauss.gauss_closed(p) if gauss.is_nonvanishing(p) else 0j
+        closed = gauss.gauss_closed(p)
         payload["closed"] = [closed.real, closed.imag]
         lines.append(f"closed  {closed:.12g}")
     rc = 0

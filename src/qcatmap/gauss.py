@@ -15,9 +15,9 @@ form per parity branch, evaluated by gauss_closed through Jacobi symbols,
 eighth roots of unity and one modular inverse, on Python ints for any
 beta.  gauss_direct and gauss_closed_many work in int64 and raise
 ValueError for |beta| > 10^6, and gauss_closed_many for a gamma outside
-int64, where gauss_closed takes over.
-The closed form is derived once, in _branch: a leading constant jac e(t/8)
-(a Jacobi sign and an eighth-root index) and one quadratic phase
+int64, where gauss_closed takes over; elsewhere the two agree bit for bit.
+The closed form is derived once: _lead's leading constant jac e(t/8), whose
+inverse is the propagator's h, and _branch's quadratic phase
 e(c x^2 / (2|beta|)) with x = inv * (gamma >> (1 - parity)) mod |beta|.
 gauss_closed evaluates it on Python ints, gauss_closed_many on int64 rows
 of alphas at one beta, of any branches (one alpha is a row of one), and
@@ -27,22 +27,17 @@ the propagator kernel adds t and c x^2 to its integer exponents.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import NotCoprimeError, jacobi, sign
+from .numtheory import NotCoprimeError, jacobi, require_integer, sign
 from .phases import e8, e_frac, e_frac_array
 
 # Largest |beta| of the int64 array routines: at |beta| = 10^6 every
 # numerator in gauss_direct and gauss_closed_many stays below
 # (2|beta|)^3 + (2|beta|)^2 = 8.000004e18 < 2^63.
 _MAX_ARRAY_BETA = 1_000_000
-
-
-class VanishingError(ValueError):
-    """Raised when the closed form is requested for a vanishing sum."""
 
 
 @dataclass(frozen=True)
@@ -55,10 +50,7 @@ class GaussParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            if type(value := getattr(self, name)) is not int:
-                if not hasattr(value, "__index__"):
-                    raise ValueError(f"{name} must be an integer, not {value!r}")
-                object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.beta == 0:
             raise ValueError("beta must be nonzero")
 
@@ -93,35 +85,35 @@ def gauss_direct(p: GaussParams) -> complex:
     return complex(total) / (2.0 * math.sqrt(beta_abs))
 
 
-def _branch(alpha: int, beta: int) -> tuple[int, int, int, int, int]:
-    """Closed-form branch selected by the parities of alpha and beta.
+def _lead(alpha: int, beta: int) -> tuple[int, int]:
+    """G(alpha, beta, .)'s leading constant jac * e(t/8) as (jac, t), t in
+    [0, 8), for coprime alpha, beta; it depends on the parity of beta only.
+    On a theta top row (a, b), jac * e(-t/8) is h(a, b), its inverse."""
+    if beta % 2:
+        return jacobi(abs(alpha), abs(beta)), -sign(alpha * beta) * (abs(beta) - 1) % 8
+    return jacobi(abs(beta), abs(alpha)), sign(alpha * beta) * abs(alpha) % 8
 
-    Returns (jac, t, inv, parity, c): the leading constant jac * e(t/8) as
-    the Jacobi sign jac and the eighth-root index t in [0, 8), the modular
-    inverse inv, the required gamma parity, and the coefficient c mod
-    2|beta| of the quadratic phase, so that for every gamma of that parity
+
+def _branch(alpha: int, beta: int) -> tuple[int, int, int, int, int]:
+    """Closed-form branch of coprime alpha, beta: (jac, t, inv, parity, c).
+
+    (jac, t) is _lead's; k = 4 if alpha and beta are odd (parity 1, gamma
+    odd), else 1 (parity 0); inv = (k alpha)^-1 mod |beta| and
+    c = -k sgn(beta) alpha mod 2|beta|, so that for every gamma of that parity
 
         G(alpha, beta, gamma) = jac e(t/8) e(c x^2 / (2|beta|)),
         x = inv * (gamma >> (1 - parity)) mod |beta|.
     """
-    beta_abs, s = abs(beta), sign(beta)
-    if alpha % 2 == 0:
-        # alpha even, beta odd, gamma even
-        return (jacobi(abs(alpha), beta_abs), -sign(alpha * beta) * (beta_abs - 1) % 8,
-                pow(alpha, -1, beta_abs), 0, -s * alpha % (2 * beta_abs))
-    if beta % 2 == 0:
-        # alpha odd, beta even, gamma even
-        return (jacobi(beta_abs, abs(alpha)), sign(alpha * beta) * abs(alpha) % 8,
-                pow(alpha, -1, beta_abs), 0, -s * alpha % (2 * beta_abs))
-    # alpha odd, beta odd, gamma odd
-    return (jacobi(abs(alpha), beta_abs), -sign(alpha * beta) * (beta_abs - 1) % 8,
-            pow(4 * alpha, -1, beta_abs), 1, -4 * s * alpha % (2 * beta_abs))
+    beta_abs, parity = abs(beta), alpha % 2 & beta % 2
+    k = 4 if parity else 1
+    return (*_lead(alpha, beta), pow(k * alpha, -1, beta_abs), parity,
+            -k * sign(beta) * alpha % (2 * beta_abs))
 
 
 def gauss_closed(p: GaussParams) -> complex:
-    """Closed-form value of a nonvanishing sum.
+    """Closed-form value of G(alpha, beta, gamma), for any beta.
 
-    Dispatches on the parities of (alpha, beta, gamma):
+    Per parity branch of (alpha, beta, gamma):
 
       alpha even, beta odd, gamma even:
           jacobi(|a|,|b|) e(-sgn(ab)(|b|-1)/8) e(-(a*ainv^2/(2b))*(g/2)^2)
@@ -133,12 +125,14 @@ def gauss_closed(p: GaussParams) -> complex:
     with all inverses taken mod |beta|; the resulting value does not depend
     on the representative chosen.  Each form is _branch's
     jac e(t/8) e(c x^2 / (2|beta|)), evaluated here on Python ints.
-    Raises VanishingError if is_nonvanishing fails, the one case in which
-    gamma lacks the parity of the branch.
+    As gauss_closed_many: NotCoprimeError if gcd(alpha, beta) > 1, and 0
+    if gamma lacks the branch's parity (alpha*beta + gamma odd).
     """
-    if not is_nonvanishing(p):
-        raise VanishingError(f"sum vanishes for {p}")
+    if math.gcd(p.alpha, p.beta) != 1:
+        raise NotCoprimeError("closed form requires gcd(alpha, beta) = 1")
     jac, t, inv, parity, c = _branch(p.alpha, p.beta)
+    if p.gamma % 2 != parity:
+        return 0j
     x = inv * (p.gamma >> (1 - parity)) % abs(p.beta)
     return jac * e8(t) * e_frac(c * x * x, 2 * abs(p.beta))
 
@@ -162,7 +156,7 @@ def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
     result.  Gammas of a non-integer dtype (float, bool, or object, as of
     Python ints past int64) and a gamma outside int64 are ValueErrors too.
     """
-    beta = operator.index(beta)
+    beta = require_integer(beta, "beta")
     if beta == 0:
         raise ValueError("beta must be nonzero")
     ndim = np.ndim(alpha)
@@ -178,7 +172,7 @@ def gauss_closed_many(alpha, beta, gammas) -> np.ndarray:
         raise ValueError("gammas exceed int64; use gauss_closed") from None
     branches = []
     for a in (alpha if ndim else [alpha]):
-        a = operator.index(a)
+        a = require_integer(a, "alpha")
         if abs(beta) > _MAX_ARRAY_BETA:
             raise ValueError(f"|beta| = {abs(beta)} exceeds 10^6; use gauss_closed")
         if math.gcd(a, beta) != 1:

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .numtheory import jacobi, require_dimension
+from .numtheory import jacobi, require_dimension, require_integer
 from .propagator import MULT_TOL, Report, _drive, build_many
 from .sl2 import Mat2, ModMatrix, lift_theta
 
@@ -86,7 +86,7 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     """
     n = require_dimension(n)
     m = 4 * n
-    if m > cap:
+    if m > require_integer(cap, "cap"):
         raise CapExceededError(f"4N = {m} exceeds enumeration cap {cap}")
     aa, ab, ac, ad = (x % m for x in a.entries())
     g = np.arange(m, dtype=np.int64)
@@ -171,7 +171,7 @@ def congruent_companion(a: Mat2, modulus: int, rng: random.Random) -> Mat2:
     1 + modulus*t, which is what makes the mod-2N sign nontrivial.  Raises
     ValueError unless the modulus is even and at least 2.
     """
-    m = modulus
+    m = require_integer(modulus, "modulus")
     if m < 2 or m % 2:
         raise ValueError(f"modulus must be even and at least 2, got {m}")
     kind = rng.randrange(3)

@@ -19,6 +19,15 @@ def require_dimension(n, what: str = "dimension") -> int:
     return operator.index(n)
 
 
+def require_integer(x, what: str) -> int:
+    """x as a Python int (a bool or numpy int is one), else a ValueError
+    naming `what`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {x!r}") from None
+
+
 def sign(x: int) -> int:
     """Signum: -1, 0 or 1."""
     if x > 0:
@@ -32,6 +41,8 @@ def jacobi(q: int, r: int) -> int:
     """Jacobi symbol (q/r) for odd positive r, extended multiplicatively from
     the Legendre symbol.  Returns 0 when gcd(q, r) > 1; jacobi(q, 1) = 1.
     """
+    if type(q) is not int or type(r) is not int:
+        q, r = require_integer(q, "q"), require_integer(r, "r")
     if r < 1:
         raise ValueError("jacobi modulus must be positive")
     if r % 2 == 0:

@@ -13,8 +13,8 @@ G the normalized Gauss sum of the gauss module.  Entries vanish when g is not
 an integer or the Gauss sum parity condition fails.  The map A -> U_N(A) is
 exactly multiplicative and depends on A only through its residue mod 4N.
 
-h(a, b) and the lead of G's closed form are eighth roots of unity, and the
-other phases have denominators 2|b'| and 2N|b|, so in units of 1/L,
+h(a, b), the inverse of gauss._lead(a, b), and G's lead are eighth roots
+of unity, the other phases have denominators 2|b'| and 2N|b|; in units of 1/L,
 L = lcm(8, 4N, 2N|b|), every phase is an integer, and each nonvanishing
 entry is e(k/4N)/sqrt(N_b) (N_b = 1 for a shear).  The kernel computes k
 in int64, checks on every entry it computes that the division by L/4N is
@@ -64,7 +64,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gauss
-from .numtheory import NotCoprimeError, jacobi, require_dimension, sign
+from .numtheory import NotCoprimeError, require_dimension, require_integer
 from .phases import e8, e_frac_array
 from .sl2 import Mat2, lift_theta, reduce_mod, require_theta
 
@@ -172,27 +172,20 @@ def h_phase(a: int, b: int) -> complex:
     For a even: jacobi(|a|, |b|) * e(+sgn(ab)(|b| - 1)/8).
     For a odd:  jacobi(|b|, |a|) * e(-sgn(ab)|a|/8).
 
-    Defined on every top row (a, b) of a theta matrix: a and b coprime
-    with exactly one of them even (InvalidParityError, NotCoprimeError
-    otherwise).  On the rows with a zero entry, (0, +-1) of the
-    anti-shears and (+-1, 0) of the shears, it is 1.  The identity
-    h(a, b) = h(d, b) holds whenever (a, b; c, d) is a theta-group
-    matrix, since then d has the same parity as a.
+    That is the inverse of G(a, b, .)'s lead gauss._lead(a, b): U_1(A) = 1.
+    Defined on every top row (a, b) of a theta matrix: coprime integers with
+    exactly one of them even (ValueError, NotCoprimeError, InvalidParityError
+    otherwise), and 1 on (0, +-1) and (+-1, 0).  The identity h(a, b) =
+    h(d, b) holds whenever (a, b; c, d) is a theta-group matrix, since then
+    d has the same parity as a.
     """
+    a, b = require_integer(a, "a"), require_integer(b, "b")
     if (a + b) % 2 == 0:
         raise InvalidParityError(f"h({a}, {b}) needs exactly one even argument")
     if math.gcd(a, b) != 1:
         raise NotCoprimeError(f"h({a}, {b}) requires coprime arguments")
-    jac, t = _h_eighths(a, b)
-    return jac * e8(t)
-
-
-def _h_eighths(a: int, b: int) -> tuple[int, int]:
-    """h(a, b) = jac * e(t/8) as the Jacobi sign and eighth-root index
-    (jac, t), on a valid top row."""
-    if a % 2 == 0:
-        return jacobi(abs(a), abs(b)), sign(a * b) * (abs(b) - 1)
-    return jacobi(abs(b), abs(a)), -sign(a * b) * abs(a)
+    jac, t = gauss._lead(a, b)
+    return jac * e8(-t)
 
 
 # Columns per block row of the Gram matrix in _gram_defects.  At N = 1024
@@ -205,9 +198,11 @@ _GRAM_BLOCK = 128
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of u^dagger u from I by the dense Gram, NaN if u
-    holds a NaN or inf; u must be a non-empty square matrix (ValueError)."""
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or not len(u):
-        raise ValueError(f"unitarity_defect needs a non-empty square matrix, not shape {u.shape}")
+    holds a NaN or inf; u is a non-empty square numeric ndarray (ValueError)."""
+    if (not isinstance(u, np.ndarray) or u.dtype.kind not in "iufc" or u.ndim != 2
+            or u.shape[0] != u.shape[1] or not len(u)):
+        raise ValueError("unitarity_defect needs a non-empty square numpy array of "
+                         f"numbers, not {type(u).__name__} of shape {np.shape(u)}")
     return float(_gram_defects(u[None])[0])
 
 
@@ -355,7 +350,7 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
         b_abs, s = abs(m.b), (1 if m.b > 0 else -1)
         g = math.gcd(b_abs, n)
         beta, n_b = b_abs // g, n // g
-        jh, th = _h_eighths(m.a, m.b)
+        jh, th = gauss._lead(m.a, m.b)  # h(a, b) = jh e(-th/8)
         # G's exponent over 2|b'| is c x^2, x = inv gamma/2 (gamma even) or
         # inv gamma (odd) mod |b'|
         jg, tg, inv, parity, c = gauss._branch(n_b * m.a, m.b // g)
@@ -363,7 +358,7 @@ def _exponent_tables(ms: list, units: list, n: int, q: np.ndarray):
         # h(a,b) and of G's lead, L/2|b'|, L/2N|b|, sgn(b) a^-1 mod |b|, L,
         # L/4N and the offset of the matrix's (N, N_b) table
         params.append((b_abs, m.a % b_abs, g, beta, inv, parity, c,
-                       (th + tg + 4 * (jh < 0) + 4 * (jg < 0)) % 8 * L // 8,
+                       (tg - th + 4 * (jh < 0) + 4 * (jg < 0)) % 8 * L // 8,
                        L // (2 * beta), L // (2 * n * b_abs),
                        s * pow(m.a, -1, b_abs) % b_abs, L, L // (4 * n),
                        3 * L * tables.setdefault(n_b, len(tables))))

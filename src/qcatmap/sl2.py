@@ -18,7 +18,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .numtheory import require_dimension
+from .numtheory import require_dimension, require_integer
 
 
 class NotThetaError(ValueError):
@@ -121,7 +121,8 @@ class ModMatrix:
     def __post_init__(self):
         object.__setattr__(self, "modulus", require_dimension(self.modulus, "modulus"))
         for name in "abcd":
-            object.__setattr__(self, name, getattr(self, name) % self.modulus)
+            entry = require_integer(getattr(self, name), name)
+            object.__setattr__(self, name, entry % self.modulus)
 
     @classmethod
     def _of_residues(cls, a: int, b: int, c: int, d: int, modulus: int) -> "ModMatrix":

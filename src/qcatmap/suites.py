@@ -241,9 +241,8 @@ def substitution_sweep(samples: int = 500, max_dim: int = 32, seed: int = 0,
         nb = n // g
         p1 = gauss.GaussParams(nb * m.a, m.b // g, 2 * (m.a * qp - q) // g)
         p2 = gauss.GaussParams(nb * m.d, m.b // g, 2 * (m.d * q - qp) // g)
-        v1 = gauss.gauss_closed(p1) if gauss.is_nonvanishing(p1) else 0.0
-        v2 = gauss.gauss_closed(p2) if gauss.is_nonvanishing(p2) else 0.0
-        return abs(h_phase(m.a, m.b) * v1 - h_phase(m.d, m.b) * v2), n
+        return abs(h_phase(m.a, m.b) * gauss.gauss_closed(p1)
+                   - h_phase(m.d, m.b) * gauss.gauss_closed(p2)), n
 
     return _drive("substitution", (draw() for _ in range(samples)),
                   SCALAR_TOL, law=lambda n: 1, tol_scale=tol_scale)

@@ -35,6 +35,7 @@ the errors are the same bits while memory stays O(N^3).
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Mapping
 
@@ -88,12 +89,14 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
 
 
 def quantize(f: Observable, n: int) -> np.ndarray:
-    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1 or a
-    non-integer mode is a ValueError."""
+    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1, a
+    non-integer mode or a coefficient that is not a number is a ValueError."""
     n = require_dimension(n)
     op = np.zeros((n, n), dtype=np.complex128)
     for mode, coeff in f.items():
-        op += coeff * weyl_op(mode, n)
+        if not isinstance(coeff, numbers.Number):
+            raise ValueError(f"coefficient of mode {mode} must be a number, not {coeff!r}")
+        op += complex(coeff) * weyl_op(mode, n)
     return op
 
 

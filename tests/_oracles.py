@@ -62,6 +62,34 @@ def jacobi_reference(q: int, r: int) -> int:
     return result
 
 
+def h_eighths_reference(a: int, b: int) -> tuple[int, int]:
+    """h(a, b) = jac * e(t/8) on a theta top row as (jac, t), t not reduced
+    mod 8, by its two-branch formula on the parity of a."""
+    sgn = 1 if a * b > 0 else -1 if a * b < 0 else 0
+    if a % 2 == 0:
+        return jacobi(abs(a), abs(b)), sgn * (abs(b) - 1)
+    return jacobi(abs(b), abs(a)), -sgn * abs(a)
+
+
+def branch_reference(alpha: int, beta: int) -> tuple[int, int, int, int, int]:
+    """(jac, t, inv, parity, c) of gauss._branch, by one hand-written branch
+    per parity of (alpha, beta): lead jac e(t/8), inverse, gamma parity and
+    quadratic coefficient mod 2|beta|."""
+    b, s = abs(beta), 1 if beta > 0 else -1
+    sgn = 1 if alpha * beta > 0 else -1 if alpha * beta < 0 else 0
+    if alpha % 2 == 0:
+        # alpha even, beta odd, gamma even
+        return (jacobi(abs(alpha), b), -sgn * (b - 1) % 8, pow(alpha, -1, b), 0,
+                -s * alpha % (2 * b))
+    if beta % 2 == 0:
+        # alpha odd, beta even, gamma even
+        return (jacobi(b, abs(alpha)), sgn * abs(alpha) % 8, pow(alpha, -1, b), 0,
+                -s * alpha % (2 * b))
+    # alpha odd, beta odd, gamma odd
+    return (jacobi(abs(alpha), b), -sgn * (b - 1) % 8, pow(4 * alpha, -1, b), 1,
+            -4 * s * alpha % (2 * b))
+
+
 def gauss_reference(alpha: int, beta: int, gamma: int) -> complex:
     """Average of e((alpha k^2 + gamma k)/(2 beta)) over a full period.
 

@@ -85,12 +85,26 @@ def test_gauss_closed_needs_coprime(capsys):
     rc = cli.main(["gauss", "--alpha", "2", "--beta", "4", "--gamma", "0"])
     capsys.readouterr()
     assert rc == 2
+    rc = cli.main(["gauss", "--alpha", "2", "--beta", "4", "--gamma", "0",
+                   "--method", "closed"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: closed form requires "
+                                       "gcd(alpha, beta) = 1\n")
     # the direct method alone still works there
     rc, out = run(capsys, ["gauss", "--alpha", "2", "--beta", "4",
                            "--gamma", "0", "--method", "direct",
                            "--format", "json"])
     assert rc == 0
     assert abs(complex(*json.loads(out)["direct"]) - (1 + 1j)) < 1e-9
+
+
+def test_gauss_closed_of_the_wrong_parity_is_zero(capsys):
+    # alpha*beta + gamma odd: the closed form is 0, as the direct sum is
+    argv = ["gauss", "--alpha", "1", "--beta", "1", "--gamma", "0", "--method", "closed"]
+    rc, out = run(capsys, argv)
+    assert rc == 0 and out == "closed  0+0j\n"
+    rc, out = run(capsys, argv + ["--format", "json"])
+    assert rc == 0 and json.loads(out)["closed"] == [0.0, 0.0]
 
 
 def test_egorov_subcommand(capsys):
@@ -550,11 +564,14 @@ def test_inexact_exponent_survives_optimize_flag():
     # roots of unity; build raises under -O too, and the CLI reports it as
     # a failed verification
     code = """
-import sys
-from qcatmap import cli, propagator
+import sys, types
+from qcatmap import cli, gauss, propagator
 from qcatmap.sl2 import Mat2
-real = propagator._h_eighths
-propagator._h_eighths = lambda a, b: (real(a, b)[0], real(a, b)[1] + 1)
+# h(a, b) is the inverse of gauss._lead(a, b): move the propagator's own
+# lead, not G's, so that h's index moves by 1
+real = gauss._lead
+lead = lambda a, b: (real(a, b)[0], real(a, b)[1] - 1)
+propagator.gauss = types.SimpleNamespace(**{**vars(gauss), "_lead": lead})
 try:
     propagator.build(Mat2(2, 3, 1, 2), 3, check=False)
 except propagator.ExponentError:

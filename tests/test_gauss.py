@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from qcatmap import gauss
-from qcatmap.gauss import GaussParams, VanishingError
+from qcatmap.gauss import GaussParams
 from qcatmap.numtheory import NotCoprimeError
 from qcatmap.phases import e8, e_frac
-from _oracles import gauss_reference
+from _oracles import branch_reference, gauss_reference, h_eighths_reference
 
 
 def e(t):
@@ -84,9 +84,10 @@ def test_shared_factor_does_not_imply_vanishing():
     assert not gauss.is_nonvanishing(p)
     val = gauss.gauss_direct(p)
     assert abs(val - (1 + 1j)) < 1e-12
-    # ... and can also vanish; both happen, so no closed form is offered
+    # ... and can also vanish; both happen, so no closed form is offered,
+    # by gauss_closed as by gauss_closed_many
     assert abs(gauss.gauss_direct(GaussParams(2, 4, 2))) < 1e-12
-    with pytest.raises(VanishingError):
+    with pytest.raises(NotCoprimeError):
         gauss.gauss_closed(p)
 
 
@@ -260,6 +261,15 @@ def test_params_must_be_integers(params):
         GaussParams(*params)
 
 
+@pytest.mark.parametrize("alpha, beta, name", [
+    (2.5, 3, "alpha"), ([2.5], 3, "alpha"), (2, 3.0, "beta"), (np.float64(2), 3, "alpha"),
+], ids=["alpha", "alpha-row", "beta", "numpy-float"])
+def test_closed_many_alpha_and_beta_must_be_integers(alpha, beta, name):
+    # these used to raise a bare TypeError from operator.index
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        gauss.gauss_closed_many(alpha, beta, [1])
+
+
 @pytest.mark.parametrize("gammas", [[2.7], [True], np.array([1.0, 2.0]),
                                     np.array([Fraction(5, 2)], dtype=object)],
                          ids=["float", "bool", "float-array", "object"])
@@ -319,9 +329,37 @@ def test_closed_many_rejects_shared_factor():
         gauss.gauss_closed_many(2, 4, np.arange(4))
 
 
-def test_closed_rejects_vanishing_parity():
-    with pytest.raises(VanishingError):
-        gauss.gauss_closed(GaussParams(1, 1, 0))
+def test_closed_of_the_wrong_parity_is_zero():
+    # the period-averaged sum vanishes there, as gauss_closed_many returns it
+    for params in [(1, 1, 0), (2, 3, 1), (3, 4, -5), (-5, 7, 2**70)]:
+        got = gauss.gauss_closed(GaussParams(*params))
+        assert type(got) is complex and got == 0 and math.copysign(1, got.real) == 1
+        assert abs(gauss_reference(*params[:2], params[2] % (2 * params[1]))) < 1e-12
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z], dtype=complex).tobytes()
+
+
+def test_closed_agrees_with_closed_many_on_the_box():
+    # one contract and one value: NotCoprimeError for a shared factor, 0
+    # for the wrong parity (where gauss_closed raised VanishingError), and
+    # the same bits everywhere else
+    for alpha in range(-20, 21):
+        for beta in range(-20, 21):
+            if beta == 0:
+                continue
+            if math.gcd(alpha, beta) != 1:
+                for gamma in (0, 1):
+                    for call in (lambda: gauss.gauss_closed(GaussParams(alpha, beta, gamma)),
+                                 lambda: gauss.gauss_closed_many(alpha, beta, [gamma])):
+                        with pytest.raises(NotCoprimeError):
+                            call()
+                continue
+            for gamma in range(-20, 21):
+                want = gauss.gauss_closed_many(alpha, beta, [gamma])[0]
+                got = gauss.gauss_closed(GaussParams(alpha, beta, gamma))
+                assert _bits(got) == _bits(want), (alpha, beta, gamma)
 
 
 def test_branch_gives_the_lead_as_a_sign_and_an_eighth_root():
@@ -338,6 +376,33 @@ def test_branch_gives_the_lead_as_a_sign_and_an_eighth_root():
 
 
 BIG = [2**64 + 1, 2**70 + 3, 3**45]
+
+
+def test_lead_and_branch_equal_the_three_branch_formulas():
+    # _branch takes its lead from _lead, which reads the parity of beta
+    # only, and its inverse and coefficient from k = 4 or 1
+    pairs = [(a, b) for a in range(-60, 61) for b in range(-60, 61)
+             if b and math.gcd(a, b) == 1]
+    pairs += [(a, b) for a in (*BIG, 2**66, -(2**65) - 1, 7)
+              for b in (*BIG, -(2**64) - 2, 2**65, 3) if math.gcd(a, b) == 1]
+    for alpha, beta in pairs:
+        want = branch_reference(alpha, beta)
+        assert gauss._branch(alpha, beta) == want, (alpha, beta)
+        assert gauss._lead(alpha, beta) == want[:2], (alpha, beta)
+
+
+def test_h_is_the_inverse_lead():
+    # on every theta top row the two-branch h formula is jac e(-t/8) of
+    # _lead, also on (+-1, 0) and (0, +-1), where h = 1
+    rows = [(a, b) for a in range(-60, 61) for b in range(-60, 61)
+            if (a + b) % 2 and math.gcd(a, b) == 1]
+    rows += [(a, b) for a in (2**64 + 1, -(3**45), 2**66) for b in (2**70 + 2, 3**41, 7)
+             if (a + b) % 2 and math.gcd(a, b) == 1]
+    assert {(1, 0), (-1, 0), (0, 1), (0, -1)} <= set(rows)
+    for a, b in rows:
+        jac, t = gauss._lead(a, b)
+        h_jac, h_t = h_eighths_reference(a, b)
+        assert (jac, -t % 8) == (h_jac, h_t % 8), (a, b)
 
 
 def test_branch_coefficient_equals_the_per_branch_formulas():

@@ -41,6 +41,20 @@ def test_numpy_integers_are_integers_for_modulus_and_samples():
     assert verify_hecke(a, 4, samples=np.int64(6), seed=1) == verify_hecke(a, 4, samples=6, seed=1)
 
 
+@pytest.mark.parametrize("entry", [2.5, 2.0, np.float64(2), "2"], ids=repr)
+def test_mod_matrix_needs_integer_entries(entry):
+    # ModMatrix(2.5, 1, 3, 2, 8) used to hold 2.5 as a residue
+    with pytest.raises(ValueError, match="a must be an integer"):
+        ModMatrix(entry, 1, 3, 2, 8)
+
+
+@pytest.mark.parametrize("cap", ["64", 64.0, 2.5], ids=repr)
+def test_commutant_cap_must_be_an_integer(cap):
+    # verify_hecke(A, 2, cap="64") used to raise a bare TypeError at m > cap
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        verify_hecke(Mat2(2, 1, 3, 2), 2, cap=cap)
+
+
 def test_mod_matrix_product():
     a = ModMatrix(1, 2, 3, 4, 5)
     b = ModMatrix(2, 0, 1, 3, 5)
@@ -145,8 +159,10 @@ def test_congruent_companion_draws_as_the_retry_loop_did(modulus):
     assert rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("modulus", [3, 1, 0, -2])
+@pytest.mark.parametrize("modulus", [3, 1, 0, -2, 8.0, 2.5, "8"])
 def test_congruent_companion_rejects_odd_or_small_modulus(modulus):
+    # modulus 8.0 used to give the non-integer matrix 26.0,1,51.0,2, and
+    # "8" a bare TypeError
     with pytest.raises(ValueError):
         congruent_companion(IDENTITY, modulus, random.Random(0))
 

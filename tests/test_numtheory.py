@@ -12,6 +12,13 @@ def test_sign_values():
     assert nt.sign(0) == 0
 
 
+@pytest.mark.parametrize("q, r, name", [(2.5, 3, "q"), (2, 3.0, "r"), ("2", 3, "q")])
+def test_jacobi_needs_integers(q, r, name):
+    # jacobi(2.5, 3) used to return 0
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        nt.jacobi(q, r)
+
+
 def test_jacobi_known_values():
     assert nt.jacobi(2, 7) == 1
     assert nt.jacobi(3, 13) == 1

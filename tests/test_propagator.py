@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -115,6 +116,10 @@ def test_h_phase_rejects():
         h_phase(0, 0)
     with pytest.raises(NotCoprimeError):
         h_phase(0, 3)
+    # these used to raise a bare TypeError from math.gcd
+    for a, b, name in [(2.5, 3, "a"), (2, 3.0, "b"), ("2", 3, "a")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            h_phase(a, b)
 
 
 def test_entries_against_reference_formula():
@@ -460,12 +465,15 @@ def test_dense_matrix_with_a_monomial_first_row_takes_the_gram():
 
 @pytest.mark.parametrize("u", [np.eye(3, 2), np.eye(2, 3), np.ones(4),
                                np.zeros((2, 2, 2)), np.array(1.0),
-                               np.zeros((0, 0))],
-                         ids=["tall", "wide", "1-d", "3-d", "0-d", "empty"])
+                               np.zeros((0, 0)), [[1]], np.array([["1"]]),
+                               np.array([[True]]), np.array([[1]], dtype=object)],
+                         ids=["tall", "wide", "1-d", "3-d", "0-d", "empty", "list",
+                              "str", "bool", "object"])
 def test_unitarity_defect_rejects_a_non_square_array(u):
     # eye(3, 2) is an isometry, u^dagger u = I exactly, but had read 1.0
     # from a diagonal stride taken from the row count; a 0 x 0 array had
-    # raised a ZeroDivisionError
+    # raised a ZeroDivisionError, the list an AttributeError and the
+    # arrays of no numeric dtype a TypeError
     with pytest.raises(ValueError, match="square"):
         unitarity_defect(u)
 
@@ -870,11 +878,22 @@ def test_whole_matrix_stacks_commute_with_parity_bit_for_bit(n):
 
 
 def _mutant_eighths(monkeypatch, where):
-    """Move one eighth-root index by 1: of h(a, b), or of the Gauss lead."""
+    """Move one eighth-root index by 1: of h(a, b), or of the Gauss lead.
+
+    h(a, b) is the inverse of gauss._lead(a, b), and G's lead is _lead of
+    other arguments, so a _lead moved on every call moves both and cancels
+    out; the h mutant moves only the propagator's own call, the one with
+    the kernel matrix's (a, b), by -1, which moves h's index by +1.
+    """
     if where == "h":
-        real = propagator._h_eighths
-        monkeypatch.setattr(propagator, "_h_eighths",
-                            lambda a, b: (real(a, b)[0], real(a, b)[1] + 1))
+        real = gauss._lead
+
+        def lead(a, b):
+            jac, t = real(a, b)
+            return jac, t - 1
+
+        monkeypatch.setattr(propagator, "gauss",
+                            types.SimpleNamespace(**{**vars(gauss), "_lead": lead}))
     else:
         real = gauss._branch
 
@@ -908,6 +927,27 @@ def test_an_eighth_root_off_by_one_raises(monkeypatch, where, n):
         propagator.build_many([T2_PLUS, power], n)
     # |b| = 1 and the shears read no eighth root
     assert _same_bits(build(Mat2(2, 1, 3, 2), n), _exact(Mat2(2, 1, 3, 2), n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 129])
+def test_a_lead_moved_on_every_call_cancels(monkeypatch, n):
+    # h(a, b) subtracts _lead(a, b)'s index and G adds its own _lead's, so
+    # both read the one lead: moving it everywhere leaves every build as is
+    ms = [Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5), _power(Mat2(2, 1, 3, 2), 14)]
+    want = propagator.build_many(ms, n)
+    real = gauss._lead
+    monkeypatch.setattr(gauss, "_lead", lambda a, b: (real(a, b)[0], real(a, b)[1] + 3))
+    assert _same_bits(propagator.build_many(ms, n), want)
+
+
+def test_every_propagator_at_n_1_is_one():
+    # U_1(A) = h(a, b) G(a, b, 0): h is the inverse of G's lead, exactly
+    rng = random.Random(31)
+    ms = [evaluate(random_word(rng, 20)) for _ in range(500)]
+    ms.append(_power(Mat2(2, 1, 3, 2), 40))
+    assert abs(ms[-1].b) > 2**64
+    ones = np.ones((len(ms), 1, 1), dtype=complex)
+    assert propagator.build_many(ms, 1).tobytes() == ones.tobytes()
 
 
 @pytest.mark.parametrize("m, n", [

@@ -176,6 +176,13 @@ def test_non_integer_modes_are_value_errors(mode):
             call()
 
 
+@pytest.mark.parametrize("coeff", ["x", "1", None, [1.0]], ids=repr)
+def test_a_coefficient_must_be_a_number(coeff):
+    # quantize({(1, 2): "x"}, 3) used to raise numpy's UFuncTypeError
+    with pytest.raises(ValueError, match=r"coefficient of mode \(1, 2\) must be a number"):
+        weyl.quantize({(1, 2): coeff}, 3)
+
+
 def test_numpy_integer_modes_are_taken_as_python_ints():
     mode = (np.int64(1), np.int64(2))
     assert np.array_equal(weyl.weyl_op(mode, 5), weyl.weyl_op((1, 2), 5))
