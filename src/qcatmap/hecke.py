@@ -25,7 +25,7 @@ import numpy as np
 
 from .numtheory import jacobi, require_dimension, require_integer
 from .propagator import MULT_TOL, Report, _drive, build_many
-from .sl2 import Mat2, ModMatrix, lift_theta
+from .sl2 import Mat2, ModMatrix, lift_theta, require_theta
 
 
 class NotCongruentError(ValueError):
@@ -82,8 +82,9 @@ def commutant_mod(a: Mat2, n: int, cap: int = 64) -> list[ModMatrix]:
     Enumerates SL(2, Z/4NZ) with the parity filter ab = cd = 0 mod 2 in
     (4N)^3 steps plus one per member; refuses to run when 4N exceeds the
     cap.  The result is sorted by entries and closed under multiplication
-    mod 4N.
+    mod 4N.  A must be a theta matrix (NotThetaError).
     """
+    a = require_theta(a)
     n = require_dimension(n)
     m = 4 * n
     if m > require_integer(cap, "cap"):
@@ -169,8 +170,10 @@ def congruent_companion(a: Mat2, modulus: int, rng: random.Random) -> Mat2:
     Multiplies A on the right by a matrix C = 1 mod modulus.  C is drawn
     either as an elementary shear (top-left entry 1) or with top-left entry
     1 + modulus*t, which is what makes the mod-2N sign nontrivial.  Raises
-    ValueError unless the modulus is even and at least 2.
+    NotThetaError unless A is a theta matrix, and ValueError unless the
+    modulus is even and at least 2.
     """
+    a = require_theta(a)
     m = require_integer(modulus, "modulus")
     if m < 2 or m % 2:
         raise ValueError(f"modulus must be even and at least 2, got {m}")

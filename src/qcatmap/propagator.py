@@ -16,16 +16,21 @@ exactly multiplicative and depends on A only through its residue mod 4N.
 h(a, b), the inverse of gauss._lead(a, b), and G's lead are eighth roots
 of unity, the other phases have denominators 2|b'| and 2N|b|; in units of 1/L,
 L = lcm(8, 4N, 2N|b|), every phase is an integer, and each nonvanishing
-entry is e(k/4N)/sqrt(N_b) (N_b = 1 for a shear).  The kernel computes k
-in int64, checks on every entry it computes that the division by L/4N is
-exact (ExponentError otherwise), and reads the entry, or a zero, from the
-(N, N_b) table of _roots.  Each entry is rounded once, and matrices
-congruent mod 4N, having the same exponents, build the same bits.  So
-every matrix with |b| > 4N is reduced mod 4N and built from its theta
-lift (sl2.lift_theta), which has 1 <= b <= 4N, and no kernel input has
-|b| > 4N.  Its int64 exponents then stay below 96 N^4 (L <= 8N|b|), so a
-stack that holds a b != 0 matrix takes N <= 17,605 (_MAX_N); a stack of
-shears has no bound.
+entry is e(k/4N)/sqrt(N_b) (N_b = 1 for a shear).  The kernel takes the
+row term dQ^2, the column term aQ'^2 and the cross coefficient -2Q, each
+times sgn(b) and mod L, so an entry's quadratic exponent, the cross
+coefficient times Q' plus the two terms, is below L (N + 1); it reduces
+that mod L, adds the Gauss exponent, checks on every entry it computes
+that the division by L/4N is exact (ExponentError otherwise), and reads
+the entry, or a zero, from the (N, N_b) table of _roots.  A chunk runs
+in int32 when L (N + 2) plus its largest Gauss exponent is below 2^31,
+which holds for every |b| = 1 chunk (L = 2N), and in int64 otherwise.
+Each entry is rounded once, and matrices congruent mod 4N, having the
+same exponents, build the same bits.  So every matrix with |b| > 4N is
+reduced mod 4N and built from its theta lift (sl2.lift_theta), which has
+1 <= b <= 4N, and no kernel input has |b| > 4N; a stack that holds a
+b != 0 matrix takes N <= 17,605 (_MAX_N), and a stack of shears has no
+bound.
 
 h and G depend on (Q, Q') only through r = (a*Q' - Q) mod |b|, so their
 exponents are one table over the 2|b| <= 8N shifted residues r.  At
@@ -277,10 +282,13 @@ def _certified(u: np.ndarray) -> bool:
     roots, j, h = _roots(n, 1)[:4 * n:4 * g], np.arange(m), max(1, _BLOCK // n)
     step = roots[(k[:, None, None] * np.arange(min(h, m))[:, None] % m) * j % m]
     a, bound = col / col[:, :1], _CERT_SLACK / math.sqrt(2 * m)
+    buf = np.empty(step.shape, dtype=complex)
     for lo in range(0, m, h):
-        p = step[:, :m - lo] * (roots[(k * lo % m)[:, None] * j % m] * row)[:, None, :]
+        lead = roots[(k * lo % m)[:, None] * j % m] * row
+        p = np.multiply(step[:, :m - lo], lead[:, None, :], out=buf[:, :m - lo])
         p *= a[:, lo:lo + h, None]
-        p -= v[lo:lo + h, blocks, :, tau]
+        # at g = 1 the blocks are the rows of u, read as a view
+        p -= u[lo:lo + h] if g == 1 else v[lo:lo + h, blocks, :, tau]
         p = p.view(np.float64)
         if not (-bound < p.min() and p.max() < bound):
             return False
@@ -311,19 +319,22 @@ def _build_shear(u: np.ndarray, ms: list, ks: list, n: int) -> None:
 
 
 # Entries per block of the general kernel: each of its temporaries is one
-# block (128 KiB of int64, 256 KiB of complex) that stays in cache.  On 2
-# cores with 4 MiB of L2, median build(A, 1024, check=False) times were
-# flat from 2^13 to 2^17 entries (general 12.6-16.5 ms, anti-shear
-# 10.1-11.5 ms, two sweeps) and a little slower at 2^12.  A block holds
-# _BLOCK // N^2 whole matrices of a stack while N <= 128, and rows of one
-# matrix past that.
+# block (64 KiB of int32 or 128 KiB of int64, 256 KiB of complex) that
+# stays in cache.  On 2 cores with 4 MiB of L2, median build(A, 1024,
+# check=False) times of the int64 kernel were flat from 2^13 to 2^17
+# entries (general 12.6-16.5 ms, anti-shear 10.1-11.5 ms, two sweeps) and
+# a little slower at 2^12.  A block holds _BLOCK // N^2 whole matrices of
+# a stack while N <= 128, and rows of one matrix past that.
 _BLOCK = 1 << 14
 
 
-# The largest N of a stack that holds a b != 0 matrix.  The general
-# kernel's int64 blocks hold quadratic exponents below 3 L N^2 in units of
-# 1/L, L = lcm(8, 4N, 2N|b|) <= 8N|b|, and build_many hands it |b| <= 4N
-# only, so below 96 N^4, which is < 2^63 up to N = 17,605.
+# The largest N of a stack that holds a b != 0 matrix.  build_many hands
+# the general kernel |b| <= 4N only, so L = lcm(8, 4N, 2N|b|) <= 32 N^2.
+# Its terms are reduced mod L, so a block holds values below L (N + 2)
+# plus a Gauss exponent of at most 3L times the chunk's tables, and its
+# largest int64 value is a term before its reduction, a coefficient below
+# L times Q^2 < N^2, so below 32 N^4.  The bound is kept from the
+# unreduced sums' 96 N^4, which is < 2^63 up to N = 17,605.
 _MAX_N = 17_605
 
 
@@ -401,8 +412,7 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
     """
     # build_many has checked N <= _MAX_N and lifted every |b| > 4N
     q = np.arange(n, dtype=np.int64)
-    qq = q * q
-    powers = np.array([qq, q, qq])
+    powers = np.array([q * q, q, q * q])
     per_block = max(1, _BLOCK // (n * n))
     rows = max(1, _BLOCK // (per_block * n))
     for kind, group in enumerate(groups):
@@ -422,20 +432,32 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                 exps, r_row, r_col, roots = _exponent_tables(chunk, units, n, q)
             else:
                 roots = _roots(n, n)[:4 * n:2]
+            # the row term dQ^2, the cross coefficient -2Q and the column
+            # term aQ'^2, each mod L: a block sum is below L (N + 1), and
+            # every later value below L plus the Gauss exponent, so a chunk
+            # runs in int32 when L (N + 2) plus its largest Gauss exponent
+            # is below 2^31 (every |b| = 1 chunk: L = 2N), else in int64
+            terms = (np.array(coef, dtype=np.int64)[:, :, None] * powers
+                     % np.array(units)[:, None, None])
+            peak = max(units) * (n + 2) + (int(exps.max()) if kind else 0)
+            width = np.int32 if peak < 2**31 else np.int64
+            terms, qw = terms.astype(width), q.astype(width)
+            if kind:
+                exps = exps.astype(width)
             # (K, N) vectors, or for one matrix (N,) ones, so that its
             # blocks are 2-D and written to u[k] in place
             if len(chunk) == 1:
-                row, cross, col = (x * p for x, p in zip(coef[0], powers))
+                row, cross, col = terms[0]
                 dest = u[idx[0]]
             else:
-                parts = np.array(coef, dtype=np.int64)[:, :, None] * powers
-                row, cross, col = parts[:, 0], parts[:, 1], parts[:, 2]
+                row, cross, col = terms[:, 0], terms[:, 1], terms[:, 2]
                 # a chunk that is a run of the stack is written in place,
                 # any other chunk scattered to its places
                 run = idx[-1] - idx[0] == len(idx) - 1
                 dest = u[idx[0]:idx[-1] + 1] if run else None
             with_col = any(m.a for m in chunk)
-            unit, step = (x[0] if len(set(x)) == 1 else np.array(x)[:, None, None]
+            unit, step = (x[0] if len(set(x)) == 1
+                          else np.array(x, dtype=width)[:, None, None]
                           for x in (units, [x // (4 * n) for x in units]))
             span, same = rows, None
             if kind and len(chunk) == 1 and abs(chunk[0].b) <= rows < n:
@@ -446,7 +468,7 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
             top = n // 2 + 1 if len(chunk) == 1 and rows < n else n
             for r0 in range(0, top, span):
                 r1 = min(r0 + span, top)
-                num = cross[..., r0:r1, None] * q
+                num = cross[..., r0:r1, None] * qw
                 num += row[..., r0:r1, None]
                 if with_col:
                     num += col[..., None, :]
@@ -466,7 +488,14 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                 if dest is None:
                     u[idx, r0:r1] = roots[e]
                 else:
-                    dest[..., r0:r1, :] = roots[e]
+                    # 0 <= e < len(roots), so "wrap" never wraps, and unlike
+                    # "raise" it writes to out unbuffered: at |b| = 1, e is
+                    # num floor-mod 2N and roots has 2N entries; for a Gauss
+                    # table, e is the exact quotient by L/4N of a residue
+                    # mod L plus the table's exponent, below 2L + 1, plus
+                    # 3L times the number t of the matrix's (N, N_b) table,
+                    # so 12N t <= e < 12N (t + 1), inside table t
+                    np.take(roots, e, out=dest[..., r0:r1, :], mode="wrap")
             if top < n:
                 # parity symmetry: row Q > N/2 is row N - Q read at -Q'
                 dest[top:, 0] = dest[n - top:0:-1, 0]

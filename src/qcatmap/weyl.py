@@ -44,7 +44,7 @@ import numpy as np
 from .numtheory import require_dimension
 from .phases import e_frac_array
 from .propagator import Report, _drive, build, build_many
-from .sl2 import Mat2
+from .sl2 import Mat2, require_theta
 
 Mode = tuple[int, int]
 Observable = Mapping[Mode, complex]
@@ -104,8 +104,10 @@ def compose_classical(f: Observable, m: Mat2) -> dict[Mode, complex]:
     """Fourier coefficients of f composed with the torus map of m.
 
     Each mode is carried to its image under the transpose action, so the
-    support size is preserved; a non-integer mode is a ValueError.
+    support size is preserved; a non-integer mode is a ValueError, and so
+    is a matrix outside the theta group (NotThetaError).
     """
+    m = require_theta(m)
     return {
         (m.a * n1 + m.c * n2, m.b * n1 + m.d * n2): coeff
         for (n1, n2), coeff in ((_mode(k), v) for k, v in f.items())

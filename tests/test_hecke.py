@@ -11,8 +11,8 @@ from qcatmap.hecke import (CapExceededError, NotCongruentError, commutant_mod,
                            congruent_companion, mod2N_factor, verify_hecke,
                            verify_mod4N)
 from qcatmap.propagator import build
-from qcatmap.sl2 import (IDENTITY, LiftError, Mat2, ModMatrix, evaluate,
-                         is_theta, lift_theta, random_theta_general,
+from qcatmap.sl2 import (IDENTITY, LiftError, Mat2, ModMatrix, NotThetaError,
+                         evaluate, is_theta, lift_theta, random_theta_general,
                          random_word, reduce_mod)
 
 
@@ -312,3 +312,14 @@ def test_verify_hecke_reports_a_nan_commutator(monkeypatch, nan_call):
     assert len(calls) == 4
     assert np.isnan(rep.max_error) and not rep.passed
     assert rep.samples == 48
+
+
+@pytest.mark.parametrize("a", [Mat2(2.5, 1, 3, 2), Mat2(2.0, 1, 3, 2), Mat2(2, 1, 3, 3)],
+                         ids=["float", "integral-float", "det-3"])
+def test_commutant_and_companion_take_theta_matrices_only(a):
+    # these used to enumerate 16 members from float residues and return
+    # 26.5,1.0,51,2; the determinant-3 matrix gave 4 members and 26,1,75,3
+    with pytest.raises(NotThetaError):
+        commutant_mod(a, 2)
+    with pytest.raises(NotThetaError):
+        congruent_companion(a, 8, random.Random(0))

@@ -15,6 +15,7 @@ residue or a numpy scalar shows.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,13 @@ ROWS = {
     "congruent_companion": (lambda m: hecke.congruent_companion(Mat2(2, 1, 3, 2), m,
                                                                 random.Random(5)),
                             "i", lambda rng: (2 * rng.randint(1, 6),)),
+    "commutant_mod": (lambda *a: hecke.commutant_mod(Mat2(*a), 1), "iiii",
+                      lambda rng: _theta(rng).entries()),
+    "congruent_companion-A": (lambda *a: hecke.congruent_companion(Mat2(*a), 8,
+                                                                   random.Random(5)),
+                              "iiii", lambda rng: _theta(rng).entries()),
+    "compose_classical": (lambda *a: weyl.compose_classical({(1, 2): 1.0}, Mat2(*a)),
+                          "iiii", lambda rng: _theta(rng).entries()),
     "quantize": (lambda n1, n2, c, n: weyl.quantize({(n1, n2): c}, n), "iini",
                  lambda rng: (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-5, 5),
                               rng.randint(1, 6))),
@@ -115,3 +123,33 @@ def test_each_input_gives_the_int_value_or_a_value_error(row, column):
             same = _counterpart(value, kind)
             assert same is not None, (args, i, value, got)
             assert got == _outcome(call, args[:i] + (same,) + args[i + 1:]), (args, i, value)
+
+
+# The dimension edges of build_many, each with its outcome: a value, or a
+# ValueError raised before anything is allocated.  N = _MAX_N itself is not
+# built, as its one matrix takes about 5 GB.
+EDGES = {
+    "N = 1": (lambda: propagator.build_many([Mat2(2, 1, 3, 2), Mat2(1, 2, 2, 5),
+                                             Mat2(1, 0, 6, 1)], 1),
+              np.ones((3, 1, 1), dtype=complex)),
+    "N = _MAX_N + 1, b != 0": (lambda: propagator.build(Mat2(2, 3, 1, 2),
+                                                        propagator._MAX_N + 1),
+                               ValueError),
+    "empty stack": (lambda: propagator.build_many([], 4), ValueError),
+}
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_each_dimension_edge_gives_its_outcome(edge):
+    call, want = EDGES[edge]
+    tracemalloc.start()
+    try:
+        got = _outcome(call, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if want is ValueError:
+        assert got is ValueError
+        assert peak < 2**20
+    else:
+        assert got == _outcome(lambda: want, ())

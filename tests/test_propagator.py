@@ -858,6 +858,40 @@ def test_build_bit_equal_to_exponent_reference(n):
         assert _same_bits(build(m, n, check=False), _exact(m, n)), m
 
 
+def _units(n, b):
+    return math.lcm(8, 4 * n, 2 * n * abs(b))
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_build_bit_equal_to_exponent_reference_across_the_int32_bound(n):
+    # a chunk runs in int32 when L (N + 2) plus its largest Gauss exponent,
+    # at most 2L for one matrix, is below 2^31: the widest |b| surely below
+    # that bound, the narrowest surely above it, and a lift with |b| = 4N
+    below = max(b for b in range(2, 4 * n) if _units(n, b) * (n + 4) < 2**31)
+    above = min(b for b in range(2, 4 * n) if _units(n, b) * (n + 2) >= 2**31)
+    widths = [_units(n, b) * (n + 2) / 2**31 for b in (below, above)]
+    assert 0.99 < widths[0] < 1 <= widths[1] < 1.01
+    lifted = Mat2(1, 8 * n, 2, 16 * n + 1)
+    assert lift_theta(reduce_mod(lifted, 4 * n)).b == 4 * n
+    for m in (_with_b(1 + below % 2, below), _with_b(1 + above % 2, above), lifted):
+        assert _same_bits(build(m, n, check=False), _exact(m, n)), m
+
+
+def test_a_chunk_of_int32_and_int64_widths_is_bit_equal_to_exponent_reference():
+    # every lifted input at N <= 128 fits int32 (L (N + 2) < 2^26), so the
+    # kernel is handed an unlifted |b| here: one chunk of the stack at N = 64
+    # holds narrow members first and, last, one whose sums pass 2^31 (L N
+    # is 3 times that), and runs in the width of its widest member
+    n = 64
+    ms = [Mat2(2, 3, 1, 2), Mat2(1, 2, 2, 5), _with_b(5, 1_000_002)]
+    assert _units(n, ms[-1].b) * n >= 3 * 2**31 > 400 * _units(n, ms[0].b) * (n + 2)
+    assert len(ms) <= propagator._BLOCK // (n * n)
+    got = np.empty((len(ms), n, n), dtype=complex)
+    propagator._build_general(got, ms, ([], [0, 1, 2]), n)
+    for m, u in zip(ms, got):
+        assert _same_bits(u, _exact(m, n)), m
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 61, 64, 127, 128])
 def test_whole_matrix_stacks_commute_with_parity_bit_for_bit(n):
     # U_N(A)[-Q, -Q'] = U_N(A)[Q, Q'], which the kernel uses to copy the

@@ -11,7 +11,8 @@ from _oracles import (delta_basis, egorov_mode_errors_reference,
 
 from qcatmap import weyl
 from qcatmap.propagator import build
-from qcatmap.sl2 import (P_MAT, S_PLUS, T2_PLUS, Mat2, evaluate, random_word)
+from qcatmap.sl2 import (P_MAT, S_PLUS, T2_PLUS, Mat2, NotThetaError, evaluate,
+                         random_word)
 
 
 def e(t):
@@ -271,3 +272,10 @@ def test_egorov_mode_errors_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("m", [Mat2(2.5, 1, 3, 2), Mat2(2, 1, 3, 3)], ids=["float", "det-3"])
+def test_compose_classical_takes_theta_matrices_only(m):
+    # the float matrix used to give the float mode (8.5, 5)
+    with pytest.raises(NotThetaError):
+        weyl.compose_classical({(1, 2): 1.0}, m)
