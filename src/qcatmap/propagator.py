@@ -52,7 +52,9 @@ rows, blocks of a multiple of |b| rows share their Gauss exponents too.
 Up to N = _GRAM_BLOCK the guard is _gram_defects on the stack; past that,
 _certified checks in O(N^2) that a matrix is gcd(b, N) blocks D_x F_k D_y
 (F_k a DFT at a unit k) up to a permutation of residue classes, which
-bounds its Gram defect by 5e-12, and the dense Gram decides the rest.
+bounds its Gram defect by 5e-12, and the dense Gram decides the rest.  At
+gcd(b, N) = 1 it fits that form on the rows Q <= N/2 only and checks the
+parity copies bit for bit, as U_N(A) commutes with U_N(-I) exactly.
 
 The special matrices S (Fourier transform) and P (parity) are the w = 0
 anti-shear and m = 0 negative shear respectively.
@@ -257,6 +259,13 @@ def _certified(u: np.ndarray) -> bool:
     within delta^2.  So the Gram defect is at most 3 eta + 2 delta + delta^2
     = 5e-12 in exact arithmetic, which the dense Gram reads within N 2^-53
     and roundings here move by 2^-50: far below 1e-9 sqrt(N).
+
+    At g = 1 (M = N) the bounds on E are checked on the rows Q <= N/2 only,
+    the rows the kernel computes, and the rest bit for bit: r_j = r_-j, and
+    row Q > N/2 is row N - Q read at -j.  As r is even and
+    F[N - Q, -j] = F[Q, j], u = D_a' F D_r + E' with a'_Q = a_(N - Q) and
+    E'[Q, j] = E[N - Q, -j] past N/2 (a' = a and E' = E up to N/2), so
+    a' and E' meet the bounds on a and E, and the bound holds word for word.
     """
     n, m = len(u), np.count_nonzero(u[0])
     if not m or n % m:
@@ -278,20 +287,39 @@ def _certified(u: np.ndarray) -> bool:
     k = np.rint(np.angle(w) * (m / (2 * math.pi))).astype(np.int64) % m
     if not (np.gcd(k, m) == 1).all():
         return False
+    # at g = 1 the form is fitted on rows Q < top, the kernel's own, and
+    # rows N - Q > N/2 must be the mirrors of the rows Q in [1, mirrored]
+    top, mirrored = (n // 2 + 1, (n - 1) // 2) if g == 1 else (m, 0)
     # e(t/M) for t < M; row lo + d of a row block is w^(k d j) times w^(k lo j)
     roots, j, h = _roots(n, 1)[:4 * n:4 * g], np.arange(m), max(1, _BLOCK // n)
-    step = roots[(k[:, None, None] * np.arange(min(h, m))[:, None] % m) * j % m]
+    step = roots[(k[:, None, None] * np.arange(min(h, top))[:, None] % m) * j % m]
     a, bound = col / col[:, :1], _CERT_SLACK / math.sqrt(2 * m)
     buf = np.empty(step.shape, dtype=complex)
-    for lo in range(0, m, h):
+    if mirrored:
+        # (re, im) bit pairs of row 0, which is its own mirror
+        pairs = u[0].view(np.int64).reshape(n, 2)
+        if not np.array_equal(pairs[1:], pairs[:0:-1]):
+            return False
+    for lo in range(0, top, h):
+        hi = min(lo + h, top)
         lead = roots[(k * lo % m)[:, None] * j % m] * row
-        p = np.multiply(step[:, :m - lo], lead[:, None, :], out=buf[:, :m - lo])
-        p *= a[:, lo:lo + h, None]
+        p = np.multiply(step[:, :hi - lo], lead[:, None, :], out=buf[:, :hi - lo])
+        p *= a[:, lo:hi, None]
         # at g = 1 the blocks are the rows of u, read as a view
-        p -= u[lo:lo + h] if g == 1 else v[lo:lo + h, blocks, :, tau]
+        p -= u[lo:hi] if g == 1 else v[lo:hi, blocks, :, tau]
         p = p.view(np.float64)
         if not (-bound < p.min() and p.max() < bound):
             return False
+        # the block's rows, still in cache, reversed into buf against their
+        # mirrors, which then run forward
+        s0, s1 = max(lo, 1), min(hi, mirrored + 1)
+        if s0 < s1:
+            mirror = buf[0, :s1 - s0]
+            mirror[:, 0] = u[s1 - 1:s0 - 1:-1, 0]
+            mirror[:, 1:] = u[s1 - 1:s0 - 1:-1, :0:-1]
+            if not np.array_equal(mirror.view(np.int64),
+                                  u[n + 1 - s1:n + 1 - s0].view(np.int64)):
+                return False
     return True
 
 

@@ -722,6 +722,57 @@ def test_guard_decides_as_the_dense_reference(monkeypatch, n):
                     assert _same_bits(got, u)
 
 
+def _one_ulp(row, col):
+    """Move the real part of u[row, col] up by one ulp."""
+    def edit(u):
+        z = u[row, col]
+        u[row, col] = complex(np.nextafter(z.real, 2), z.imag)
+    return edit
+
+
+# g = 1: |b| = 1, and a Gauss table with gcd(7, N) = 1 at every N here
+HALF_CASES = [(n, m) for n in (129, 130, 1024, 1025)
+              for m in (Mat2(2, 1, 3, 2), _with_b(2, 7))]
+
+
+@pytest.mark.parametrize("n, m", HALF_CASES, ids=[f"{n}-{m}" for n, m in HALF_CASES])
+def test_half_certificate_checks_the_parity_copies_bit_for_bit(monkeypatch, n, m):
+    # at g = 1 the form is fitted on rows Q <= N/2 only: a one-ulp edit of
+    # the first copied row, of the last row or of row 0 off its mirror is
+    # within the form's slack, but fails the certificate, and the dense
+    # Gram passes it
+    assert math.gcd(m.b, n) == 1
+    for edit in (_one_ulp(n // 2 + 1, 3), _one_ulp(-1, 5), _one_ulp(0, 1)):
+        u = build(m, n)
+        edit(u)
+        assert not propagator._certified(u)
+        with monkeypatch.context() as patch:
+            _edit_builds(patch, edit)
+            assert _same_bits(build(m, n), u)
+    # an edit of 1e-3 past N/2 raises the dense Gram's error
+    def far(u):
+        u[n - 2, 4] += 1e-3
+
+    u = build(m, n)
+    far(u)
+    assert not propagator._certified(u)
+    _edit_builds(monkeypatch, far)
+    with pytest.raises(propagator.UnitarityError, match=_dense_message(u)):
+        build(m, n)
+
+
+@pytest.mark.parametrize("n", [129, 130, 255, 256, 257, 1024, 1025])
+def test_no_correct_build_past_one_gram_block_takes_the_dense_gram(monkeypatch, n):
+    # a certificate that rejected every build would cost time only, as the
+    # dense Gram would pass them all
+    def dense(u):
+        raise AssertionError("the dense Gram was reached")
+
+    monkeypatch.setattr(propagator, "unitarity_defect", dense)
+    for m in _decision_matrices(n, random.Random(n)):
+        build(m, n)
+
+
 def _general_kernel_cases():
     """General matrices at N = 1..32, 61, 64, 127, 128, 129, 200, 256, 1024:
     random words, which reach b < 0 and gcd(b, N) > 1, lifts mod 4N, which
