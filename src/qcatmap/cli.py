@@ -72,7 +72,7 @@ def _parse_mode(text: str) -> tuple[int, int]:
     return n1, n2
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload))
     else:
@@ -172,11 +172,8 @@ def _cmd_verify(args) -> int:
     names = suites.CHECKS if args.what == "all" else [args.what]
     reports = [suites.run_check(name, given, args.tolerance_scale)
                for name in names]
-    if args.format == "json":
-        print(json.dumps([dataclasses.asdict(r) for r in reports]))
-    else:
-        for rep in reports:
-            print(_report_line(rep))
+    _emit(args, [dataclasses.asdict(r) for r in reports],
+          "\n".join(map(_report_line, reports)))
     return 0 if all(r.passed for r in reports) else 1
 
 

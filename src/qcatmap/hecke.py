@@ -43,16 +43,14 @@ _CHUNK = 1024
 
 def _pair_errors(pairs, n: int, modulus: int) -> tuple[np.ndarray, list[int]]:
     """Errors max |U_N(A) - f U_N(B)| of pairs (A, B) congruent mod modulus,
-    built as one stack [A, B, A, B, ...], and their signs f: 1 at modulus 4N
-    (not applied), jacobi(N, |c_a|) for the top-left entry c_a of C = B^-1 A
-    at 2N.  A pair that is not congruent is a NotCongruentError."""
+    built as one stack [A, B, A, B, ...], and their signs f = jacobi(N, |c_a|)
+    for the top-left entry c_a of C = B^-1 A, which is 1 at modulus 4N (then
+    c_a = 1 mod 4N).  A pair that is not congruent is a NotCongruentError."""
     n = require_dimension(n)
     for a, b in pairs:
         if any((x - y) % modulus for x, y in zip(a.entries(), b.entries())):
             raise NotCongruentError(f"{a} and {b} differ mod {modulus}")
     u = build_many([m for pair in pairs for m in pair], n)
-    if modulus == 4 * n:
-        return np.abs(u[0::2] - u[1::2]).max(axis=(1, 2)), [1] * len(pairs)
     signs = [jacobi(n, abs((b.inverse() @ a).a)) for a, b in pairs]
     other = np.array(signs)[:, None, None] * u[1::2]
     return np.abs(u[0::2] - other).max(axis=(1, 2)), signs
@@ -171,12 +169,14 @@ def congruent_companion(a: Mat2, modulus: int, rng: random.Random) -> Mat2:
     either as an elementary shear (top-left entry 1) or with top-left entry
     1 + modulus*t, which is what makes the mod-2N sign nontrivial.  Raises
     NotThetaError unless A is a theta matrix, and ValueError unless the
-    modulus is even and at least 2.
+    modulus is even and at least 2 and rng is a random.Random.
     """
     a = require_theta(a)
     m = require_integer(modulus, "modulus")
     if m < 2 or m % 2:
         raise ValueError(f"modulus must be even and at least 2, got {m}")
+    if not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be a random.Random, not {rng!r}")
     kind = rng.randrange(3)
     if kind == 0:
         return a @ Mat2(1, m * rng.randint(-3, 3), 0, 1)

@@ -37,9 +37,8 @@ _FLOOR_DIVIDE_FROM = 512
 
 
 def e_frac(num: int, den: int) -> complex:
-    """e(num/den) for integers with den != 0, reduced mod 1 exactly."""
-    if den < 0:
-        num, den = -num, -den
+    """e(num/den) for integers with den != 0, reduced mod 1 exactly; for
+    den < 0, num % den = -((-num) % -den), so r/den is the same float."""
     return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 

@@ -43,7 +43,8 @@ one.  Per matrix only scalars are made in Python (the theta check, the
 lift, L, gcd(b, N), the signs, eighth roots and inverses of h and of the
 Gauss branch).  build_many sorts the lifted stack once by kernel kind
 (shears, |b| = 1, the Gauss table over r), and _build_shear and
-_build_general write their members in place into its one (K, N, N) result.
+_build_general scatter their members to their places in its one (K, N, N)
+result; the blocks of one matrix are written in place.
 The b != 0 kernel fills a kind in blocks of at most _BLOCK entries:
 _BLOCK // N^2 whole matrices while N^2 <= _BLOCK, each step one numpy pass
 over all of them, and rows Q <= N/2 of one matrix past that, which share
@@ -65,6 +66,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -114,9 +117,11 @@ def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
     """Worst error over a check's trials, each held to tol * law(n) * tol_scale.
 
     trials yields (error, n) per sample, or None for a draw with no error
-    to weigh, which the report does not count; a check that draws nothing
-    is a ValueError.
+    to weigh, which the report does not count, in any order; a check that
+    draws nothing, or a tol_scale that _require_tol_scale rejects, is a
+    ValueError.
     """
+    _require_tol_scale(tol_scale)
     worst, passed, drawn, done = 0.0, True, 0, 0
     for trial in trials:
         drawn += 1
@@ -133,6 +138,12 @@ def _drive(name: str, trials: Iterable[tuple[float, int] | None], tol: float,
     return Report(name, done, worst, tol, passed)
 
 
+def _require_tol_scale(x) -> None:
+    """ValueError unless x is a real number greater than 0 and a finite float."""
+    if not (isinstance(x, numbers.Real) and 0 < x <= sys.float_info.max):
+        raise ValueError(f"tol_scale must be a finite number greater than 0, not {x!r}")
+
+
 @dataclass(frozen=True)
 class CaseTag:
     """Structural case of a theta matrix, as printed by propagator_json."""
@@ -143,15 +154,9 @@ class CaseTag:
 
     def __str__(self) -> str:
         pm = "+" if self.sign > 0 else "-"
-        if self.kind == "fourier":
-            return f"fourier({pm})"
-        if self.kind == "parity":
-            return "parity"
-        if self.kind == "shear":
-            return f"shear(m={self.param},{pm})"
-        if self.kind == "antishear":
-            return f"antishear(w={self.param},{pm})"
-        return "general"
+        # parity and general print as their kind
+        return {"fourier": f"fourier({pm})", "shear": f"shear(m={self.param},{pm})",
+                "antishear": f"antishear(w={self.param},{pm})"}.get(self.kind, self.kind)
 
 
 def classify(m: Mat2) -> CaseTag:
@@ -228,10 +233,9 @@ def _gram_defects(u: np.ndarray) -> np.ndarray:
         for lo in range(0, m, _GRAM_BLOCK):
             # the conjugate copy dies before np.abs(p) is allocated
             p = part[:, :, lo:lo + _GRAM_BLOCK].conj().mT @ part[:, :, lo:]
-            # the diagonals, 1-D for one matrix (1 us faster than a (1, M) view),
-            # through no named view, which would hold p past the next product
-            shape = -1 if len(p) == 1 else (len(p), -1)
-            p.reshape(shape)[..., ::p.shape[2] + 1] -= 1
+            # the diagonals, through no named view, which would hold p past
+            # the next product
+            p.reshape(len(p), -1)[:, ::p.shape[2] + 1] -= 1
             block = np.abs(p).max(axis=(1, 2))
             # not the builtin max, which drops a later NaN
             worst = block if worst is None else np.maximum(worst, block)
@@ -474,32 +478,23 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                 exps = exps.astype(width)
             # (K, N) vectors, or for one matrix (N,) ones, so that its
             # blocks are 2-D and written to u[k] in place
-            if len(chunk) == 1:
-                row, cross, col = terms[0]
-                dest = u[idx[0]]
-            else:
-                row, cross, col = terms[:, 0], terms[:, 1], terms[:, 2]
-                # a chunk that is a run of the stack is written in place,
-                # any other chunk scattered to its places
-                run = idx[-1] - idx[0] == len(idx) - 1
-                dest = u[idx[0]:idx[-1] + 1] if run else None
-            with_col = any(m.a for m in chunk)
+            one = len(chunk) == 1
+            row, cross, col = terms[0] if one else terms.swapaxes(0, 1)
             unit, step = (x[0] if len(set(x)) == 1
                           else np.array(x, dtype=width)[:, None, None]
                           for x in (units, [x // (4 * n) for x in units]))
             span, same = rows, None
-            if kind and len(chunk) == 1 and abs(chunk[0].b) <= rows < n:
+            if kind and one and abs(chunk[0].b) <= rows < n:
                 # the Gauss exponents of row Q depend on Q mod |b| only, so
                 # every block of a multiple of |b| rows reads the same ones
                 span -= rows % abs(chunk[0].b)
                 same = exps[r_col + r_row[:span, None]]
-            top = n // 2 + 1 if len(chunk) == 1 and rows < n else n
+            top = n // 2 + 1 if one and rows < n else n
             for r0 in range(0, top, span):
                 r1 = min(r0 + span, top)
                 num = cross[..., r0:r1, None] * qw
                 num += row[..., r0:r1, None]
-                if with_col:
-                    num += col[..., None, :]
+                num += col[..., None, :]
                 # num mod L by floor division, which numpy runs by libdivide
                 e = num // unit
                 e *= -unit
@@ -513,9 +508,7 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                         bad = e.reshape(len(chunk), -1).any(axis=1)
                         raise ExponentError(idx[int(np.flatnonzero(bad)[0])])
                     e = k
-                if dest is None:
-                    u[idx, r0:r1] = roots[e]
-                else:
+                if one:
                     # 0 <= e < len(roots), so "wrap" never wraps, and unlike
                     # "raise" it writes to out unbuffered: at |b| = 1, e is
                     # num floor-mod 2N and roots has 2N entries; for a Gauss
@@ -523,9 +516,13 @@ def _build_general(u: np.ndarray, ms: list, groups: tuple, n: int) -> None:
                     # mod L plus the table's exponent, below 2L + 1, plus
                     # 3L times the number t of the matrix's (N, N_b) table,
                     # so 12N t <= e < 12N (t + 1), inside table t
-                    np.take(roots, e, out=dest[..., r0:r1, :], mode="wrap")
+                    np.take(roots, e, out=u[idx[0], r0:r1], mode="wrap")
+                else:
+                    # several members are scattered to their stack places
+                    u[idx, r0:r1] = roots[e]
             if top < n:
                 # parity symmetry: row Q > N/2 is row N - Q read at -Q'
+                dest = u[idx[0]]
                 dest[top:, 0] = dest[n - top:0:-1, 0]
                 dest[top:, 1:] = dest[n - top:0:-1, :0:-1]
 

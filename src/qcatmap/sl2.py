@@ -79,15 +79,10 @@ T2_PLUS = Mat2(1, 0, 2, 1)
 T2_MINUS = Mat2(1, 0, -2, 1)
 
 TOKENS = ("S", "S-", "P", "T2", "T2-")
-TOKEN_MATRIX = {
-    "S": S_PLUS,
-    "S-": S_MINUS,
-    "P": P_MAT,
-    "T2": T2_PLUS,
-    "T2-": T2_MINUS,
-}
+TOKEN_MATRIX = dict(zip(TOKENS, (S_PLUS, S_MINUS, P_MAT, T2_PLUS, T2_MINUS)))
 TOKEN_INVERSE = {"S": "S-", "S-": "S", "P": "P", "T2": "T2-", "T2-": "T2"}
 _UNKNOWN_TOKEN = "unknown generator token {!r}"
+_NOT_A_WORD = "a word is a sequence of token strings, not {!r}"
 
 
 def is_theta(m: Mat2) -> bool:
@@ -141,13 +136,12 @@ class ModMatrix:
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.modulus != other.modulus:
             raise ValueError("moduli differ")
-        m = self.modulus
         return ModMatrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            m,
+            self.modulus,
         )
 
 
@@ -199,11 +193,15 @@ def evaluate(word: list[str]) -> Mat2:
                           c * x.a + d * x.c, c * x.b + d * x.d)
     except KeyError as exc:
         raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
+    except TypeError:
+        raise ValueError(_NOT_A_WORD.format(word)) from None
     return Mat2(a, b, c, d)
 
 
 def parse_word(text: str) -> list[str]:
     """Parse a space-separated, case-insensitive token string."""
+    if not isinstance(text, str):
+        raise ValueError(f"a word to parse is a string, not {text!r}")
     word = []
     for raw in text.split():
         tok = raw.upper()
@@ -214,7 +212,10 @@ def parse_word(text: str) -> list[str]:
 
 
 def format_word(word: list[str]) -> str:
-    return " ".join(word)
+    try:
+        return " ".join(word)
+    except TypeError:
+        raise ValueError(_NOT_A_WORD.format(word)) from None
 
 
 def decompose(m: Mat2) -> list[str]:
@@ -279,6 +280,8 @@ def reduce_word(word: list[str]) -> list[str]:
                 stack.append(tok)
     except KeyError as exc:
         raise ValueError(_UNKNOWN_TOKEN.format(exc.args[0])) from None
+    except TypeError:
+        raise ValueError(_NOT_A_WORD.format(word)) from None
     if p_parity:
         stack.append("P")
     return stack

@@ -21,7 +21,7 @@ from . import gauss, hecke, weyl
 from .phases import TWO_PI
 # build is bound here for the benchmark's tracer, which wraps suites.build
 from .propagator import (MULT_TOL, UNITARITY_TOL, Report, _drive, _gram_defects,
-                         build, build_many, h_phase)
+                         _require_tol_scale, build, build_many, h_phase)
 from .sl2 import (IDENTITY, TOKEN_MATRIX, TOKENS, Mat2, decompose, evaluate,
                   random_word, random_theta_general)
 
@@ -89,20 +89,19 @@ _STACK = 1 << 18
 
 
 def _trials_by_n(draws, per_draw: int, errors) -> list[tuple[float, int]]:
-    """(error, N) of each draw (N, ...) in draw order, for _drive; errors(batch,
-    N) returns the errors of a batch of draws at N, each batch a stack of at
-    most _STACK entries when a draw builds per_draw matrices."""
+    """(error, N) of each draw (N, ...), batch by batch, for _drive, whose
+    report does not depend on their order; errors(batch, N) returns the
+    errors of a batch of draws at N, each batch a stack of at most _STACK
+    entries when a draw builds per_draw matrices."""
     by_n = {}
-    for i, draw in enumerate(draws):
-        by_n.setdefault(draw[0], []).append(i)
-    out = [0.0] * len(draws)
-    for n, idx in by_n.items():
+    for draw in draws:
+        by_n.setdefault(draw[0], []).append(draw)
+    trials = []
+    for n, batch in by_n.items():
         per_stack = max(1, _STACK // (per_draw * n * n))
-        for lo in range(0, len(idx), per_stack):
-            part = idx[lo:lo + per_stack]
-            for i, err in zip(part, errors([draws[i] for i in part], n)):
-                out[i] = float(err)
-    return [(err, draw[0]) for err, draw in zip(out, draws)]
+        for lo in range(0, len(batch), per_stack):
+            trials += [(float(err), n) for err in errors(batch[lo:lo + per_stack], n)]
+    return trials
 
 
 def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
@@ -111,8 +110,7 @@ def multiplicativity_sweep(pairs: int = 500, max_dim: int = 32,
     """build(AB) against build(A) @ build(B) for random words and dims.
 
     All pairs are drawn first; then the pairs of each N are built as one
-    stack [AB, A, B, AB, A, B, ...], and their errors are reported in the
-    order the pairs were drawn.
+    stack [AB, A, B, AB, A, B, ...].
     """
     rng = random.Random(seed)
     draws = [(rng.randint(1, max_dim), evaluate(random_word(rng, max_word_len)),
@@ -186,6 +184,7 @@ def gauss_oracle_sweep(max_abs: int = 40, tol_scale: float = 1.0) -> Report:
     alpha at one beta come from one stacked gauss_closed_many call.
     A NaN in either maximum is the reported error and fails the check.
     """
+    _require_tol_scale(tol_scale)
     if max_abs < 1:
         raise ValueError(f"the parameter box needs max_abs >= 1, got {max_abs}")
     values = np.arange(-max_abs, max_abs + 1)

@@ -26,9 +26,10 @@ T_N(n) depends on the mode only mod 2N, so modes and matrix entries are
 reduced mod 2N as Python integers before any array arithmetic; this keeps
 every int64 small for modes of any size.  The per-mode sweep works in
 blocks of whole n1 rows: the Weyl operators of a block's modes are
-scattered into one stack of at most _BLOCK entries (one row of N modes when
-a row alone is larger), which every matrix at that N conjugates by one
-stacked product, and the image operators are subtracted at their nonzeros.
+scattered into one stack of at most propagator._BLOCK entries, or one row
+of N modes when a row alone is larger (4 rows at N = 16, one from N = 26
+on), which every matrix at that N conjugates by one stacked product, and
+the image operators are subtracted at their nonzeros.
 The phases and product order are those of the one-mode-at-a-time loop, so
 the errors are the same bits while memory stays O(N^3).
 """
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import numbers
 import operator
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
 from .numtheory import require_dimension
 from .phases import e_frac_array
-from .propagator import Report, _drive, build, build_many
+from .propagator import _BLOCK, Report, _drive, build, build_many
 from .sl2 import Mat2, require_theta
 
 Mode = tuple[int, int]
@@ -51,9 +52,12 @@ Observable = Mapping[Mode, complex]
 
 EGOROV_TOL = 1e-8  # times N
 
-# entries of one mode stack in _mode_errors: 4 rows of modes at N = 16,
-# one row from N = 26 on
-_BLOCK = 1 << 14
+
+def _terms(f: Observable):
+    """The (mode, coefficient) pairs of f; ValueError unless f is a mapping."""
+    if not isinstance(f, Mapping):
+        raise ValueError(f"an observable maps modes to coefficients, not {f!r}")
+    return [(_mode(k), v) for k, v in f.items()]
 
 
 def _weyl_entries(n1: np.ndarray, n2: np.ndarray, n: int):
@@ -66,9 +70,9 @@ def _weyl_entries(n1: np.ndarray, n2: np.ndarray, n: int):
 
 
 def _mode(mode) -> Mode:
-    """mode as Python ints (operator.index); ValueError unless integers."""
-    if not all(hasattr(x, "__index__") for x in mode):
-        raise ValueError(f"mode entries must be integers, not {mode!r}")
+    """mode as Python ints (operator.index); ValueError unless two integers."""
+    if np.shape(mode) != (2,) or not all(hasattr(x, "__index__") for x in mode):
+        raise ValueError(f"mode entries must be integers, a pair of them, not {mode!r}")
     return tuple(map(operator.index, mode))
 
 
@@ -89,11 +93,12 @@ def weyl_op(mode: Mode, n: int) -> np.ndarray:
 
 
 def quantize(f: Observable, n: int) -> np.ndarray:
-    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1, a
-    non-integer mode or a coefficient that is not a number is a ValueError."""
+    """Op_N(f) = sum of fhat(m) T_N(m) over the support of f; N < 1, an f
+    that is not a mapping, a mode that is not a pair of integers or a
+    coefficient that is not a number is a ValueError."""
     n = require_dimension(n)
     op = np.zeros((n, n), dtype=np.complex128)
-    for mode, coeff in f.items():
+    for mode, coeff in _terms(f):
         if not isinstance(coeff, numbers.Number):
             raise ValueError(f"coefficient of mode {mode} must be a number, not {coeff!r}")
         op += complex(coeff) * weyl_op(mode, n)
@@ -104,14 +109,13 @@ def compose_classical(f: Observable, m: Mat2) -> dict[Mode, complex]:
     """Fourier coefficients of f composed with the torus map of m.
 
     Each mode is carried to its image under the transpose action, so the
-    support size is preserved; a non-integer mode is a ValueError, and so
-    is a matrix outside the theta group (NotThetaError).
+    support size is preserved; an f that is not a mapping or a mode that
+    is not a pair of integers is a ValueError, and so is a matrix outside
+    the theta group (NotThetaError).
     """
     m = require_theta(m)
-    return {
-        (m.a * n1 + m.c * n2, m.b * n1 + m.d * n2): coeff
-        for (n1, n2), coeff in ((_mode(k), v) for k, v in f.items())
-    }
+    return {(m.a * n1 + m.c * n2, m.b * n1 + m.d * n2): coeff
+            for (n1, n2), coeff in _terms(f)}
 
 
 def verify_egorov(m: Mat2, n: int, f: Observable, tol_scale: float = 1.0) -> Report:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcatmap import gauss, hecke, numtheory, propagator, sl2, weyl
+from qcatmap import gauss, hecke, numtheory, propagator, sl2, suites, weyl
 from qcatmap.sl2 import Mat2, evaluate, random_word
 
 COLUMNS = {
@@ -123,6 +123,51 @@ def test_each_input_gives_the_int_value_or_a_value_error(row, column):
             same = _counterpart(value, kind)
             assert same is not None, (args, i, value, got)
             assert got == _outcome(call, args[:i] + (same,) + args[i + 1:]), (args, i, value)
+
+
+# Arguments of a wrong kind outside the integer slots, each a ValueError
+# and never another exception.  A tolerance scale takes the CLI's rule: a
+# finite number greater than 0.
+A = Mat2(2, 1, 3, 2)
+WRONG_KINDS = {
+    "verify_hecke tol_scale=inf": lambda: hecke.verify_hecke(A, 2, tol_scale=math.inf),
+    "verify_hecke tol_scale=-1": lambda: hecke.verify_hecke(A, 2, tol_scale=-1),
+    "verify_hecke tol_scale=nan": lambda: hecke.verify_hecke(A, 2, tol_scale=math.nan),
+    "verify_hecke tol_scale='x'": lambda: hecke.verify_hecke(A, 2, tol_scale="x"),
+    "verify_hecke tol_scale=None": lambda: hecke.verify_hecke(A, 2, tol_scale=None),
+    "verify_egorov tol_scale=0": lambda: weyl.verify_egorov(A, 3, {(1, 2): 1.0},
+                                                            tol_scale=0),
+    "relations_sweep tol_scale=-inf": lambda: suites.relations_sweep(
+        dims=[1], tol_scale=-math.inf),
+    "gauss_oracle_sweep tol_scale=inf": lambda: suites.gauss_oracle_sweep(
+        max_abs=1, tol_scale=math.inf),
+    "gauss_oracle_sweep tol_scale=1j": lambda: suites.gauss_oracle_sweep(
+        max_abs=1, tol_scale=1j),
+    "verify_hecke tol_scale=10**400": lambda: hecke.verify_hecke(A, 2, tol_scale=10**400),
+    "weyl_op of an int mode": lambda: weyl.weyl_op(5, 3),
+    "weyl_op of a triple": lambda: weyl.weyl_op((1, 2, 3), 3),
+    "quantize of a list": lambda: weyl.quantize([((1, 2), 1.0)], 3),
+    "compose_classical of a list": lambda: weyl.compose_classical([((1, 2), 1.0)], A),
+    "evaluate of a nested word": lambda: sl2.evaluate([["S"]]),
+    "evaluate of an int": lambda: sl2.evaluate(3),
+    "reduce_word of a nested word": lambda: sl2.reduce_word([["S"]]),
+    "parse_word of an int": lambda: sl2.parse_word(3),
+    "format_word of ints": lambda: sl2.format_word([1, 2]),
+    "congruent_companion without an rng": lambda: hecke.congruent_companion(A, 8, None),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KINDS)
+def test_each_wrong_kind_is_a_value_error(case):
+    with pytest.raises(ValueError):
+        WRONG_KINDS[case]()
+
+
+@pytest.mark.parametrize("scale", [True, Fraction(1, 2), np.float64(0.5), 10**300],
+                         ids=["bool", "Fraction", "numpy-float", "int-10^300"])
+def test_any_real_that_is_a_finite_float_is_a_tolerance_scale(scale):
+    assert (hecke.verify_hecke(A, 2, tol_scale=scale)
+            == hecke.verify_hecke(A, 2, tol_scale=float(scale)))
 
 
 # The dimension edges of build_many, each with its outcome: a value, or a

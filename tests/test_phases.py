@@ -69,6 +69,14 @@ def test_e_frac_array_matches_scalar_phase():
         assert np.abs(got - want).max() < 1e-15
 
 
+@pytest.mark.parametrize("den", [-1, -8, -61, -2**40])
+def test_e_frac_of_a_negative_den_is_that_of_its_negation(den):
+    # num % den = -((-num) % -den) in Python, so r / den is the same float
+    for num in [*range(-70, 70), den, 5 * den, BIG + 7, -BIG - 3, 10**30 + 1]:
+        got, want = e_frac(num, den), e_frac(-num, -den)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), num
+
+
 @pytest.mark.parametrize("max_abs", [1, 5, 12])
 def test_gauss_oracle_sweep_equals_exp_reference(max_abs):
     assert (suites.gauss_oracle_sweep(max_abs=max_abs)

@@ -1106,6 +1106,21 @@ def test_drive_reports_a_nan_error(trials):
     assert not rep.passed
 
 
+def _report_key(rep):
+    return rep.name, rep.samples, repr(rep.max_error), rep.tol, rep.passed, rep.note
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_drive_report_does_not_depend_on_trial_order(nan):
+    # ties at the max, one of them failing (tol 1e-8 N), a draw with no
+    # error and, with nan, a NaN: every order gives one report
+    trials = [(2e-7, 30), (2e-7, 3), (1e-9, 1), None] + [(math.nan, 8)] * nan
+    reports = {_report_key(propagator._drive("x", list(order), 1e-8))
+               for order in itertools.permutations(trials)}
+    want = propagator.Report("x", 3 + nan, math.nan if nan else 2e-7, 1e-8, False)
+    assert reports == {_report_key(want)}
+
+
 def test_huge_b_builds_from_its_lift_mod_4n():
     # b = 2000002 shares only its residue mod 8 with b = 2; at N = 2 the
     # propagator depends on the matrix mod 8 only, so the two must agree
@@ -1306,7 +1321,7 @@ def test_no_kernel_input_has_b_past_4n(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_build_many_of_one_kind_spans_blocks(n):
-    # a stack of one kind only is filled in place, block by block
+    # a stack of one kind only is scattered to its places, block by block
     rng = random.Random(n)
     for pick in (lambda m: abs(m.b) == 1, lambda m: abs(m.b) >= 2):
         ms = []

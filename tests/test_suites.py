@@ -161,6 +161,27 @@ def test_mod4n_pairs_reach_the_kernel_as_two_matrices(monkeypatch, seed, equal):
     assert sum(same) == equal
 
 
+@pytest.mark.parametrize("seed", [0, 106])
+def test_mod4n_signs_are_one_and_errors_unsigned(monkeypatch, seed):
+    # the paper's mod-4N rule: c_a = 1 mod 4N, so every jacobi(N, |c_a|)
+    # is 1, and the errors are those of U_N(A) - U_N(B) bit for bit
+    real, calls = hecke._pair_errors, []
+
+    def spy(batch, n, modulus):
+        errs, signs = real(batch, n, modulus)
+        calls.append((batch, n, modulus, errs, signs))
+        return errs, signs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hecke, "_pair_errors", spy)
+        suites.mod4n_sweep(seed=seed)
+    assert sum(len(batch) for batch, *_ in calls) == 100
+    for batch, n, modulus, errs, signs in calls:
+        assert modulus == 4 * n and signs == [1] * len(batch)
+        u = propagator.build_many([m for pair in batch for m in pair], n)
+        assert errs.tobytes() == np.abs(u[0::2] - u[1::2]).max(axis=(1, 2)).tobytes()
+
+
 def test_multiplicativity_sweep_reports_a_nan_pair(monkeypatch):
     # a NaN error in one pair stays the worst, whatever the later pairs read
     real = suites.build_many
